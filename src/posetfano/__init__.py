@@ -36,6 +36,7 @@ from .errors import (
     OriginOnHyperplane,
     ParseError,
     PosetfanoError,
+    UnsupportedSize,
     WalkNotEligible,
 )
 from .geometry import (

@@ -11,21 +11,11 @@ enumeration paths), so no external canonicalization dependency is used.
 """
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .poset import Poset
+from .poset import Poset, _bits
 
 
 def _popcount(x: int) -> int:
     return bin(x).count("1")
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _rank(values: dict[int, tuple]) -> dict[int, int]:
@@ -35,7 +25,7 @@ def _rank(values: dict[int, tuple]) -> dict[int, int]:
     return {i: index[v] for i, v in values.items()}
 
 
-def canonical_key(p: "Poset") -> bytes:
+def canonical_key(p: Poset) -> bytes:
     d = p.d
     if d == 1:
         return bytes([1, 0])

@@ -1,11 +1,12 @@
 """Isomorph-free poset generation and the classification table.
 
 Posets on d elements are generated by extending every representative
-on d-1 elements with one new element whose down-set is an order ideal
-and whose up-set is a compatible filter; canonical keys deduplicate the
-results, giving exactly one representative per isomorphism class.
-Counts are then quotiented by order-duality and each representative's
-polytope is classified for smoothness.
+on d-1 elements with one new maximal element whose down-set is an order
+ideal, kept only if no other maximal element has a larger down-set.
+Canonical keys deduplicate the results, giving exactly one
+representative per isomorphism class.  Counts are then quotiented by
+order-duality and each representative's polytope is classified for
+smoothness.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .classifier import classify
+from .errors import UnsupportedSize
 from .poset import Poset, _bits
 
 
@@ -27,36 +29,30 @@ class TableRow:
 
 
 def _extensions(p: Poset) -> Iterator[Poset]:
-    """All posets on d+1 elements obtained by adding one element to p.
+    """Posets on d+1 elements made by adding a new maximal element to p.
 
-    The new element (index d+1) sits above an order ideal D and below a
-    filter U with every member of D under every member of U; every
-    isomorphism class on d+1 elements arises this way from some class
-    on d elements.
+    The new element (index d+1) lies above an order ideal D of p and
+    below nothing.  A child is kept only if |D| is at least the down-set
+    size of every other maximal element, i.e. of every maximum of p
+    outside D.  Every class on d+1 elements arises this way from some
+    class on d elements: delete a maximal element with the largest
+    down-set, and extend what is left by that element's down-set.
     """
     d = p.d
     above = [p.above_mask(i) for i in range(d + 1)]
     below = [p.below_mask(i) for i in range(d + 1)]
+    maxima = [(1 << m, below[m].bit_count()) for m in p.maximal_elements]
     new_bit = 1 << (d + 1)
-    full = ((1 << (d + 1)) - 1) & ~1
-    ideals = [
-        m for m in (r << 1 for r in range(1 << d))
-        if all(below[i] & ~m == 0 for i in _bits(m))
-    ]
-    for down in ideals:
-        allowed = full & ~down
+    for down in (r << 1 for r in range(1 << d)):
+        if any(below[i] & ~down for i in _bits(down)):
+            continue  # not an order ideal
+        size = down.bit_count()
+        if any(size < s for bit, s in maxima if not down & bit):
+            continue  # another maximal element has a larger down-set
+        new_above = above + [0]
         for x in _bits(down):
-            allowed &= above[x]
-        up = allowed
-        while True:
-            if all(above[u] & ~up == 0 for u in _bits(up)):  # filter check
-                new_above = list(above) + [up]
-                for x in _bits(down):
-                    new_above[x] |= new_bit
-                yield Poset(d + 1, new_above)
-            if up == 0:
-                break
-            up = (up - 1) & allowed
+            new_above[x] |= new_bit
+        yield Poset(d + 1, new_above)
 
 
 _LEVELS: dict[int, tuple[Poset, ...]] = {}
@@ -65,7 +61,7 @@ _LEVELS: dict[int, tuple[Poset, ...]] = {}
 def poset_classes(d: int) -> tuple[Poset, ...]:
     """One representative per isomorphism class, deterministic order."""
     if not 1 <= d <= 8:
-        raise ValueError(f"enumeration supports 1 <= d <= 8, got {d}")
+        raise UnsupportedSize(f"enumeration supports 1 <= d <= 8, got {d}")
     if d not in _LEVELS:
         if d == 1:
             _LEVELS[1] = (Poset(1, (0, 0)),)
@@ -122,7 +118,7 @@ def build_table(
     reused instead of recomputed, so long runs can be restarted.
     """
     if not 1 <= d_max <= 8:
-        raise ValueError(f"table supports 1 <= max d <= 8, got {d_max}")
+        raise UnsupportedSize(f"table supports 1 <= max d <= 8, got {d_max}")
     done: dict[int, TableRow] = {}
     if out:
         if resume and os.path.exists(out):

@@ -39,3 +39,7 @@ class WalkNotEligible(PosetfanoError):
 
 class ParseError(PosetfanoError):
     """A poset file could not be parsed."""
+
+
+class UnsupportedSize(PosetfanoError, ValueError):
+    """A size lies outside the range an operation supports."""

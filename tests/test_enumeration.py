@@ -4,13 +4,15 @@ from itertools import permutations
 import pytest
 
 from posetfano import (
+    Poset,
+    UnsupportedSize,
     build_table,
     classify,
     enumerate_posets,
     poset_classes,
     quotient_by_duality,
 )
-from posetfano.enumeration import count_smooth, read_table
+from posetfano.enumeration import _extensions, count_smooth, read_table
 from oracles import brute_isomorphic, labeled_posets
 
 ISO_CLASSES = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
@@ -72,6 +74,55 @@ class TestIsoClassCounts:
     @pytest.mark.slow
     def test_orbit_count_identity_d7(self):
         assert _orbit_sum(7) == 6129859
+
+
+class TestMaximalElementExtension:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_new_element_is_maximal_with_largest_down_set(self, d):
+        new = d + 1
+        for p in poset_classes(d):
+            for child in _extensions(p):
+                assert child.above_mask(new) == 0
+                size = child.below_mask(new).bit_count()
+                for m in child.maximal_elements:
+                    assert child.below_mask(m).bit_count() <= size
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_deleting_a_largest_maximal_element_lands_in_the_level_below(self, d):
+        # the rule that makes the extension complete: every labelled poset
+        # loses a maximal element with the largest down-set to a known class
+        keys = {p.canonical_key() for p in poset_classes(d - 1)}
+        for q in labeled_posets(d):
+            m = max(q.maximal_elements, key=lambda i: q.below_mask(i).bit_count())
+            rest = [i for i in q.elements if i != m]
+            label = {old: new for new, old in enumerate(rest, start=1)}
+            pairs = [(label[i], label[j]) for i in rest for j in rest if q.less(i, j)]
+            assert Poset.from_cover_relations(d - 1, pairs).canonical_key() in keys
+
+    @pytest.mark.slow
+    def test_d8_class_count(self):
+        assert len(poset_classes(8)) == 16999  # OEIS A000112
+
+    @pytest.mark.slow
+    def test_d8_duality_count(self):
+        # the census's d = 8 poset row
+        assert len(quotient_by_duality(poset_classes(8))) == 8746
+
+
+class TestUnsupportedSize:
+    @pytest.mark.parametrize("d", [0, 9])
+    def test_poset_classes(self, d):
+        with pytest.raises(UnsupportedSize):
+            poset_classes(d)
+
+    def test_build_table_raises_a_value_error(self):
+        with pytest.raises(UnsupportedSize) as info:
+            build_table(9)
+        assert isinstance(info.value, ValueError)
+
+    def test_cli_exit_code(self):
+        from posetfano.cli import main
+        assert main(["table", "--max-d", "9", "--jobs", "1"]) == 1
 
 
 class TestDualityQuotient:
