@@ -22,7 +22,6 @@ from .crosscheck import classify_geometric, find_disagreement, oracle_report
 from .enumeration import (
     TableRow,
     build_table,
-    enumerate_posets,
     poset_classes,
     quotient_by_duality,
 )

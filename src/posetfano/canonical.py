@@ -4,99 +4,105 @@ Individualization-refinement over the strict-order relation: elements
 are first partitioned by order-invariant statistics, the partition is
 refined by neighborhood color multisets until stable, and remaining
 symmetric choices are resolved by branching and taking the minimal
-relation-matrix encoding.  Elements with identical up- and down-sets
-are interchangeable, so only one representative per such group is
-branched on.  Sizes here are tiny (d <= 64 by type, d <= 8 in all
-enumeration paths), so no external canonicalization dependency is used.
+relation-matrix encoding.  Twins (elements with the same down- and
+up-set) are incomparable, and every other element is related to all
+or none of them, so refinement never separates twins and swapping two
+twins leaves the matrix unchanged.  Individualizing a twin thus splits
+only its own cell and reaches one leaf whatever the twins' order, so
+the search branches only on the lowest-rank cell that is not all twins
+(once per twin group) and treats a partition whose other cells are
+all twins as a leaf; the minimum over leaves is unchanged.  Sizes here
+are tiny (d <= 64 by type, d <= 8 in all enumeration paths), so no
+external canonicalization dependency is used.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .poset import Poset, _bits
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
+@lru_cache(maxsize=4096)
+def _elements(mask: int) -> tuple[int, ...]:
+    """The set bit positions of mask; the same few masks recur across calls."""
+    return tuple(_bits(mask))
 
 
-def _rank(values: dict[int, tuple]) -> dict[int, int]:
-    """Dense ranks of the value tuples, identical across relabelings."""
-    order = sorted(set(values.values()))
-    index = {v: r for r, v in enumerate(order)}
-    return {i: index[v] for i, v in values.items()}
+def _rank(values: list) -> list[int]:
+    """Dense ranks of the values, identical across relabelings."""
+    index = {v: r for r, v in enumerate(sorted(set(values)))}
+    return [index[v] for v in values]
 
 
 def canonical_key(p: Poset) -> bytes:
     d = p.d
     if d == 1:
         return bytes([1, 0])
-    above = [p.above_mask(i) for i in range(d + 1)]
-    below = [p.below_mask(i) for i in range(d + 1)]
-    els = list(range(1, d + 1))
+    # element i + 1 of p is index i here
+    masks = [(p.below_mask(i) >> 1, p.above_mask(i) >> 1) for i in range(1, d + 1)]
+    downs = [_elements(below) for below, _ in masks]
+    ups = [_elements(above) for _, above in masks]
+    first: dict[tuple[int, int], int] = {}
+    twin = [first.setdefault(m, i) for i, m in enumerate(masks)]
 
     # longest-chain heights, bottom-up and top-down
-    height = [0] * (d + 1)
-    for i in sorted(els, key=lambda i: _popcount(below[i])):
-        height[i] = max((height[j] + 1 for j in _bits(below[i])), default=0)
-    depth = [0] * (d + 1)
-    for i in sorted(els, key=lambda i: _popcount(above[i])):
-        depth[i] = max((depth[j] + 1 for j in _bits(above[i])), default=0)
+    # (an element's down-set is smaller than that of every element above it)
+    order = sorted(range(d), key=[len(down) for down in downs].__getitem__)
+    height = [0] * d
+    for i in order:
+        if downs[i]:
+            height[i] = max(map(height.__getitem__, downs[i])) + 1
+    depth = [0] * d
+    for i in reversed(order):
+        if ups[i]:
+            depth[i] = max(map(depth.__getitem__, ups[i])) + 1
 
-    init = {
-        i: (_popcount(below[i]), _popcount(above[i]), height[i], depth[i])
-        for i in els
-    }
-    ranks = _refine(_rank(init), els, below, above)
-
-    best: list[bytes | None] = [None]
-
-    def encode(ordering: list[int]) -> bytes:
-        bitstring = 0
-        for a in ordering:
-            for b in ordering:
-                bitstring = (bitstring << 1) | (1 if p.less(a, b) else 0)
-        return bitstring.to_bytes((d * d + 7) // 8, "big")
-
-    def search(ranks: dict[int, int]) -> None:
-        classes: dict[int, list[int]] = {}
-        for i in els:
-            classes.setdefault(ranks[i], []).append(i)
-        target = None
-        for r in sorted(classes):
-            if len(classes[r]) > 1:
-                target = classes[r]
-                break
-        if target is None:
-            enc = encode(sorted(els, key=lambda i: ranks[i]))
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-            return
-        # elements with equal up- and down-sets are swappable: branch once
-        groups: dict[tuple[int, int], int] = {}
-        for i in target:
-            groups.setdefault((below[i], above[i]), i)
-        for rep in groups.values():
-            forced = {i: (ranks[i], 1 if i == rep else 2) for i in els}
-            search(_refine(_rank(forced), els, below, above))
-
-    search(ranks)
-    assert best[0] is not None
-    return bytes([d]) + best[0]
+    init = [(len(downs[i]), len(ups[i]), height[i], depth[i]) for i in range(d)]
+    best = _search(_refine(_rank(init), downs, ups), downs, ups, twin)
+    return bytes([d]) + best.to_bytes((d * d + 7) // 8, "big")
 
 
-def _refine(ranks: dict[int, int], els: list[int],
-            below: list[int], above: list[int]) -> dict[int, int]:
-    n_classes = len(set(ranks.values()))
-    while True:
-        sig = {
-            i: (
-                ranks[i],
-                tuple(sorted(ranks[j] for j in _bits(below[i]))),
-                tuple(sorted(ranks[j] for j in _bits(above[i]))),
-            )
-            for i in els
-        }
-        ranks = _rank(sig)
-        n = len(set(ranks.values()))
+def _search(ranks: list[int], downs: list, ups: list, twin: list[int]) -> int:
+    """Smallest leaf encoding below a stable partition.
+
+    ``twin[i]`` is the first index with the same down- and up-set as i.
+    """
+    d, n_cells = len(ranks), max(ranks) + 1
+    if n_cells < d:
+        cells: list[list[int]] = [[] for _ in range(n_cells)]
+        for i, r in enumerate(ranks):
+            cells[r].append(i)
+        for cell in cells:
+            if any(twin[i] != twin[cell[0]] for i in cell):
+                return min(
+                    _search(_refine(_rank([(r, 1 if i == rep else 2)
+                                           for i, r in enumerate(ranks)]),
+                                    downs, ups), downs, ups, twin)
+                    for rep in cell if twin[rep] == rep
+                )
+    # a leaf: the relation matrix in rank order (twins in any), row by row
+    order = sorted(range(d), key=ranks.__getitem__)
+    column = [0] * d
+    for k, i in enumerate(order):
+        column[i] = 1 << (d - 1 - k)
+    bitstring = 0
+    for i in order:
+        bitstring = (bitstring << d) | sum(map(column.__getitem__, ups[i]))
+    return bitstring
+
+
+def _refine(ranks: list[int], downs: list, ups: list) -> list[int]:
+    """Split cells by neighbor rank multisets until stable or discrete."""
+    n_classes = max(ranks) + 1
+    while n_classes < len(ranks):
+        ranks = _rank([
+            (r,
+             tuple(sorted(map(ranks.__getitem__, down))),
+             tuple(sorted(map(ranks.__getitem__, up))))
+            for r, down, up in zip(ranks, downs, ups)
+        ])
+        n = max(ranks) + 1
         if n == n_classes:
-            return ranks
+            break
         n_classes = n
+    return ranks

@@ -14,7 +14,7 @@ import sys
 
 from .classifier import classify, iter_witnesses
 from .crosscheck import find_disagreement, oracle_report
-from .enumeration import build_table, poset_classes, quotient_by_duality
+from .enumeration import build_table, pool_map, poset_classes, quotient_by_duality
 from .errors import PosetfanoError
 from .polytope import build_vertex_set
 from .poset import load_poset, save_poset
@@ -148,13 +148,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_cross_check(args) -> int:
     reps = poset_classes(args.d)
-    if args.jobs > 1 and len(reps) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(find_disagreement, reps,
-                                    chunksize=max(1, len(reps) // (4 * args.jobs))))
-    else:
-        results = [find_disagreement(p) for p in reps]
+    results = pool_map(find_disagreement, reps, args.jobs)
     bad = [(p, mm) for p, mm in zip(reps, results) if mm]
     if args.json:
         print(json.dumps({

@@ -76,11 +76,6 @@ def poset_classes(d: int) -> tuple[Poset, ...]:
     return _LEVELS[d]
 
 
-def enumerate_posets(d: int) -> Iterator[Poset]:
-    """Iterate the isomorphism-class representatives of size d."""
-    yield from poset_classes(d)
-
-
 def quotient_by_duality(posets: Sequence[Poset]) -> list[Poset]:
     """Keep one poset per {class, dual class} pair.
 
@@ -94,14 +89,18 @@ def _smooth_flag(p: Poset) -> bool:
     return classify(p).smooth
 
 
+def pool_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
+    """[fn(x) for x in items], over a pool of ``jobs`` processes when jobs > 1."""
+    if jobs > 1 and len(items) > 1:
+        chunk = max(1, len(items) // (4 * jobs))
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items, chunksize=chunk))
+    return [fn(x) for x in items]
+
+
 def count_smooth(posets: Sequence[Poset], jobs: int = 1) -> int:
     """Number of posets whose polytope is smooth; parallel when jobs > 1."""
-    if jobs > 1 and len(posets) > 1:
-        chunk = max(1, len(posets) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            flags = pool.map(_smooth_flag, posets, chunksize=chunk)
-            return sum(flags)
-    return sum(_smooth_flag(p) for p in posets)
+    return sum(pool_map(_smooth_flag, posets, jobs))
 
 
 def build_table(

@@ -1,8 +1,10 @@
+import hashlib
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from posetfano import Poset
+from posetfano import Poset, poset_classes
 from conftest import antichain, chain, random_poset
 from oracles import brute_isomorphic, labeled_posets
 
@@ -60,7 +62,7 @@ def test_key_invariance_all_labelings_d4():
 @given(st.data())
 @settings(max_examples=80, deadline=None)
 def test_key_invariant_under_relabeling(data):
-    d = data.draw(st.integers(min_value=1, max_value=7))
+    d = data.draw(st.integers(min_value=1, max_value=8))
     rng = random.Random(data.draw(st.integers(min_value=0, max_value=10**6)))
     p = random_poset(rng, d)
     perm = (0,) + tuple(data.draw(st.permutations(list(range(1, d + 1)))))
@@ -76,3 +78,68 @@ def test_distinct_keys_are_never_isomorphic_d4():
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             assert not brute_isomorphic(reps[i], reps[j])
+
+
+# sha256 of the concatenated keys of poset_classes(d), and of their duals'
+# keys, as computed by the full twin-by-twin search: the bytes are pinned
+KEY_DIGESTS = {
+    1: ("47dc540c94ceb704a23875c11273e16bb0b8a87aed84de911f2133568115f254",
+        "47dc540c94ceb704a23875c11273e16bb0b8a87aed84de911f2133568115f254"),
+    2: ("06854b0d214e746e1adea69ec775fb6ea877d310a4ea1b4ec3bba6e3eaa0d26c",
+        "06854b0d214e746e1adea69ec775fb6ea877d310a4ea1b4ec3bba6e3eaa0d26c"),
+    3: ("c6ee796102ed94d97f0e17c48353bd08b0b7b9549214391475b7fead12566211",
+        "ce01520ad7d518dc6ec5441b2e635ce4baaea00f778c181d23597adfa24def25"),
+    4: ("7f1a23074cf5be6b3b502f596ed41faf407faaf7d2c951770e8f453eb96480e6",
+        "e350ff955d1d3bc57b1da8880495b0ca35020e5c939613963770ded42f7f5059"),
+    5: ("c200b726e952283ce132dec53af5bc616bbf0307bab4ac419465f36772a6ff0d",
+        "67479f150e3cebe7ed949e5dc9c2735ff76b055860eb8a3d0f37adecd75b7e77"),
+    6: ("b12b088ae1d498719009e5baccdb9566d5017ad881c5146416d7dd6dfb646ffb",
+        "7dbab603f0b642d113b0cdb853db8f83fff6f23a466a51f3f5b053a43fd6b29b"),
+    7: ("405f4907d4cf8e2a08b09f9b4938557ba2a99f90ba1511d4e7f024f855f66d73",
+        "ec756c854353a1ce0f2066317e03870a308b833ad72f9003d9b5a49019aca353"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(KEY_DIGESTS))
+def test_key_bytes_pinned(d):
+    reps = poset_classes(d)
+    keys = hashlib.sha256(b"".join(p.canonical_key() for p in reps))
+    duals = hashlib.sha256(b"".join(p.dual().canonical_key() for p in reps))
+    assert (keys.hexdigest(), duals.hexdigest()) == KEY_DIGESTS[d]
+
+
+def test_twin_cells_d8_relabeling_invariant_and_distinct():
+    bottoms, tops = range(1, 5), range(5, 9)
+    shapes = {
+        "antichain": antichain(8),
+        "bipartite 4+4": Poset.from_cover_relations(
+            8, [(i, j) for i in bottoms for j in tops]),
+        "crown 4+4": Poset.from_cover_relations(
+            8, [(i, 4 + i) for i in bottoms] + [(i, 4 + i % 4 + 1) for i in bottoms]),
+        "four 2-chains": Poset.from_cover_relations(
+            8, [(1, 2), (3, 4), (5, 6), (7, 8)]),
+        "2-chain and 6 points": Poset.from_cover_relations(8, [(1, 2)]),
+    }
+    rng = random.Random(8)
+    keys = {}
+    for name, p in shapes.items():
+        keys[name] = p.canonical_key()
+        for _ in range(20):
+            perm = list(range(1, 9))
+            rng.shuffle(perm)
+            assert p.relabel([0] + perm).canonical_key() == keys[name], name
+    assert len(set(keys.values())) == len(shapes)
+
+
+def test_branches_on_every_member_of_a_cell_that_is_not_an_orbit():
+    # vertices below the edges of a triangle and a square: refinement
+    # leaves all 7 vertices in one cell, though no automorphism maps a
+    # triangle vertex to a square vertex
+    edges = [(1, 2), (2, 3), (3, 1), (4, 5), (5, 6), (6, 7), (7, 4)]
+    p = Poset.from_cover_relations(
+        14, [(v, 7 + k) for k, edge in enumerate(edges, 1) for v in edge])
+    rng = random.Random(14)
+    for _ in range(20):
+        perm = list(range(1, 15))
+        rng.shuffle(perm)
+        assert p.relabel([0] + perm).canonical_key() == p.canonical_key()

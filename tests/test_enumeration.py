@@ -8,7 +8,6 @@ from posetfano import (
     UnsupportedSize,
     build_table,
     classify,
-    enumerate_posets,
     poset_classes,
     quotient_by_duality,
 )
@@ -152,9 +151,6 @@ class TestDeterminism:
         enumeration._LEVELS.clear()
         second = [p.canonical_key() for p in poset_classes(5)]
         assert first == second
-
-    def test_enumerate_posets_is_poset_classes(self):
-        assert list(enumerate_posets(4)) == list(poset_classes(4))
 
 
 class TestSmoothCounting:
