@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 
 from .classifier import classify, iter_witnesses
@@ -22,6 +23,13 @@ from .poset import load_poset, save_poset
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,8 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("file")
 
     x = sub.add_parser("cross-check",
-                       help="classifier vs. oracle over all classes of size d")
+                       help="classifier vs. oracle over the classes of size d")
     x.add_argument("--d", type=int, required=True)
+    x.add_argument("--sample", type=_positive_int, metavar="N",
+                   help="check N classes drawn at random (all when N is "
+                        "at least the number of classes)")
+    x.add_argument("--seed", type=int, default=0,
+                   help="random seed for --sample (default: 0)")
     x.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                    help="worker processes (default: all cores)")
     x.add_argument("--json", action="store_true")
@@ -147,13 +160,18 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_cross_check(args) -> int:
-    reps = poset_classes(args.d)
+    classes = poset_classes(args.d)
+    reps, sample = classes, None
+    if args.sample is not None and args.sample < len(classes):
+        reps = random.Random(args.seed).sample(classes, args.sample)
+        sample = {"of": len(classes), "seed": args.seed}
     results = pool_map(find_disagreement, reps, args.jobs)
     bad = [(p, mm) for p, mm in zip(reps, results) if mm]
     if args.json:
         print(json.dumps({
             "d": args.d,
             "classes": len(reps),
+            **({"sample": sample} if sample else {}),
             "disagreements": [
                 {"covers": [list(c) for c in p.covers], "mismatch": {
                     k: {"classifier": a, "oracle": b}
@@ -163,7 +181,10 @@ def cmd_cross_check(args) -> int:
             ],
         }))
     else:
-        print(f"d={args.d}: {len(reps)} classes, {len(bad)} disagreements")
+        line = f"d={args.d}: {len(reps)} classes, {len(bad)} disagreements"
+        if sample:
+            line += f" (sample of {sample['of']}, seed {args.seed})"
+        print(line)
         for p, mm in bad:
             print(f"disagree {mm}: {p!r}")
     return 0 if not bad else 1

@@ -1,18 +1,20 @@
 """Exact-arithmetic polytope oracle: facets of a lattice point set and
 the Fano / terminal / Gorenstein / simplicial / smooth tests.
 
-Everything runs on arbitrary-precision integers: hyperplane normals are
-generalized cross products (signed minors via fraction-free
-elimination), support tests are integer dot products, and lattice-point
-scans cover the integer bounding box of the input.  Brute force over
-d-subsets is deliberate; this module is the independent oracle, not
-the fast path.
+Everything runs on arbitrary-precision integers: hyperplane normals come
+from fraction-free elimination of difference rows, support tests are
+integer dot products, and lattice-point scans cover the integer bounding
+box of the input.  Brute force over every affinely independent d-subset
+is deliberate; this module is the independent oracle, not the fast
+path.  The subset search skips only supersets of an affinely dependent
+prefix, which are dependent themselves and span no hyperplane.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import gcd
+from itertools import product
+from math import gcd, lcm
+from operator import mul
 
 from .classifier import (
     Walk,
@@ -103,35 +105,96 @@ def _row_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _normal_through(pts: list[Vector]) -> Vector | None:
-    """Primitive-ready normal of the hyperplane through d points.
+def _reduce(basis, row: list[int]) -> list[int] | None:
+    """``row`` reduced fraction-free against a basis; None if dependent.
 
-    Signed minors of the (d-1) x d difference matrix; all-zero means
-    the points are affinely dependent.
+    ``basis`` holds (pivot column, row) pairs, each row zero in every
+    other pivot column, so the result is zero in all pivot columns.
+    Rows are divided by their gcd, so entries stay small.
     """
-    d = len(pts[0])
-    base = pts[0]
-    rows = [[p[c] - base[c] for c in range(d)] for p in pts[1:]]
-    normal = []
-    sign = 1
-    for i in range(d):
-        minor = [row[:i] + row[i + 1:] for row in rows]
-        normal.append(sign * det_fraction_free(minor))
-        sign = -sign
-    if any(normal):
-        return tuple(normal)
-    return None
+    for c, r in basis:
+        if row[c]:
+            a, b = r[c], row[c]
+            row = [a * x - b * y for x, y in zip(row, r)]
+    if not any(row):
+        return None
+    g = gcd(*row)
+    return [x // g for x in row] if g != 1 else row
+
+
+def _extend(basis, row: list[int]):
+    """The fully reduced basis grown by one row, or None if dependent."""
+    row = _reduce(basis, row)
+    if row is None:
+        return None
+    col = next(c for c, x in enumerate(row) if x)
+    grown = []
+    for c, r in basis:
+        if r[col]:
+            a, b = row[col], r[col]
+            r = [a * x - b * y for x, y in zip(r, row)]
+            g = gcd(*r)
+            if g != 1:
+                r = [x // g for x in r]
+        grown.append((c, r))
+    grown.append((col, row))
+    return tuple(grown)
+
+
+def _normals(rows: list[list[int]], start: int, basis):
+    """Primitive normals of the independent completions of a prefix.
+
+    ``rows`` are the differences of all points from the base point and
+    ``basis`` spans the prefix's rows.  Indices increase from ``start``,
+    so subsets come out in lexicographic order; a row that depends on
+    the prefix is skipped together with every extension of it.
+    """
+    d = len(rows[0])
+    need = d - 1 - len(basis)
+    if need > 1:
+        for i in range(start, len(rows) - need + 1):
+            grown = _extend(basis, rows[i])
+            if grown is not None:
+                yield from _normals(rows, i + 1, grown)
+        return
+    if d == 1:  # the base point alone spans the hyperplane x = base
+        yield (1,)
+        return
+    # d - 1 reduced rows leave one free column; with the last row not
+    # yet merged in, the normal is the null vector of basis and row.
+    pivots = {c for c, _ in basis}
+    f1, f2 = (c for c in range(d) if c not in pivots)
+    scale = lcm(*(r[c] for c, r in basis))
+    for i in range(start, len(rows)):
+        row = _reduce(basis, rows[i])
+        if row is None:
+            continue
+        a, b = row[f1], row[f2]
+        normal = [0] * d
+        normal[f1] = b * scale
+        normal[f2] = -a * scale
+        for c, r in basis:
+            normal[c] = (r[f2] * a - r[f1] * b) * scale // r[c]
+        g = gcd(*normal)
+        yield tuple(x // g for x in normal)
 
 
 def enumerate_facets(points) -> list[Facet]:
     """All facets of the convex hull of an integer point set.
 
-    Brute force: for every affinely independent d-subset, solve for the
+    Brute force over every affinely independent d-subset: solve for the
     hyperplane through it and keep it when all points lie weakly on one
     side; normals are normalized to primitive outward form and
     deduplicated.  Raises DegenerateInput if the points do not span,
     and OriginOnHyperplane if a supporting hyperplane passes through
     the origin (such a hull cannot be Fano).
+
+    The d-subsets are searched depth first over index prefixes, the
+    first point of a subset serving as the base of its difference rows.
+    When a row depends on the rows before it, the prefix is affinely
+    dependent, and so is every subset extending it, so the search skips
+    that subtree; nothing affinely independent is pruned, so the search
+    still meets every hyperplane the full C(n, d) loop meets.
     """
     points = [tuple(p) for p in points]
     if not points:
@@ -143,43 +206,39 @@ def enumerate_facets(points) -> list[Facet]:
         raise DegenerateInput(f"points do not affinely span dimension {d}")
     found: dict[tuple[Vector, int], Facet] = {}
     seen: set[tuple[Vector, int]] = set()
-    for subset in combinations(range(len(points)), d):
-        normal = _normal_through([points[k] for k in subset])
-        if normal is None:
-            continue
-        offset = sum(a * x for a, x in zip(normal, points[subset[0]]))
-        g = gcd(*normal) if d > 1 else abs(normal[0])
-        key = (tuple(a // g for a in normal), offset // g)
-        if key in seen:
-            continue
-        seen.add(key)
-        normal, offset = key
-        nkey = (tuple(-a for a in normal), -offset)
-        if nkey in seen:
-            continue
-        below = above = False
-        values = []
-        for p in points:
-            v = sum(a * x for a, x in zip(normal, p))
-            values.append(v)
-            if v < offset:
-                below = True
-            elif v > offset:
-                above = True
+    for i, base in enumerate(points):
+        rows = [[x - b for x, b in zip(p, base)] for p in points]
+        for normal in _normals(rows, i + 1, ()):
+            offset = sum(map(mul, normal, base))
+            key = (normal, offset)
+            if key in seen:
+                continue
+            seen.add(key)
+            if (tuple(-a for a in normal), -offset) in seen:
+                continue
+            below = above = False
+            values = []
+            for p in points:
+                v = sum(map(mul, normal, p))
+                values.append(v)
+                if v < offset:
+                    below = True
+                elif v > offset:
+                    above = True
+                if below and above:
+                    break
             if below and above:
-                break
-        if below and above:
-            continue
-        if above:  # flip outward
-            normal = tuple(-a for a in normal)
-            offset = -offset
-            values = [-v for v in values]
-        if offset == 0:
-            raise OriginOnHyperplane(
-                f"supporting hyperplane {normal} . x = 0 passes through the origin"
-            )
-        incident = tuple(k for k, v in enumerate(values) if v == offset)
-        found.setdefault((normal, offset), Facet(normal, offset, incident))
+                continue
+            if above:  # flip outward
+                normal = tuple(-a for a in normal)
+                offset = -offset
+                values = [-v for v in values]
+            if offset == 0:
+                raise OriginOnHyperplane(
+                    f"supporting hyperplane {normal} . x = 0 passes through the origin"
+                )
+            incident = tuple(k for k, v in enumerate(values) if v == offset)
+            found.setdefault((normal, offset), Facet(normal, offset, incident))
     return sorted(found.values(), key=lambda f: (f.normal, f.offset))
 
 
@@ -190,8 +249,24 @@ def _lattice_box(points: list[Vector]):
     return product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
 
 
-def _facet_values(facets: list[Facet], q: Vector) -> list[int]:
-    return [sum(a * x for a, x in zip(f.normal, q)) - f.offset for f in facets]
+def _hull_points(points: list[Vector], facets: list[Facet]):
+    """(q, facet values - offsets) for each lattice point q of the hull.
+
+    Scans the integer bounding box.  A box point is rejected at its
+    first violated facet, and that facet is tried first on the next
+    point: neighbouring box points tend to leave the hull through the
+    same facet.  Only points inside the hull get the full value vector.
+    """
+    planes = [(f.normal, f.offset) for f in facets]
+    order = list(planes)
+    for q in _lattice_box(points):
+        for k, (normal, offset) in enumerate(order):
+            if sum(map(mul, normal, q)) > offset:
+                if k:
+                    order.insert(0, order.pop(k))
+                break
+        else:
+            yield q, [sum(map(mul, normal, q)) - offset for normal, offset in planes]
 
 
 def is_fano(points, facets: list[Facet] | None = None) -> bool:
@@ -210,8 +285,8 @@ def is_fano(points, facets: list[Facet] | None = None) -> bool:
     if any(f.offset <= 0 for f in facets):
         return False  # origin not strictly interior
     interior = [
-        q for q in _lattice_box(points)
-        if all(v < 0 for v in _facet_values(facets, q))
+        q for q, values in _hull_points(points, facets)
+        if all(v < 0 for v in values)
     ]
     return interior == [(0,) * len(points[0])]
 
@@ -226,10 +301,7 @@ def is_terminal(points, facets: list[Facet] | None = None) -> bool:
             return False
     origin = (0,) * len(points[0])
     d = len(points[0])
-    for q in _lattice_box(points):
-        values = _facet_values(facets, q)
-        if any(v > 0 for v in values):
-            continue  # outside the hull
+    for q, values in _hull_points(points, facets):
         if q == origin:
             continue
         tight = [f.normal for f, v in zip(facets, values) if v == 0]

@@ -3,19 +3,23 @@
 Nothing here shares algorithms with the package: chains are enumerated
 from the definitions, isomorphism is tested by raw permutation search,
 labeled posets come from exhaustive relation assignment, determinants
-from cofactor expansion, and hulls from qhull's combinatorics with the
-hyperplanes re-identified in exact integer arithmetic.
+from cofactor expansion, ranks from elimination over the rationals,
+facets from every d-subset in turn, lattice points from evaluating every
+facet at every point of the bounding box, and hulls from qhull's
+combinatorics with the hyperplanes re-identified in exact integer
+arithmetic.
 """
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import combinations, permutations, product
 from math import gcd
 
 import networkx as nx
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from posetfano import HatPoset, Poset
+from posetfano import DegenerateInput, Facet, HatPoset, OriginOnHyperplane, Poset
 
 
 def saturated_chains(h: HatPoset, y: int, z: int) -> list[tuple[int, ...]]:
@@ -110,21 +114,118 @@ def cofactor_det(matrix) -> int:
     return total
 
 
-def _integer_hyperplane(points: list[tuple[int, ...]]):
-    d = len(points[0])
-    base = points[0]
-    rows = [[p[c] - base[c] for c in range(d)] for p in points[1:]]
+def fraction_rank(rows) -> int:
+    """Rank over the rationals by Gauss-Jordan elimination."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rk = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rk, len(rows)) if rows[r][c]), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        for r in range(len(rows)):
+            if r != rk and rows[r][c]:
+                f = rows[r][c] / rows[rk][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rk])]
+        rk += 1
+    return rk
+
+
+def minor_normal(pts: list[tuple[int, ...]]):
+    """Signed (d-1)-minors of the difference rows; None if all vanish."""
+    d = len(pts[0])
+    rows = [[p[c] - pts[0][c] for c in range(d)] for p in pts[1:]]
     normal = []
     sign = 1
     for i in range(d):
         minor = [row[:i] + row[i + 1:] for row in rows]
         normal.append(sign * (cofactor_det(minor) if minor else 1))
         sign = -sign
-    if not any(normal):
+    return tuple(normal) if any(normal) else None
+
+
+def _integer_hyperplane(points: list[tuple[int, ...]]):
+    normal = minor_normal(points)
+    if normal is None:
         return None
-    c = sum(a * x for a, x in zip(normal, base))
     g = gcd(*normal)
-    return tuple(a // g for a in normal), c // g
+    normal = tuple(a // g for a in normal)
+    return normal, sum(a * x for a, x in zip(normal, points[0]))
+
+
+def brute_facets(points) -> list[Facet]:
+    """Facets from the hyperplane through every d-subset, in turn.
+
+    Every C(n, d) subset gets its d signed minors; dependent subsets,
+    repeated hyperplanes and non-supporting ones are discarded.  Same
+    output and errors as ``enumerate_facets``: primitive outward
+    normals sorted by (normal, offset), DegenerateInput when the points
+    do not span, OriginOnHyperplane for a supporting plane through 0.
+    """
+    points = [tuple(p) for p in points]
+    if not points:
+        raise DegenerateInput("empty point set")
+    d = len(points[0])
+    if fraction_rank([[x - y for x, y in zip(p, points[0])] for p in points]) != d:
+        raise DegenerateInput(f"points do not affinely span dimension {d}")
+    found = {}
+    for subset in combinations(range(len(points)), d):
+        plane = _integer_hyperplane([points[k] for k in subset])
+        if plane is None:
+            continue
+        normal, offset = plane
+        values = [sum(a * x for a, x in zip(normal, p)) for p in points]
+        if min(values) < offset < max(values) or (normal, offset) in found:
+            continue
+        if max(values) > offset:  # flip outward
+            normal = tuple(-a for a in normal)
+            offset = -offset
+            values = [-v for v in values]
+        if offset == 0:
+            raise OriginOnHyperplane(f"supporting hyperplane {normal} . x = 0")
+        incident = tuple(k for k, v in enumerate(values) if v == offset)
+        found[(normal, offset)] = Facet(normal, offset, incident)
+    return sorted(found.values(), key=lambda f: (f.normal, f.offset))
+
+
+def _box_values(points, facets):
+    """(q, facet values - offsets) for every integer q in the bounding box."""
+    d = len(points[0])
+    ranges = [range(min(p[c] for p in points), max(p[c] for p in points) + 1)
+              for c in range(d)]
+    for q in product(*ranges):
+        yield q, [sum(a * x for a, x in zip(f.normal, q)) - f.offset for f in facets]
+
+
+def box_is_fano(points, facets=None) -> bool:
+    """``is_fano`` by evaluating every facet at every box point."""
+    points = [tuple(p) for p in points]
+    if facets is None:
+        try:
+            facets = brute_facets(points)
+        except OriginOnHyperplane:
+            return False
+    if any(f.offset <= 0 for f in facets):
+        return False
+    interior = [q for q, vals in _box_values(points, facets) if all(v < 0 for v in vals)]
+    return interior == [(0,) * len(points[0])]
+
+
+def box_is_terminal(points, facets=None) -> bool:
+    """``is_terminal`` by evaluating every facet at every box point."""
+    points = [tuple(p) for p in points]
+    if facets is None:
+        try:
+            facets = brute_facets(points)
+        except OriginOnHyperplane:
+            return False
+    d = len(points[0])
+    for q, vals in _box_values(points, facets):
+        if all(v <= 0 for v in vals) and any(q):
+            tight = [f.normal for f, v in zip(facets, vals) if v == 0]
+            if fraction_rank(tight) != d:
+                return False
+    return True
 
 
 def qhull_exact_facets(points) -> dict[tuple[tuple[int, ...], int], tuple[int, ...]]:

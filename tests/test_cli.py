@@ -1,7 +1,9 @@
 import json
+import random
 
 import pytest
 
+from posetfano import poset_classes
 from posetfano.cli import main
 
 
@@ -111,6 +113,56 @@ class TestCrossCheckCommand:
         assert main(["cross-check", "--d", "2", "--jobs", "1"]) == 1
         out = capsys.readouterr().out
         assert "2 disagreements" in out
+
+
+class TestCrossCheckSample:
+    def test_count(self, capsys):
+        assert main(["cross-check", "--d", "4", "--sample", "5", "--seed", "3",
+                     "--jobs", "1", "--json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"d": 4, "classes": 5, "sample": {"of": 16, "seed": 3},
+                       "disagreements": []}
+
+    def test_text(self, capsys):
+        assert main(["cross-check", "--d", "4", "--sample", "5", "--jobs", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "d=4: 5 classes, 0 disagreements (sample of 16, seed 0)" in out
+
+    def test_same_seed_same_classes(self, capsys, monkeypatch):
+        import posetfano.cli as cli
+        checked = []
+        monkeypatch.setattr(
+            cli, "find_disagreement", lambda p: checked.append(p.covers)
+        )
+
+        def draw(seed):
+            checked.clear()
+            assert main(["cross-check", "--d", "5", "--sample", "7",
+                         "--seed", seed, "--jobs", "1"]) == 0
+            return list(checked)
+
+        first = draw("11")
+        expected = random.Random(11).sample(poset_classes(5), 7)
+        assert first == [p.covers for p in expected]
+        assert len(set(first)) == 7
+        assert draw("11") == first
+        assert draw("12") != first
+
+    def test_sample_at_least_all_checks_every_class(self, capsys):
+        assert main(["cross-check", "--d", "4", "--sample", "16", "--jobs", "1",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "d": 4, "classes": 16, "disagreements": []
+        }
+        assert main(["cross-check", "--d", "3", "--sample", "99", "--jobs", "1"]) == 0
+        assert "d=3: 5 classes, 0 disagreements\n" == capsys.readouterr().out
+
+    @pytest.mark.parametrize("n", ["0", "-3", "two"])
+    def test_bad_sample_is_usage_error(self, n, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["cross-check", "--d", "4", "--sample", n])
+        assert exc.value.code == 2
+        assert "--sample" in capsys.readouterr().err
 
 
 class TestTableCommand:

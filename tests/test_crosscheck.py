@@ -4,7 +4,7 @@ import pytest
 
 from posetfano import classify, classify_geometric, find_disagreement, poset_classes
 from conftest import random_poset
-from oracles import qhull_exact_facets
+from oracles import fraction_rank, qhull_exact_facets
 
 
 class TestOracleEquivalence:
@@ -33,23 +33,7 @@ class TestOracleEquivalence:
     def test_hull_vertex_identity_exhaustive_d5(self):
         # the edge vectors are exactly the hull's vertices: every point
         # has tight facet normals spanning the whole space
-        from fractions import Fraction
         from posetfano import build_vertex_set, enumerate_facets
-
-        def rank(rows):
-            rows = [[Fraction(x) for x in r] for r in rows]
-            rk = 0
-            for c in range(len(rows[0]) if rows else 0):
-                piv = next((r for r in range(rk, len(rows)) if rows[r][c]), None)
-                if piv is None:
-                    continue
-                rows[rk], rows[piv] = rows[piv], rows[rk]
-                for r in range(len(rows)):
-                    if r != rk and rows[r][c]:
-                        f = rows[r][c] / rows[rk][c]
-                        rows[r] = [a - f * b for a, b in zip(rows[r], rows[rk])]
-                rk += 1
-            return rk
 
         for d in range(1, 6):
             for p in poset_classes(d):
@@ -57,7 +41,7 @@ class TestOracleEquivalence:
                 facets = enumerate_facets(vs.vectors)
                 for k in range(len(vs.vectors)):
                     tight = [f.normal for f in facets if k in f.incident]
-                    assert rank(tight) == d
+                    assert fraction_rank(tight) == d
 
     def test_simplicial_equals_unimodular_d5(self):
         # the two geometric readings of Q-factorial vs smooth coincide

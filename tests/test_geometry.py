@@ -1,9 +1,13 @@
+import hashlib
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from posetfano import (
     DegenerateInput,
+    Facet,
     OriginOnHyperplane,
     Walk,
     WalkNotEligible,
@@ -15,10 +19,20 @@ from posetfano import (
     is_simplicial,
     is_smooth_geometric,
     is_terminal,
+    poset_classes,
+    quotient_by_duality,
     witness_hyperplane,
 )
+from posetfano.geometry import _normals
 from conftest import antichain, chain
-from oracles import cofactor_det, qhull_exact_facets
+from oracles import (
+    box_is_fano,
+    box_is_terminal,
+    brute_facets,
+    cofactor_det,
+    minor_normal,
+    qhull_exact_facets,
+)
 
 CROSS2 = [(-1, 0), (1, 0), (0, -1), (0, 1)]
 
@@ -84,6 +98,112 @@ class TestEnumerateFacets:
     def test_origin_on_hyperplane(self):
         with pytest.raises(OriginOnHyperplane):
             enumerate_facets([(0, 0), (1, 0), (0, 1)])
+
+
+def class_vertex_sets(ds):
+    """Vertex sets of every duality class of each size in ds."""
+    for d in ds:
+        for p in quotient_by_duality(poset_classes(d)):
+            yield build_vertex_set(p.hat()).vectors
+
+
+def random_point_sets():
+    """200 seeded integer point sets, d = 1..4, coordinates in [-2, 2]."""
+    rng = random.Random(71)
+    for _ in range(200):
+        d = rng.randint(1, 4)
+        n = rng.randint(d + 1, d + 5)
+        yield [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(n)]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the geometry error it raised."""
+    try:
+        return fn(*args)
+    except (DegenerateInput, OriginOnHyperplane) as e:
+        return type(e)
+
+
+# sha256 of the facet lists of every d = 6 duality class, computed with
+# the C(n, d) minors loop that preceded the prefix-pruned search
+D6_FACETS_SHA256 = "0606f42eedccd0f4b22e93701e718332a5b787df422ce36a8ec191f09b820f46"
+
+
+class TestFacetsAgainstBruteForce:
+    def test_every_class_up_to_d5(self):
+        for points in class_vertex_sets(range(1, 6)):
+            assert enumerate_facets(points) == brute_facets(points)
+
+    def test_random_point_sets(self):
+        outcomes = []
+        for points in random_point_sets():
+            mine = outcome(enumerate_facets, points)
+            assert mine == outcome(brute_facets, points), points
+            outcomes.append(mine if isinstance(mine, type) else list)
+        # the sample exercises both errors and plain facet lists
+        assert {DegenerateInput, OriginOnHyperplane, list} <= set(outcomes)
+
+    def test_search_yields_each_independent_subset_in_order(self):
+        # the prefix pruning skips exactly the affinely dependent subsets
+        def primitive_up_to_sign(normal):
+            g = gcd(*normal)
+            normal = tuple(a // g for a in normal)
+            return max(normal, tuple(-a for a in normal))
+
+        for points in random_point_sets():
+            d = len(points[0])
+            expected = []
+            for subset in combinations(range(len(points)), d):
+                normal = minor_normal([points[k] for k in subset])
+                if normal is not None:
+                    expected.append(primitive_up_to_sign(normal))
+            found = []
+            for i, base in enumerate(points):
+                rows = [[x - b for x, b in zip(p, base)] for p in points]
+                found.extend(primitive_up_to_sign(n) for n in _normals(rows, i + 1, ()))
+            assert found == expected, points
+
+    def test_d6_facet_lists_pinned(self):
+        digest = hashlib.sha256()
+        for points in class_vertex_sets([6]):
+            facets = enumerate_facets(points)
+            digest.update(repr([(f.normal, f.offset, f.incident) for f in facets]).encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == D6_FACETS_SHA256
+
+
+class TestScansAgainstFullBox:
+    def test_every_class_up_to_d5(self):
+        for points in class_vertex_sets(range(1, 6)):
+            facets = enumerate_facets(points)
+            assert is_fano(points, facets) == box_is_fano(points, facets)
+            assert is_terminal(points, facets) == box_is_terminal(points, facets)
+
+    def test_random_point_sets(self):
+        seen = set()
+        for points in random_point_sets():
+            assert outcome(is_fano, points) == outcome(box_is_fano, points), points
+            assert outcome(is_terminal, points) == outcome(box_is_terminal, points)
+            facets = outcome(brute_facets, points)
+            if isinstance(facets, type):
+                continue
+            fano = is_fano(points, facets)
+            terminal = is_terminal(points, facets)
+            assert fano == box_is_fano(points, facets), points
+            assert terminal == box_is_terminal(points, facets), points
+            seen.add((fano, terminal, min(f.offset for f in facets) > 0))
+        # Fano and not, terminal and not, and hulls missing the origin
+        # (terminal with the origin inside implies Fano)
+        assert {(True, True, True), (True, False, True),
+                (False, False, True), (False, True, False),
+                (False, False, False)} <= seen
+
+    def test_facet_lists_with_nonpositive_offsets(self):
+        facets = enumerate_facets(CROSS2)
+        for extra in (Facet((1, 0), 0, ()), Facet((0, -1), -1, ())):
+            cut = facets + [extra]
+            assert not is_fano(CROSS2, cut) and not box_is_fano(CROSS2, cut)
+            assert is_terminal(CROSS2, cut) == box_is_terminal(CROSS2, cut)
 
 
 class TestIsFano:
