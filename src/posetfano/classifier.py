@@ -263,7 +263,7 @@ def classify(p: Poset, *, shortcut: bool = True) -> ClassificationReport:
     witness walk).
     """
     h = p.hat()
-    if shortcut and p.is_pure() and p.is_disjoint_union_of_chains():
+    if shortcut and p.is_disjoint_union_of_chains() and p.is_pure():
         return ClassificationReport(
             d=p.d, fano=True, terminal=True, gorenstein=True,
             q_factorial=True, smooth=True, method="pure-shortcut",

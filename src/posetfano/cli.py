@@ -15,7 +15,9 @@ import sys
 
 from .classifier import classify, iter_witnesses
 from .crosscheck import find_disagreement, oracle_report
-from .enumeration import build_table, pool_map, poset_classes, quotient_by_duality
+from .enumeration import (
+    build_table, pool_map, poset_classes, quotient_by_duality, worker_pool,
+)
 from .errors import PosetfanoError
 from .polytope import build_vertex_set
 from .poset import load_poset, save_poset
@@ -64,14 +66,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "at least the number of classes)")
     x.add_argument("--seed", type=int, default=0,
                    help="random seed for --sample (default: 0)")
-    x.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    x.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
                    help="worker processes (default: all cores)")
     x.add_argument("--json", action="store_true")
 
     t = sub.add_parser("table", help="poset/smooth counts for d = 1..max-d")
     t.add_argument("--max-d", type=int, required=True)
-    t.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker processes for classification (default: all cores)")
+    t.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
+                   help="worker processes for enumeration, duality and "
+                        "classification (default: all cores)")
     t.add_argument("--out", help="stream rows to this CSV file")
     t.add_argument("--resume", action="store_true",
                    help="reuse rows already present in --out")
@@ -160,12 +163,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_cross_check(args) -> int:
-    classes = poset_classes(args.d)
-    reps, sample = classes, None
-    if args.sample is not None and args.sample < len(classes):
-        reps = random.Random(args.seed).sample(classes, args.sample)
-        sample = {"of": len(classes), "seed": args.seed}
-    results = pool_map(find_disagreement, reps, args.jobs)
+    with worker_pool(args.jobs) as pool:
+        classes = poset_classes(args.d, pool=pool)
+        reps, sample = classes, None
+        if args.sample is not None and args.sample < len(classes):
+            reps = random.Random(args.seed).sample(classes, args.sample)
+            sample = {"of": len(classes), "seed": args.seed}
+        results = pool_map(find_disagreement, reps, pool)
     bad = [(p, mm) for p, mm in zip(reps, results) if mm]
     if args.json:
         print(json.dumps({

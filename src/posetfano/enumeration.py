@@ -7,14 +7,23 @@ Canonical keys deduplicate the results, giving exactly one
 representative per isomorphism class.  Counts are then quotiented by
 order-duality and each representative's polytope is classified for
 smoothness.
+
+Every layer takes an optional process pool by keyword (``pool=None``
+runs serially), and ``build_table`` opens one pool for all of them.
+Extension shards over parents: a worker returns the canonical key and
+strict-order masks of each child of one parent, and the results are
+merged in parent order, keeping the first child seen under each key.
+That is the representative the serial loop keeps, so representatives
+and their ``sorted(key)`` order do not depend on the pool.
 """
 from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, ContextManager, Iterator, Sequence
 
 from .classifier import classify
 from .errors import UnsupportedSize
@@ -55,10 +64,15 @@ def _extensions(p: Poset) -> Iterator[Poset]:
         yield Poset(d + 1, new_above)
 
 
+def _keyed_children(parent: Poset) -> list[tuple[bytes, tuple[int, ...]]]:
+    """Canonical key and strict-order masks of every child of parent."""
+    return [(child.canonical_key(), child._above) for child in _extensions(parent)]
+
+
 _LEVELS: dict[int, tuple[Poset, ...]] = {}
 
 
-def poset_classes(d: int) -> tuple[Poset, ...]:
+def poset_classes(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
     """One representative per isomorphism class, deterministic order."""
     if not 1 <= d <= 8:
         raise UnsupportedSize(f"enumeration supports 1 <= d <= 8, got {d}")
@@ -66,41 +80,56 @@ def poset_classes(d: int) -> tuple[Poset, ...]:
         if d == 1:
             _LEVELS[1] = (Poset(1, (0, 0)),)
         else:
-            seen: dict[bytes, Poset] = {}
-            for parent in poset_classes(d - 1):
-                for child in _extensions(parent):
-                    key = child.canonical_key()
-                    if key not in seen:
-                        seen[key] = child
-            _LEVELS[d] = tuple(seen[k] for k in sorted(seen))
+            seen: dict[bytes, tuple[int, ...]] = {}
+            parents = poset_classes(d - 1, pool=pool)
+            for children in pool_map(_keyed_children, parents, pool):
+                for key, above in children:
+                    seen.setdefault(key, above)
+            reps = []
+            for key in sorted(seen):
+                p = Poset(d, seen[key])
+                p._key = key
+                reps.append(p)
+            _LEVELS[d] = tuple(reps)
     return _LEVELS[d]
 
 
-def quotient_by_duality(posets: Sequence[Poset]) -> list[Poset]:
+def _dual_key(p: Poset) -> bytes:
+    return p.dual().canonical_key()
+
+
+def quotient_by_duality(posets: Sequence[Poset], *,
+                        pool: Executor | None = None) -> list[Poset]:
     """Keep one poset per {class, dual class} pair.
 
     A representative survives iff its canonical key is not larger than
     its dual's, so the count is (classes + self-dual classes) / 2.
     """
-    return [p for p in posets if p.canonical_key() <= p.dual().canonical_key()]
+    dual_keys = pool_map(_dual_key, posets, pool)
+    return [p for p, dual in zip(posets, dual_keys) if p.canonical_key() <= dual]
 
 
 def _smooth_flag(p: Poset) -> bool:
     return classify(p).smooth
 
 
-def pool_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
-    """[fn(x) for x in items], over a pool of ``jobs`` processes when jobs > 1."""
-    if jobs > 1 and len(items) > 1:
-        chunk = max(1, len(items) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items, chunksize=chunk))
-    return [fn(x) for x in items]
+def worker_pool(jobs: int) -> ContextManager[Executor | None]:
+    """A pool of ``jobs`` worker processes, or a context giving None if jobs <= 1."""
+    return ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext()
 
 
-def count_smooth(posets: Sequence[Poset], jobs: int = 1) -> int:
-    """Number of posets whose polytope is smooth; parallel when jobs > 1."""
-    return sum(pool_map(_smooth_flag, posets, jobs))
+def pool_map(fn: Callable, items: Sequence, pool: Executor | None = None) -> list:
+    """[fn(x) for x in items], over the pool's workers unless pool is None."""
+    if pool is None or len(items) < 2:
+        return [fn(x) for x in items]
+    # _max_workers: ProcessPoolExecutor keeps no public worker count
+    chunk = max(1, len(items) // (4 * pool._max_workers))
+    return list(pool.map(fn, items, chunksize=chunk))
+
+
+def count_smooth(posets: Sequence[Poset], *, pool: Executor | None = None) -> int:
+    """Number of posets whose polytope is smooth; parallel over pool if given."""
+    return sum(pool_map(_smooth_flag, posets, pool))
 
 
 def build_table(
@@ -125,19 +154,20 @@ def build_table(
         elif os.path.exists(out):
             os.remove(out)
     rows: list[TableRow] = []
-    for d in range(1, d_max + 1):
-        if d in done:
-            rows.append(done[d])
-            continue
-        if log:
-            log(f"enumerating d={d}")
-        reps = quotient_by_duality(poset_classes(d))
-        if log:
-            log(f"classifying {len(reps)} representatives at d={d}")
-        row = TableRow(d, len(reps), count_smooth(reps, jobs=jobs))
-        rows.append(row)
-        if out:
-            _append_rows(out, [row], header=not os.path.exists(out))
+    with worker_pool(jobs) as pool:
+        for d in range(1, d_max + 1):
+            if d in done:
+                rows.append(done[d])
+                continue
+            if log:
+                log(f"enumerating d={d}")
+            reps = quotient_by_duality(poset_classes(d, pool=pool), pool=pool)
+            if log:
+                log(f"classifying {len(reps)} representatives at d={d}")
+            row = TableRow(d, len(reps), count_smooth(reps, pool=pool))
+            rows.append(row)
+            if out:
+                _append_rows(out, [row], header=not os.path.exists(out))
     return rows
 
 

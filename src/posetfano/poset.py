@@ -2,8 +2,8 @@
 
 Elements of a poset on d points are the integers 1..d.  The hat-poset
 adjoins a bottom element (index 0) and a top element (index d+1); its
-Hasse diagram drives everything downstream, so both the strict-order
-bitmasks and the cover relation are kept on every instance.
+Hasse diagram drives everything downstream.  Every instance keeps the
+strict-order bitmasks; the cover relation is derived on first use.
 """
 from __future__ import annotations
 
@@ -28,10 +28,10 @@ class Poset:
     """Immutable strict partial order on {1, .., d}.
 
     ``above[i]`` has bit j set iff y_i < y_j; the masks must be
-    transitively closed.  Covers are derived once at construction.
+    transitively closed.  Covers are derived on first read and cached.
     """
 
-    __slots__ = ("d", "_above", "_below", "covers", "_key")
+    __slots__ = ("d", "_above", "_below", "_covers", "_key")
 
     def __init__(self, d: int, above: Sequence[int]):
         if not 1 <= d <= MAX_D:
@@ -54,19 +54,22 @@ class Poset:
         self.d = d
         self._above = above
         self._below = tuple(below)
-        self.covers = self._derive_covers()
+        self._covers: tuple[tuple[int, int], ...] | None = None
         self._key: bytes | None = None
 
-    def _derive_covers(self) -> tuple[tuple[int, int], ...]:
-        covers = []
-        for i in range(1, self.d + 1):
-            up = self._above[i]
-            skip = 0
-            for j in _bits(up):
-                skip |= self._above[j]
-            covers.extend((i, j) for j in _bits(up & ~skip))
-        covers.sort()
-        return tuple(covers)
+    @property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Cover pairs (i, j) with y_i < y_j, in lexicographic order."""
+        if self._covers is None:
+            covers = []
+            for i in range(1, self.d + 1):
+                up = self._above[i]
+                skip = 0
+                for j in _bits(up):
+                    skip |= self._above[j]
+                covers.extend((i, j) for j in _bits(up & ~skip))
+            self._covers = tuple(covers)
+        return self._covers
 
     @classmethod
     def from_cover_relations(cls, d: int, pairs: Iterable[tuple[int, int]]) -> "Poset":

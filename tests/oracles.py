@@ -72,6 +72,23 @@ def brute_isomorphic(p: Poset, q: Poset) -> bool:
     return False
 
 
+def eager_covers(p: Poset) -> tuple[tuple[int, int], ...]:
+    """Cover pairs by the derivation Poset once ran in its constructor.
+
+    i < j is a cover unless j lies above some k with i < k; pairs sorted.
+    """
+    covers = []
+    for i in range(1, p.d + 1):
+        up = p.above_mask(i)
+        skip = 0
+        for j in range(1, p.d + 1):
+            if (up >> j) & 1:
+                skip |= p.above_mask(j)
+        covers.extend((i, j) for j in range(1, p.d + 1) if (up & ~skip) >> j & 1)
+    covers.sort()
+    return tuple(covers)
+
+
 def labeled_posets(d: int):
     """All strict orders on labeled points 1..d (exhaustive assignment).
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -14,6 +16,8 @@ from posetfano import (
     iter_witnesses,
     level_labels,
     path_levels_compatible,
+    poset_classes,
+    quotient_by_duality,
 )
 from posetfano.classifier import enumerate_paths
 from conftest import antichain, chain, random_poset
@@ -256,6 +260,17 @@ class TestClassify:
             for w in iter_witnesses(h):
                 rebuilt = Walk.from_elements(h, w.elements, w.kind)
                 assert rebuilt == w
+
+    def test_reports_pinned_d6(self):
+        # digest computed with the pre-test order is_pure() first; the two
+        # predicates are pure, so their order must not change any report
+        digest = hashlib.sha256()
+        for d in range(1, 7):
+            for p in quotient_by_duality(poset_classes(d)):
+                digest.update(json.dumps(classify(p).to_dict(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "a14f5b9fd4ea1b41fdda220e7a2810522a135413105039c2d302702ba4557ccc"
+        )
 
 
 def test_path_enumeration_matches_networkx(two_chain_plus_point, diamond):

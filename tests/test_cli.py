@@ -187,6 +187,25 @@ class TestTableCommand:
         assert out_file.read_text().splitlines()[0] == "d,posets,smooth"
 
 
+class TestJobs:
+    @pytest.mark.parametrize("command", [
+        ["table", "--max-d", "3"],
+        ["cross-check", "--d", "3"],
+    ])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_is_usage_error(self, command, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_table_help_names_every_parallel_layer(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["table", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "enumeration, duality and classification" in help_text
+
+
 class TestEnumerateCommand:
     def test_emit(self, tmp_path, capsys):
         target = tmp_path / "out"

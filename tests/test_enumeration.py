@@ -1,3 +1,4 @@
+from concurrent.futures import ProcessPoolExecutor
 from math import factorial
 from itertools import permutations
 
@@ -11,8 +12,16 @@ from posetfano import (
     poset_classes,
     quotient_by_duality,
 )
+from posetfano import canonical, enumeration
 from posetfano.enumeration import _extensions, count_smooth, read_table
 from oracles import brute_isomorphic, labeled_posets
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with ProcessPoolExecutor(2) as executor:
+        yield executor
+
 
 ISO_CLASSES = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63, 6: 318, 7: 2045}
 LABELED = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
@@ -159,10 +168,10 @@ class TestSmoothCounting:
             for p in poset_classes(d):
                 assert classify(p).smooth == classify(p.dual()).smooth
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, pool):
         reps = quotient_by_duality(poset_classes(5))
-        serial = count_smooth(reps, jobs=1)
-        parallel = count_smooth(reps, jobs=2)
+        serial = count_smooth(reps)
+        parallel = count_smooth(reps, pool=pool)
         assert serial == parallel
 
 
@@ -208,3 +217,78 @@ class TestBuildTable:
                 assert len(set(vs.vectors)) == h.n_edges
                 for c in h.maximal_chains():
                     assert maximal_chain_vector_sum(h, c) == (0,) * d
+
+
+def _levels(d_max, pool, monkeypatch):
+    """Fresh levels 1..d_max and their quotients, bypassing the memo."""
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    levels = [poset_classes(d, pool=pool) for d in range(1, d_max + 1)]
+    quotients = [quotient_by_duality(level, pool=pool) for level in levels]
+    return levels, quotients
+
+
+def _masks(posets):
+    return [p.above_mask(i) for p in posets for i in range(p.d + 1)]
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """Executors enumeration opens, and (executor, function) per map call."""
+    opened, used = [], []
+
+    class Counting(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(self)
+            super().__init__(*args, **kwargs)
+
+        def map(self, fn, *iterables, **kwargs):
+            used.append((self, fn.__name__))
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", Counting)
+    monkeypatch.setattr(enumeration, "_LEVELS", {})
+    return opened, used
+
+
+class TestSharedPool:
+    def test_levels_and_quotients_match_serial(self, pool, monkeypatch):
+        serial = _levels(7, None, monkeypatch)
+        parallel = _levels(7, pool, monkeypatch)
+        for got, want in zip(parallel[0], serial[0]):
+            assert _masks(got) == _masks(want)
+            assert [p._key for p in got] == [p._key for p in want]
+        for got, want in zip(parallel[1], serial[1]):
+            assert _masks(got) == _masks(want)
+
+    @pytest.mark.parametrize("use_pool", [False, True])
+    def test_parent_sets_the_fresh_key(self, use_pool, pool, monkeypatch):
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        for d in range(2, 8):
+            for p in poset_classes(d, pool=pool if use_pool else None):
+                assert p._key == canonical.canonical_key(p)
+
+    def test_table_rows_match_serial(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        serial = build_table(7, jobs=1)
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        assert build_table(7, jobs=2) == serial
+        assert [r.posets for r in serial] == [1, 2, 4, 12, 39, 184, 1082]
+
+    @pytest.mark.parametrize("jobs,executors,mapped", [
+        (1, 0, set()),
+        (2, 1, {"_keyed_children", "_dual_key", "_smooth_flag"}),
+    ])
+    def test_one_executor_per_table(self, jobs, executors, mapped, counting):
+        opened, used = counting
+        assert [r.smooth for r in build_table(5, jobs=jobs)] == [1, 2, 3, 6, 12]
+        assert len(opened) == executors
+        assert {name for _, name in used} == mapped
+
+    def test_cross_check_shares_its_executor(self, counting, capsys):
+        from posetfano import cli
+        opened, used = counting
+        assert cli.main(["cross-check", "--d", "4", "--jobs", "2"]) == 0
+        assert "16 classes, 0 disagreements" in capsys.readouterr().out
+        assert len(opened) == 1
+        assert {name for _, name in used} == {"_keyed_children", "find_disagreement"}
+        assert all(executor is opened[0] for executor, _ in used)

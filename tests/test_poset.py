@@ -1,3 +1,6 @@
+import pickle
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,10 +10,11 @@ from posetfano import (
     ParseError,
     Poset,
     poset_from_text,
+    poset_classes,
     poset_to_text,
 )
 from conftest import antichain, chain, random_poset
-from oracles import maximal_chains_by_definition, saturated_chains
+from oracles import eager_covers, maximal_chains_by_definition, saturated_chains
 
 
 class TestFromCoverRelations:
@@ -49,6 +53,51 @@ class TestFromCoverRelations:
         for pairs in ([(1, 2)], [(1, 2), (2, 3), (1, 3)], [(1, 3), (2, 3)]):
             p = Poset.from_cover_relations(3, pairs)
             assert Poset.from_cover_relations(3, p.covers) == p
+
+
+class TestConstructorValidation:
+    def test_mask_out_of_range(self):
+        with pytest.raises(ValueError, match="invalid strict-order mask"):
+            Poset(2, (0, 1 << 3, 0))
+
+    def test_element_above_itself(self):
+        with pytest.raises(ValueError, match="invalid strict-order mask"):
+            Poset(2, (0, 1 << 1, 0))
+
+    def test_antisymmetry(self):
+        with pytest.raises(ValueError, match="antisymmetry"):
+            Poset(2, (0, 1 << 2, 1 << 1))
+
+    def test_transitivity(self):
+        # 1 < 2 < 3 without 1 < 3
+        with pytest.raises(ValueError, match="transitivity"):
+            Poset(3, (0, 1 << 2, 1 << 3, 0))
+
+
+def _lazy_cover_cases():
+    for d in range(1, 7):
+        yield from poset_classes(d)
+    rng = random.Random(20261018)
+    for _ in range(200):
+        yield random_poset(rng, rng.randint(1, 12))
+
+
+class TestLazyCovers:
+    def test_equal_to_eager_derivation_and_round_trip(self):
+        for p in _lazy_cover_cases():
+            fresh = Poset(p.d, [p.above_mask(i) for i in range(p.d + 1)])
+            assert fresh.covers == eager_covers(p)
+            assert Poset.from_cover_relations(p.d, fresh.covers) == p
+
+    def test_cached_after_first_read(self):
+        p = Poset.from_cover_relations(3, [(1, 2), (2, 3)])
+        assert p.covers is p.covers
+
+    def test_pickle_round_trip(self):
+        for p in _lazy_cover_cases():
+            q = pickle.loads(pickle.dumps(p))
+            assert q == p and hash(q) == hash(p)
+            assert q.covers == p.covers
 
 
 class TestHat:
