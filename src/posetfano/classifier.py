@@ -11,6 +11,15 @@ classifier searches all simple cycles (avoiding at least one of the two
 adjoined bounds) and all bottom-to-top simple paths for such a walk;
 the polytope is smooth exactly when none exists, and smooth and
 simplicial coincide for these polytopes.
+
+The search is one depth-first search with an explicit stack.  Its
+prefix rule: each level gap bound concerns two walk elements, and a
+walk's prefix fixes the levels on it, so an element joins the walk only
+if its gaps to every element already there fit, and a prefix that
+breaks a bound is abandoned, since no completion of it passes.  The
+rule skips only subtrees that hold no witness and leaves the visiting
+order alone, so witnesses come in the order in which filtering the
+unpruned list of cycles and then paths would give them.
 """
 from __future__ import annotations
 
@@ -137,7 +146,85 @@ def path_levels_compatible(h: HatPoset, path: Walk,
     return True
 
 
-# -- walk enumeration ----------------------------------------------------
+# -- walk search ---------------------------------------------------------
+
+def _gaps_fit(dist, d0, d1, path: list[int], levels: list[int],
+              y: int, level: int) -> bool:
+    """True iff y at ``level`` fits every level gap to the walk so far.
+
+    A gap levels[a] - levels[b] > 0 may not exceed dist(b, a) when b < a
+    (``dist`` is HatPoset.distances) nor d0[a] + d1[b], the distances
+    from the bottom to a and from b to the top (for paths the caller
+    passes caps that never bind), as in cycle_levels_compatible and
+    path_levels_compatible.
+    """
+    from_y = dist[y]
+    for x, lx in zip(path, levels):
+        gap = level - lx
+        if gap > 0:
+            if 0 < dist[x][y] < gap or gap > d0[y] + d1[x]:
+                return False
+        elif gap < 0 and (0 < from_y[x] < -gap or -gap > d0[x] + d1[y]):
+            return False
+    return True
+
+
+def _walks(h: HatPoset, cycle: bool,
+           witnesses: bool = False) -> Iterator[tuple[int, ...]]:
+    """Element tuples of simple cycles or bottom-to-top paths, in search order.
+
+    Depth first with an explicit stack, neighbors in increasing order.
+    A cycle is searched from its smallest index over larger indices and
+    kept when its second index is below its last, so each cycle appears
+    once; a path runs from 0 to the top.  With ``witnesses``
+    only blocking walks are yielded: the prefix rule (see the module
+    docstring) prunes, root 0 never steps into the top (a cycle through
+    both bounds is no witness; other roots never reach 0), and a walk
+    must close at level 0, i.e. be balanced.
+    """
+    top = h.top
+    n = top + 1
+    # above[x]: the elements above x in the bounded poset, as a bit mask
+    above = ([(1 << n) - 2]
+             + [h.base.above_mask(i) | 1 << top for i in range(1, top)] + [0])
+    if witnesses:
+        dist = h.distances
+        if cycle:
+            d0, d1 = dist[0], [row[top] for row in dist]
+        else:
+            d0 = d1 = (n,) * n  # caps that never bind
+    for root in range(n) if cycle else (0,):
+        # barred: elements on the walk, and for cycles those up to the root
+        barred = (2 << root) - 1 if cycle else 1
+        if cycle and witnesses and root == 0:
+            barred |= 1 << top
+        path, levels = [root], [0]
+        stack = [iter(h.neighbors[root])]
+        while stack:
+            x, lx = path[-1], levels[-1]
+            for y in stack[-1]:
+                level = lx + 1 if (above[x] >> y) & 1 else lx - 1
+                if (barred >> y) & 1:
+                    if (cycle and y == root and len(path) >= 4 and path[1] < x
+                            and not (witnesses and level)):
+                        yield tuple(path)
+                    continue
+                if witnesses and not _gaps_fit(dist, d0, d1, path, levels, y, level):
+                    continue
+                if y == top and not cycle:
+                    if not (witnesses and level):
+                        yield (*path, y)
+                    continue
+                path.append(y)
+                levels.append(level)
+                barred |= 1 << y
+                stack.append(iter(h.neighbors[y]))
+                break
+            else:
+                stack.pop()
+                barred &= ~(1 << path.pop())
+                levels.pop()
+
 
 def enumerate_cycles(h: HatPoset) -> Iterator[Walk]:
     """Every simple cycle of the Hasse graph, once up to rotation and
@@ -147,49 +234,14 @@ def enumerate_cycles(h: HatPoset) -> Iterator[Walk]:
     toward the smaller of that element's two cycle neighbors; roots are
     scanned in increasing order, so output order is deterministic.
     """
-    n = h.d + 2
-    for root in range(n):
-        path = [root]
-        on_path = {root}
-
-        def extend() -> Iterator[Walk]:
-            x = path[-1]
-            for y in h.neighbors[x]:
-                if y <= root or y in on_path:
-                    # only vertices above the root keep each cycle unique
-                    if y == root and len(path) >= 4 and path[1] < path[-1]:
-                        yield Walk.from_elements(h, path, "cycle")
-                    continue
-                path.append(y)
-                on_path.add(y)
-                yield from extend()
-                path.pop()
-                on_path.remove(y)
-
-        yield from extend()
+    for elements in _walks(h, cycle=True):
+        yield Walk.from_elements(h, elements, "cycle")
 
 
 def enumerate_paths(h: HatPoset) -> Iterator[Walk]:
     """All simple bottom-to-top paths of the Hasse graph (any step mix)."""
-    target = h.top
-    path = [0]
-    on_path = {0}
-
-    def extend() -> Iterator[Walk]:
-        x = path[-1]
-        for y in h.neighbors[x]:
-            if y in on_path:
-                continue
-            path.append(y)
-            on_path.add(y)
-            if y == target:
-                yield Walk.from_elements(h, path, "path")
-            else:
-                yield from extend()
-            path.pop()
-            on_path.remove(y)
-
-    yield from extend()
+    for elements in _walks(h, cycle=False):
+        yield Walk.from_elements(h, elements, "path")
 
 
 def enumerate_special_paths(h: HatPoset) -> Iterator[Walk]:
@@ -200,17 +252,16 @@ def enumerate_special_paths(h: HatPoset) -> Iterator[Walk]:
 
 
 def iter_witnesses(h: HatPoset) -> Iterator[Walk]:
-    """All walks certifying a non-simplex face, cycles first."""
-    for cycle in enumerate_cycles(h):
-        if not is_very_special_cycle(h, cycle):
-            continue
-        levels = level_labels(cycle)
-        if cycle_levels_compatible(h, cycle, levels):
-            yield cycle
-    for path in enumerate_special_paths(h):
-        levels = level_labels(path)
-        if path_levels_compatible(h, path, levels):
-            yield path
+    """All walks certifying a non-simplex face, cycles first.
+
+    The order is that of enumerate_cycles and then enumerate_paths,
+    filtered by is_very_special_cycle or is_balanced and the level-gap
+    tests; the search prunes instead of filtering (see _walks).
+    """
+    for elements in _walks(h, cycle=True, witnesses=True):
+        yield Walk.from_elements(h, elements, "cycle")
+    for elements in _walks(h, cycle=False, witnesses=True):
+        yield Walk.from_elements(h, elements, "path")
 
 
 # -- classification -------------------------------------------------------
@@ -262,13 +313,12 @@ def classify(p: Poset, *, shortcut: bool = True) -> ClassificationReport:
     searching (a negative answer still runs the search to produce the
     witness walk).
     """
-    h = p.hat()
     if shortcut and p.is_disjoint_union_of_chains() and p.is_pure():
         return ClassificationReport(
             d=p.d, fano=True, terminal=True, gorenstein=True,
             q_factorial=True, smooth=True, method="pure-shortcut",
         )
-    witness = next(iter_witnesses(h), None)
+    witness = next(iter_witnesses(p.hat()), None)
     ok = witness is None
     return ClassificationReport(
         d=p.d, fano=True, terminal=True, gorenstein=True,

@@ -52,8 +52,14 @@ def _extensions(p: Poset) -> Iterator[Poset]:
     below = [p.below_mask(i) for i in range(d + 1)]
     maxima = [(1 << m, below[m].bit_count()) for m in p.maximal_elements]
     new_bit = 1 << (d + 1)
-    for down in (r << 1 for r in range(1 << d)):
-        if any(below[i] & ~down for i in _bits(down)):
+    # closure[r] is the union of the down-sets of the elements of r << 1
+    closure = [0] * (1 << d)
+    for r in range(1, 1 << d):
+        low = r & -r
+        closure[r] = closure[r ^ low] | below[low.bit_length()]
+    for r, under in enumerate(closure):
+        down = r << 1
+        if under & ~down:
             continue  # not an order ideal
         size = down.bit_count()
         if any(size < s for bit, s in maxima if not down & bit):
@@ -98,15 +104,38 @@ def _dual_key(p: Poset) -> bytes:
     return p.dual().canonical_key()
 
 
+def _sorts_low(p: Poset) -> bool:
+    """True iff p's sorted (down-set size, up-set size) pairs are not
+    larger than its dual's, which swaps each pair."""
+    sizes = [(p.below_mask(i).bit_count(), p.above_mask(i).bit_count())
+             for i in p.elements]
+    return sorted(sizes) <= sorted(pair[::-1] for pair in sizes)
+
+
 def quotient_by_duality(posets: Sequence[Poset], *,
                         pool: Executor | None = None) -> list[Poset]:
     """Keep one poset per {class, dual class} pair.
 
     A representative survives iff its canonical key is not larger than
     its dual's, so the count is (classes + self-dual classes) / 2.
+
+    Dual keys are canonicalized first only for the posets that sort low
+    (_sorts_low).  Each one pairs two keys both ways: key(dual q) ==
+    key(p) means dual p is isomorphic to q, so key(dual p) == key(q).
+    A whole level holds both members of every pair and one of them sorts
+    low; a poset left unpaired (its dual's class is missing from the
+    input) is canonicalized in a second round.
     """
-    dual_keys = pool_map(_dual_key, posets, pool)
-    return [p for p, dual in zip(posets, dual_keys) if p.canonical_key() <= dual]
+    keys = [p.canonical_key() for p in posets]
+    dual_of: dict[bytes, bytes] = {}
+    low = [p for p in posets if _sorts_low(p)]
+    for p, dual in zip(low, pool_map(_dual_key, low, pool)):
+        dual_of[p.canonical_key()] = dual
+        dual_of[dual] = p.canonical_key()
+    unpaired = [p for p, key in zip(posets, keys) if key not in dual_of]
+    for p, dual in zip(unpaired, pool_map(_dual_key, unpaired, pool)):
+        dual_of[p.canonical_key()] = dual
+    return [p for p, key in zip(posets, keys) if key <= dual_of[key]]
 
 
 def _smooth_flag(p: Poset) -> bool:

@@ -222,7 +222,7 @@ class HatPoset:
     """A poset with adjoined bottom 0 and top d+1, plus its Hasse diagram.
 
     Edges are stored as (lower, upper) pairs sorted lexicographically;
-    distance tables are filled lazily per source element and only read
+    the distance table is built whole on first use and only read
     afterwards, so instances are safe to share across workers.
     """
 
@@ -250,7 +250,7 @@ class HatPoset:
         self.neighbors = tuple(
             tuple(sorted(self.up[x] + self.down[x])) for x in range(d + 2)
         )
-        self._dist: dict[int, dict[int, int]] = {}
+        self._dist: tuple[tuple[int, ...], ...] | None = None
         self._chains: tuple[tuple[int, ...], ...] | None = None
 
     @property
@@ -282,26 +282,38 @@ class HatPoset:
             return (j, i)
         raise KeyError((i, j))
 
+    @property
+    def distances(self) -> tuple[tuple[int, ...], ...]:
+        """distances[y][z]: length of the shortest saturated chain from y
+        up to z; 0 for y == z and -1 unless y <= z.
+
+        Breadth-first search along upward cover edges from every element,
+        run once per instance on first use.
+        """
+        if self._dist is None:
+            rows = []
+            for y in range(self.d + 2):
+                row = [-1] * (self.d + 2)
+                row[y] = 0
+                queue = deque([y])
+                while queue:
+                    x = queue.popleft()
+                    for w in self.up[x]:
+                        if row[w] < 0:
+                            row[w] = row[x] + 1
+                            queue.append(w)
+                rows.append(tuple(row))
+            self._dist = tuple(rows)
+        return self._dist
+
     def dist(self, y: int, z: int) -> int:
         """Length of the shortest saturated chain from y up to z.
 
-        Computed by breadth-first search along upward cover edges and
-        memoized per source.  Raises NotComparable unless y < z.
+        Raises NotComparable unless y < z.
         """
         if not self.less(y, z):
             raise NotComparable(f"{y} < {z} does not hold in the bounded poset")
-        table = self._dist.get(y)
-        if table is None:
-            table = {y: 0}
-            queue = deque([y])
-            while queue:
-                x = queue.popleft()
-                for w in self.up[x]:
-                    if w not in table:
-                        table[w] = table[x] + 1
-                        queue.append(w)
-            self._dist[y] = table
-        return table[z]
+        return self.distances[y][z]
 
     def maximal_chains(self) -> tuple[tuple[int, ...], ...]:
         """All saturated chains from 0 to d+1, in lexicographic order."""

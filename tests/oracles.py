@@ -5,9 +5,12 @@ from the definitions, isomorphism is tested by raw permutation search,
 labeled posets come from exhaustive relation assignment, determinants
 from cofactor expansion, ranks from elimination over the rationals,
 facets from every d-subset in turn, lattice points from evaluating every
-facet at every point of the bounding box, and hulls from qhull's
+facet at every point of the bounding box, hulls from qhull's
 combinatorics with the hyperplanes re-identified in exact integer
-arithmetic.
+arithmetic, order ideals by filtering every subset, and witness walks
+by a recursive search over every cycle and path that filters them
+afterwards (the filters are the classifier's public level-gap
+predicates; the pruned search in the package is what is checked).
 """
 from __future__ import annotations
 
@@ -19,7 +22,19 @@ import networkx as nx
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from posetfano import DegenerateInput, Facet, HatPoset, OriginOnHyperplane, Poset
+from posetfano import (
+    DegenerateInput,
+    Facet,
+    HatPoset,
+    OriginOnHyperplane,
+    Poset,
+    Walk,
+    cycle_levels_compatible,
+    is_balanced,
+    is_very_special_cycle,
+    level_labels,
+    path_levels_compatible,
+)
 
 
 def saturated_chains(h: HatPoset, y: int, z: int) -> list[tuple[int, ...]]:
@@ -273,3 +288,84 @@ def nx_cycle_count(h: HatPoset) -> int:
     g.add_nodes_from(range(h.d + 2))
     g.add_edges_from(h.edges)
     return sum(1 for c in nx.simple_cycles(g) if len(c) >= 3)
+
+
+def recursive_cycles(h: HatPoset):
+    """Element tuples of every simple cycle, in the classifier's order.
+
+    Recursive: roots in increasing order, vertices above the root only,
+    neighbors in sorted order, a cycle kept when its second element is
+    below its last.
+    """
+    for root in range(h.d + 2):
+        path = [root]
+
+        def extend():
+            for y in h.neighbors[path[-1]]:
+                if y <= root or y in path:
+                    if y == root and len(path) >= 4 and path[1] < path[-1]:
+                        yield tuple(path)
+                    continue
+                path.append(y)
+                yield from extend()
+                path.pop()
+
+        yield from extend()
+
+
+def recursive_paths(h: HatPoset):
+    """Element tuples of every simple bottom-to-top path, in search order."""
+    path = [0]
+
+    def extend():
+        for y in h.neighbors[path[-1]]:
+            if y in path:
+                continue
+            path.append(y)
+            if y == h.top:
+                yield tuple(path)
+            else:
+                yield from extend()
+            path.pop()
+
+    yield from extend()
+
+
+def reference_witnesses(h: HatPoset) -> list[Walk]:
+    """Every witness walk by enumerate-then-filter, cycles first.
+
+    Builds a Walk for every simple cycle and bottom-to-top path and keeps
+    those that pass the classifier's own predicates (balance, avoiding a
+    bound, level gaps within distances).
+    """
+    out = []
+    for els in recursive_cycles(h):
+        cycle = Walk.from_elements(h, els, "cycle")
+        if is_very_special_cycle(h, cycle) and cycle_levels_compatible(
+                h, cycle, level_labels(cycle)):
+            out.append(cycle)
+    for els in recursive_paths(h):
+        path = Walk.from_elements(h, els, "path")
+        if is_balanced(path) and path_levels_compatible(h, path, level_labels(path)):
+            out.append(path)
+    return out
+
+
+def filtered_extensions(p: Poset) -> list[Poset]:
+    """Children with a new maximal element, by filtering every subset.
+
+    Subsets D of 1..d in increasing mask order; D is kept when it is an
+    order ideal and no maximal element outside D has a larger down-set.
+    """
+    d = p.d
+    out = []
+    for r in range(1 << d):
+        down = {i for i in p.elements if (r >> (i - 1)) & 1}
+        if any(p.less(j, i) and j not in down for i in down for j in p.elements):
+            continue
+        if any(len([j for j in p.elements if p.less(j, m)]) > len(down)
+               for m in p.maximal_elements if m not in down):
+            continue
+        pairs = [(i, j) for i in p.elements for j in p.elements if p.less(i, j)]
+        out.append(Poset.from_cover_relations(d + 1, pairs + [(i, d + 1) for i in down]))
+    return out

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -21,7 +22,12 @@ from posetfano import (
 )
 from posetfano.classifier import enumerate_paths
 from conftest import antichain, chain, random_poset
-from oracles import nx_cycle_count
+from oracles import (
+    nx_cycle_count,
+    recursive_cycles,
+    recursive_paths,
+    reference_witnesses,
+)
 
 
 class TestBalance:
@@ -271,6 +277,60 @@ class TestClassify:
         assert digest.hexdigest() == (
             "a14f5b9fd4ea1b41fdda220e7a2810522a135413105039c2d302702ba4557ccc"
         )
+
+
+class TestWitnessSearch:
+    def test_witnesses_pinned_d7(self):
+        # digest computed with the enumerate-then-filter search
+        digest = hashlib.sha256()
+        for d in range(1, 8):
+            for p in poset_classes(d):
+                for w in iter_witnesses(p.hat()):
+                    digest.update(json.dumps(
+                        [w.kind, list(w.elements), list(w.steps)]).encode())
+                digest.update(b";")
+        assert digest.hexdigest() == (
+            "668893c7a9105ddfd4224df5f96f99c77a2714148289c344c2ee1d7c56482e14"
+        )
+
+    def test_reports_pinned_d7(self):
+        digest = hashlib.sha256()
+        for p in quotient_by_duality(poset_classes(7)):
+            digest.update(json.dumps(classify(p).to_dict(), sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "8ff0a6236d3d87a4779373b0737d1f8f9d3cefd2fedbec9c119c3e02644fae14"
+        )
+
+    def test_matches_reference_on_random_posets(self):
+        rng = random.Random(53)
+        found = 0
+        for _ in range(300):
+            h = random_poset(rng, rng.randint(1, 12)).hat()
+            expected = reference_witnesses(h)
+            assert list(iter_witnesses(h)) == expected
+            found += len(expected)
+        assert found > 1000
+
+    def test_search_leaves_no_reference_cycles(self):
+        posets = poset_classes(7)[::34][:60]
+        gc.collect()
+        gc.disable()
+        try:
+            for p in posets:
+                classify(p)
+            for p in posets:
+                for _ in enumerate_cycles(p.hat()):
+                    pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_walk_order_matches_recursive_search(self):
+        rng = random.Random(59)
+        for _ in range(100):
+            h = random_poset(rng, rng.randint(1, 10)).hat()
+            assert [w.elements for w in enumerate_cycles(h)] == list(recursive_cycles(h))
+            assert [w.elements for w in enumerate_paths(h)] == list(recursive_paths(h))
 
 
 def test_path_enumeration_matches_networkx(two_chain_plus_point, diamond):

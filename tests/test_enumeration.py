@@ -1,3 +1,4 @@
+import random
 from concurrent.futures import ProcessPoolExecutor
 from math import factorial
 from itertools import permutations
@@ -14,7 +15,7 @@ from posetfano import (
 )
 from posetfano import canonical, enumeration
 from posetfano.enumeration import _extensions, count_smooth, read_table
-from oracles import brute_isomorphic, labeled_posets
+from oracles import brute_isomorphic, filtered_extensions, labeled_posets
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,11 @@ class TestMaximalElementExtension:
             pairs = [(label[i], label[j]) for i in rest for j in rest if q.less(i, j)]
             assert Poset.from_cover_relations(d - 1, pairs).canonical_key() in keys
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_ideals_equal_the_subset_filter(self, d):
+        for p in poset_classes(d):
+            assert list(_extensions(p)) == filtered_extensions(p)
+
     @pytest.mark.slow
     def test_d8_class_count(self):
         assert len(poset_classes(8)) == 16999  # OEIS A000112
@@ -151,6 +157,55 @@ class TestDualityQuotient:
     def test_kept_representative_has_minimal_key(self):
         for p in quotient_by_duality(poset_classes(5)):
             assert p.canonical_key() <= p.dual().canonical_key()
+
+
+def _quotient_by_definition(posets):
+    return [p for p in posets if p.canonical_key() <= p.dual().canonical_key()]
+
+
+@pytest.fixture
+def dual_key_calls(monkeypatch):
+    """Counts serial calls of enumeration._dual_key."""
+    calls = []
+    real = enumeration._dual_key
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(enumeration, "_dual_key", counted)
+    return calls
+
+
+class TestPairedQuotient:
+    @pytest.mark.parametrize("use_pool", [False, True])
+    def test_equals_the_definition(self, use_pool, pool):
+        rng = random.Random(61)
+        shuffled = list(poset_classes(6))
+        rng.shuffle(shuffled)
+        duplicated = list(poset_classes(5))
+        duplicated.insert(7, duplicated[3])
+        v = Poset.from_cover_relations(3, [(1, 2), (1, 3)])
+        cases = [list(poset_classes(d)) for d in range(1, 8)] + [
+            shuffled,
+            list(poset_classes(6))[::2],  # half a level: partners missing
+            [v],  # its dual partner is absent and its degrees sort higher
+            [v.dual()],
+            duplicated,
+            [],
+        ]
+        for posets in cases:
+            got = quotient_by_duality(posets, pool=pool if use_pool else None)
+            assert got == _quotient_by_definition(posets)
+
+    def test_dual_keys_computed_d7(self, dual_key_calls):
+        assert len(quotient_by_duality(poset_classes(7))) == 1082
+        assert len(dual_key_calls) == 1085
+
+    @pytest.mark.slow
+    def test_dual_keys_computed_d8(self, dual_key_calls):
+        assert len(quotient_by_duality(poset_classes(8))) == 8746
+        assert len(dual_key_calls) == 8771
 
 
 class TestDeterminism:
