@@ -5,11 +5,10 @@ from .classifier import ClassificationReport, classify, iter_witnesses
 from .geometry import (
     Facet,
     enumerate_facets,
-    is_fano,
+    fano_and_terminal,
     is_gorenstein,
     is_simplicial,
     is_smooth_geometric,
-    is_terminal,
 )
 from .polytope import PolytopeVertexSet, build_vertex_set
 from .poset import Poset
@@ -19,9 +18,10 @@ def oracle_report(p: Poset) -> tuple[PolytopeVertexSet, list[Facet], dict]:
     """Vertex set, facets, and the five geometric flags of the polytope."""
     vs = build_vertex_set(p.hat())
     facets = enumerate_facets(vs.vectors)
+    fano, terminal = fano_and_terminal(vs.vectors, facets)
     flags = {
-        "fano": is_fano(vs.vectors, facets),
-        "terminal": is_terminal(vs.vectors, facets),
+        "fano": fano,
+        "terminal": terminal,
         "gorenstein": is_gorenstein(facets),
         "simplicial": is_simplicial(facets),
         "smooth": is_smooth_geometric(vs.vectors, facets),

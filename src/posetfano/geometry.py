@@ -1,13 +1,13 @@
 """Exact-arithmetic polytope oracle: facets of a lattice point set and
 the Fano / terminal / Gorenstein / simplicial / smooth tests.
 
-Everything runs on arbitrary-precision integers: hyperplane normals come
-from fraction-free elimination of difference rows, support tests are
-integer dot products, and lattice-point scans cover the integer bounding
-box of the input.  Brute force over every affinely independent d-subset
-is deliberate; this module is the independent oracle, not the fast
-path.  The subset search skips only supersets of an affinely dependent
-prefix, which are dependent themselves and span no hyperplane.
+Everything runs on arbitrary-precision integers: facets come from the
+double description method (Motzkin et al. 1953; Fukuda and Prodon
+1996), support tests are integer dot products, and lattice-point scans
+cover the integer bounding box of the input.  The oracle's independence
+from the classifier rests on the hull algorithm being generic: it knows
+nothing about posets, and the tests check it against the C(n, d)
+minors loop (``brute_facets``) and qhull.
 """
 from __future__ import annotations
 
@@ -76,14 +76,6 @@ class Facet:
         return len(self.normal)
 
 
-def _affine_rank(points: list[Vector]) -> int:
-    if not points:
-        return 0
-    base = points[0]
-    rows = [[p[c] - base[c] for c in range(len(base))] for p in points[1:]]
-    return _row_rank(rows)
-
-
 def _row_rank(rows: list[list[int]]) -> int:
     rows = [row[:] for row in rows if any(row)]
     cols = len(rows[0]) if rows else 0
@@ -105,12 +97,16 @@ def _row_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def _reduce(basis, row: list[int]) -> list[int] | None:
-    """``row`` reduced fraction-free against a basis; None if dependent.
+def _primitive(v: list[int]) -> list[int]:
+    g = gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _extend(basis, row: list[int]):
+    """The fully reduced basis grown by one row, or None if dependent.
 
     ``basis`` holds (pivot column, row) pairs, each row zero in every
-    other pivot column, so the result is zero in all pivot columns.
-    Rows are divided by their gcd, so entries stay small.
+    other pivot column and divided by its gcd, so entries stay small.
     """
     for c, r in basis:
         if row[c]:
@@ -118,128 +114,109 @@ def _reduce(basis, row: list[int]) -> list[int] | None:
             row = [a * x - b * y for x, y in zip(row, r)]
     if not any(row):
         return None
-    g = gcd(*row)
-    return [x // g for x in row] if g != 1 else row
-
-
-def _extend(basis, row: list[int]):
-    """The fully reduced basis grown by one row, or None if dependent."""
-    row = _reduce(basis, row)
-    if row is None:
-        return None
+    row = _primitive(row)
     col = next(c for c, x in enumerate(row) if x)
     grown = []
     for c, r in basis:
         if r[col]:
             a, b = row[col], r[col]
-            r = [a * x - b * y for x, y in zip(r, row)]
-            g = gcd(*r)
-            if g != 1:
-                r = [x // g for x in r]
+            r = _primitive([a * x - b * y for x, y in zip(r, row)])
         grown.append((c, r))
     grown.append((col, row))
     return tuple(grown)
 
 
-def _normals(rows: list[list[int]], start: int, basis):
-    """Primitive normals of the independent completions of a prefix.
-
-    ``rows`` are the differences of all points from the base point and
-    ``basis`` spans the prefix's rows.  Indices increase from ``start``,
-    so subsets come out in lexicographic order; a row that depends on
-    the prefix is skipped together with every extension of it.
-    """
-    d = len(rows[0])
-    need = d - 1 - len(basis)
-    if need > 1:
-        for i in range(start, len(rows) - need + 1):
-            grown = _extend(basis, rows[i])
-            if grown is not None:
-                yield from _normals(rows, i + 1, grown)
-        return
-    if d == 1:  # the base point alone spans the hyperplane x = base
-        yield (1,)
-        return
-    # d - 1 reduced rows leave one free column; with the last row not
-    # yet merged in, the normal is the null vector of basis and row.
+def _null_vector(rows: list[list[int]]) -> list[int]:
+    """Primitive integer null vector of n independent rows of length n + 1."""
+    basis = ()
+    for row in rows:
+        basis = _extend(basis, row)
+    width = len(rows[0])
     pivots = {c for c, _ in basis}
-    f1, f2 = (c for c in range(d) if c not in pivots)
+    free = next(c for c in range(width) if c not in pivots)
     scale = lcm(*(r[c] for c, r in basis))
-    for i in range(start, len(rows)):
-        row = _reduce(basis, rows[i])
-        if row is None:
-            continue
-        a, b = row[f1], row[f2]
-        normal = [0] * d
-        normal[f1] = b * scale
-        normal[f2] = -a * scale
-        for c, r in basis:
-            normal[c] = (r[f2] * a - r[f1] * b) * scale // r[c]
-        g = gcd(*normal)
-        yield tuple(x // g for x in normal)
+    vector = [0] * width
+    vector[free] = scale
+    for c, r in basis:
+        vector[c] = -r[free] * scale // r[c]
+    return _primitive(vector)
 
 
 def enumerate_facets(points) -> list[Facet]:
     """All facets of the convex hull of an integer point set.
 
-    Brute force over every affinely independent d-subset: solve for the
-    hyperplane through it and keep it when all points lie weakly on one
-    side; normals are normalized to primitive outward form and
-    deduplicated.  Raises DegenerateInput if the points do not span,
-    and OriginOnHyperplane if a supporting hyperplane passes through
-    the origin (such a hull cannot be Fano).
-
-    The d-subsets are searched depth first over index prefixes, the
-    first point of a subset serving as the base of its difference rows.
-    When a row depends on the rows before it, the prefix is affinely
-    dependent, and so is every subset extending it, so the search skips
-    that subtree; nothing affinely independent is pruned, so the search
-    still meets every hyperplane the full C(n, d) loop meets.
+    Double description: the inequalities a . x <= b valid on every
+    point form a cone in R^(d+1), pointed when the points affinely
+    span, whose extreme rays (a, b) are the facets.  The cone starts
+    as the simplicial cone of the first d + 1 affinely independent
+    points, one ray through each d of them, and takes the other points
+    in input order.  A new point drops the rays it violates; a violated
+    ray and a satisfied one span a new ray on the point's hyperplane
+    when they are adjacent: their common zero set (the points tight on
+    both) lies in no other ray's zero set.  Counting its members first,
+    at least d - 1 for adjacent rays, only saves time.  Rays are kept
+    primitive, and a point of the set is tight on each, so a ray's
+    first d entries are the primitive outward normal and its last the
+    offset.  Raises DegenerateInput if the points do not span, and
+    OriginOnHyperplane if a facet passes through the origin (such a
+    hull cannot be Fano).
     """
     points = [tuple(p) for p in points]
     if not points:
         raise DegenerateInput("empty point set")
     d = len(points[0])
-    if any(len(p) != d for p in points):
-        raise ValueError("points must share one dimension")
-    if _affine_rank(points) != d:
+    if d == 0 or any(len(p) != d for p in points):
+        raise ValueError("points must share one positive dimension")
+    # a ray (a, b) satisfies point p iff (p, -1) . (a, b) <= 0
+    rows = [list(p) + [-1] for p in points]
+    seeds: list[int] = []
+    basis = ()
+    for i, row in enumerate(rows):
+        grown = _extend(basis, row)
+        if grown is not None:
+            basis = grown
+            seeds.append(i)
+            if len(seeds) == d + 1:
+                break
+    else:
         raise DegenerateInput(f"points do not affinely span dimension {d}")
-    found: dict[tuple[Vector, int], Facet] = {}
-    seen: set[tuple[Vector, int]] = set()
-    for i, base in enumerate(points):
-        rows = [[x - b for x, b in zip(p, base)] for p in points]
-        for normal in _normals(rows, i + 1, ()):
-            offset = sum(map(mul, normal, base))
-            key = (normal, offset)
-            if key in seen:
-                continue
-            seen.add(key)
-            if (tuple(-a for a in normal), -offset) in seen:
-                continue
-            below = above = False
-            values = []
-            for p in points:
-                v = sum(map(mul, normal, p))
-                values.append(v)
-                if v < offset:
-                    below = True
-                elif v > offset:
-                    above = True
-                if below and above:
-                    break
-            if below and above:
-                continue
-            if above:  # flip outward
-                normal = tuple(-a for a in normal)
-                offset = -offset
-                values = [-v for v in values]
-            if offset == 0:
-                raise OriginOnHyperplane(
-                    f"supporting hyperplane {normal} . x = 0 passes through the origin"
-                )
-            incident = tuple(k for k, v in enumerate(values) if v == offset)
-            found.setdefault((normal, offset), Facet(normal, offset, incident))
-    return sorted(found.values(), key=lambda f: (f.normal, f.offset))
+    spanned = sum(1 << i for i in seeds)
+    cone = []  # (ray, zero set as a bit mask over the points added so far)
+    for j in seeds:
+        ray = _null_vector([rows[k] for k in seeds if k != j])
+        if sum(map(mul, rows[j], ray)) > 0:
+            ray = [-x for x in ray]
+        cone.append((ray, spanned & ~(1 << j)))
+    for i, row in enumerate(rows):
+        if spanned >> i & 1:
+            continue
+        bit = 1 << i
+        valued = [(ray, zero, sum(map(mul, row, ray))) for ray, zero in cone]
+        cut = [entry for entry in valued if entry[2] > 0]
+        zeros = [zero for _, zero in cone]
+        cone = []
+        for ray, zero, v in valued:
+            if v == 0:
+                cone.append((ray, zero | bit))
+            elif v < 0:
+                cone.append((ray, zero))
+                for ray_out, zero_out, v_out in cut:
+                    common = zero & zero_out
+                    if (common.bit_count() >= d - 1
+                            and sum(1 for z in zeros if z & common == common) == 2):
+                        ray_new = [v_out * x - v * y for x, y in zip(ray, ray_out)]
+                        cone.append((_primitive(ray_new), common | bit))
+    facets = sorted(
+        (Facet(tuple(ray[:d]), ray[d],
+               tuple(k for k in range(len(points)) if zero >> k & 1))
+         for ray, zero in cone),
+        key=lambda f: (f.normal, f.offset))
+    for f in facets:
+        if f.offset == 0:
+            raise OriginOnHyperplane(
+                f"supporting hyperplane {f.normal} . x = 0 passes through the origin"
+            )
+    return facets
 
 
 def _lattice_box(points: list[Vector]):
@@ -269,10 +246,15 @@ def _hull_points(points: list[Vector], facets: list[Facet]):
             yield q, [sum(map(mul, normal, q)) - offset for normal, offset in planes]
 
 
-def is_fano(points, facets: list[Facet] | None = None) -> bool:
-    """True iff the origin is the unique interior lattice point.
+def fano_and_terminal(points, facets: list[Facet] | None = None) -> tuple[bool, bool]:
+    """(is_fano, is_terminal) from one scan of the hull's lattice points.
 
-    The scan runs over the integer bounding box of the points, which
+    Fano needs every offset positive (the origin strictly inside) and
+    no other lattice point in the interior, where no facet is tight.
+    Terminal needs every lattice point but the origin to be a vertex,
+    i.e. to have tight normals that span.  An interior point other
+    than the origin fails both; the scan stops once both have failed.
+    The box scanned is the integer bounding box of the points, which
     contains the hull (and equals the {-1,0,1} cube for poset
     polytopes, which sit inside it).
     """
@@ -281,34 +263,32 @@ def is_fano(points, facets: list[Facet] | None = None) -> bool:
         try:
             facets = enumerate_facets(points)
         except OriginOnHyperplane:
-            return False
-    if any(f.offset <= 0 for f in facets):
-        return False  # origin not strictly interior
-    interior = [
-        q for q, values in _hull_points(points, facets)
-        if all(v < 0 for v in values)
-    ]
-    return interior == [(0,) * len(points[0])]
+            return False, False
+    d = len(points[0])
+    origin = (0,) * d
+    fano = all(f.offset > 0 for f in facets)
+    terminal = True
+    for q, values in _hull_points(points, facets):
+        if q == origin:
+            continue
+        tight = [list(f.normal) for f, v in zip(facets, values) if v == 0]
+        if not tight:
+            fano = False
+        if terminal and _row_rank(tight) != d:
+            terminal = False
+        if not (fano or terminal):
+            break
+    return fano, terminal
+
+
+def is_fano(points, facets: list[Facet] | None = None) -> bool:
+    """True iff the origin is the unique interior lattice point."""
+    return fano_and_terminal(points, facets)[0]
 
 
 def is_terminal(points, facets: list[Facet] | None = None) -> bool:
     """True iff every lattice point of the hull is the origin or a vertex."""
-    points = [tuple(p) for p in points]
-    if facets is None:
-        try:
-            facets = enumerate_facets(points)
-        except OriginOnHyperplane:
-            return False
-    origin = (0,) * len(points[0])
-    d = len(points[0])
-    for q, values in _hull_points(points, facets):
-        if q == origin:
-            continue
-        tight = [f.normal for f, v in zip(facets, values) if v == 0]
-        # a point of the hull is a vertex iff its tight normals span
-        if _row_rank([list(n) for n in tight]) != d:
-            return False
-    return True
+    return fano_and_terminal(points, facets)[1]
 
 
 def is_gorenstein(facets: list[Facet]) -> bool:

@@ -89,23 +89,27 @@ class Poset:
                 raise CycleInInput(f"relation ({i},{j}) makes y_{i} < itself")
             adj[i] |= 1 << j
         above = [0] * (d + 1)
-        state = [0] * (d + 1)  # 0 unseen, 1 active, 2 done
-        def visit(i: int) -> None:
-            if state[i] == 1:
-                raise CycleInInput(f"input relations contain a cycle through y_{i}")
-            if state[i] == 2:
-                return
-            state[i] = 1
-            acc = adj[i]
-            for j in _bits(adj[i]):
-                visit(j)
-                acc |= above[j]
-            if (acc >> i) & 1:
-                raise CycleInInput(f"input relations contain a cycle through y_{i}")
-            above[i] = acc
-            state[i] = 2
-        for i in range(1, d + 1):
-            visit(i)
+        state = [0] * (d + 1)  # 0 unseen, 1 on the stack, 2 done
+        for root in range(1, d + 1):
+            if state[root]:
+                continue
+            state[root] = 1
+            stack = [(root, _bits(adj[root]))]
+            while stack:
+                i, rest = stack[-1]
+                j = next(rest, None)
+                if j is None:  # every successor done: close i
+                    stack.pop()
+                    acc = adj[i]
+                    for j in _bits(adj[i]):
+                        acc |= above[j]
+                    above[i] = acc
+                    state[i] = 2
+                elif state[j] == 1:
+                    raise CycleInInput(f"input relations contain a cycle through y_{j}")
+                elif state[j] == 0:
+                    state[j] = 1
+                    stack.append((j, _bits(adj[j])))
         return cls(d, above)
 
     # -- basic queries -------------------------------------------------
@@ -319,16 +323,18 @@ class HatPoset:
         """All saturated chains from 0 to d+1, in lexicographic order."""
         if self._chains is None:
             chains: list[tuple[int, ...]] = []
-            stack = [0]
-            def go(x: int) -> None:
-                if x == self.top:
-                    chains.append(tuple(stack))
-                    return
-                for y in self.up[x]:
-                    stack.append(y)
-                    go(y)
-                    stack.pop()
-            go(0)
+            chain = [0]
+            branches = [iter(self.up[0])]  # untried covers of each chain element
+            while branches:
+                y = next(branches[-1], None)
+                if y is None:
+                    branches.pop()
+                    chain.pop()
+                elif y == self.top:
+                    chains.append((*chain, y))
+                else:
+                    chain.append(y)
+                    branches.append(iter(self.up[y]))
             self._chains = tuple(chains)
         return self._chains
 

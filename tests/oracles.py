@@ -4,19 +4,20 @@ Nothing here shares algorithms with the package: chains are enumerated
 from the definitions, isomorphism is tested by raw permutation search,
 labeled posets come from exhaustive relation assignment, determinants
 from cofactor expansion, ranks from elimination over the rationals,
-facets from every d-subset in turn, lattice points from evaluating every
-facet at every point of the bounding box, hulls from qhull's
-combinatorics with the hyperplanes re-identified in exact integer
-arithmetic, order ideals by filtering every subset, and witness walks
-by a recursive search over every cycle and path that filters them
-afterwards (the filters are the classifier's public level-gap
+facets from every d-subset in turn or from the prefix-pruned subset
+search the package used before its double description, lattice points
+from evaluating every facet at every point of the bounding box, hulls
+from qhull's combinatorics with the hyperplanes re-identified in exact
+integer arithmetic, order ideals by filtering every subset, and witness
+walks by a recursive search over every cycle and path that filters
+them afterwards (the filters are the classifier's public level-gap
 predicates; the pruned search in the package is what is checked).
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, lcm
 
 import networkx as nx
 import numpy as np
@@ -217,6 +218,115 @@ def brute_facets(points) -> list[Facet]:
             raise OriginOnHyperplane(f"supporting hyperplane {normal} . x = 0")
         incident = tuple(k for k, v in enumerate(values) if v == offset)
         found[(normal, offset)] = Facet(normal, offset, incident)
+    return sorted(found.values(), key=lambda f: (f.normal, f.offset))
+
+
+def _reduce(basis, row: list[int]) -> list[int] | None:
+    """``row`` reduced fraction-free against a basis; None if dependent.
+
+    ``basis`` holds (pivot column, row) pairs, each row zero in every
+    other pivot column, so the result is zero in all pivot columns.
+    Rows are divided by their gcd, so entries stay small.
+    """
+    for c, r in basis:
+        if row[c]:
+            a, b = r[c], row[c]
+            row = [a * x - b * y for x, y in zip(row, r)]
+    if not any(row):
+        return None
+    g = gcd(*row)
+    return [x // g for x in row] if g != 1 else row
+
+
+def _extend(basis, row: list[int]):
+    """The fully reduced basis grown by one row, or None if dependent."""
+    row = _reduce(basis, row)
+    if row is None:
+        return None
+    col = next(c for c, x in enumerate(row) if x)
+    grown = []
+    for c, r in basis:
+        if r[col]:
+            a, b = row[col], r[col]
+            r = [a * x - b * y for x, y in zip(r, row)]
+            g = gcd(*r)
+            if g != 1:
+                r = [x // g for x in r]
+        grown.append((c, r))
+    grown.append((col, row))
+    return tuple(grown)
+
+
+def prefix_normals(rows: list[list[int]], start: int, basis):
+    """Primitive normals of the independent completions of a prefix.
+
+    ``rows`` are the differences of all points from the base point and
+    ``basis`` spans the prefix's rows.  Indices increase from ``start``,
+    so subsets come out in lexicographic order; a row that depends on
+    the prefix is skipped together with every extension of it.
+    """
+    d = len(rows[0])
+    need = d - 1 - len(basis)
+    if need > 1:
+        for i in range(start, len(rows) - need + 1):
+            grown = _extend(basis, rows[i])
+            if grown is not None:
+                yield from prefix_normals(rows, i + 1, grown)
+        return
+    if d == 1:  # the base point alone spans the hyperplane x = base
+        yield (1,)
+        return
+    # d - 1 reduced rows leave one free column; with the last row not
+    # yet merged in, the normal is the null vector of basis and row.
+    pivots = {c for c, _ in basis}
+    f1, f2 = (c for c in range(d) if c not in pivots)
+    scale = lcm(*(r[c] for c, r in basis))
+    for i in range(start, len(rows)):
+        row = _reduce(basis, rows[i])
+        if row is None:
+            continue
+        a, b = row[f1], row[f2]
+        normal = [0] * d
+        normal[f1] = b * scale
+        normal[f2] = -a * scale
+        for c, r in basis:
+            normal[c] = (r[f2] * a - r[f1] * b) * scale // r[c]
+        g = gcd(*normal)
+        yield tuple(x // g for x in normal)
+
+
+def subset_facets(points) -> list[Facet]:
+    """Facets by the prefix-pruned search over affinely independent d-subsets.
+
+    Depth first over index prefixes, the first point of a subset being
+    the base of its difference rows; a dependent prefix is skipped with
+    its whole subtree.  Each hyperplane met is kept when it supports.
+    Same output and errors as ``enumerate_facets``.
+    """
+    points = [tuple(p) for p in points]
+    if not points:
+        raise DegenerateInput("empty point set")
+    d = len(points[0])
+    if fraction_rank([[x - y for x, y in zip(p, points[0])] for p in points]) != d:
+        raise DegenerateInput(f"points do not affinely span dimension {d}")
+    found = {}
+    for i, base in enumerate(points):
+        rows = [[x - b for x, b in zip(p, base)] for p in points]
+        for normal in prefix_normals(rows, i + 1, ()):
+            offset = sum(a * x for a, x in zip(normal, base))
+            if (normal, offset) in found or (tuple(-a for a in normal), -offset) in found:
+                continue
+            values = [sum(a * x for a, x in zip(normal, p)) for p in points]
+            if min(values) < offset < max(values):
+                continue
+            if max(values) > offset:  # flip outward
+                normal = tuple(-a for a in normal)
+                offset = -offset
+                values = [-v for v in values]
+            if offset == 0:
+                raise OriginOnHyperplane(f"supporting hyperplane {normal} . x = 0")
+            incident = tuple(k for k, v in enumerate(values) if v == offset)
+            found[(normal, offset)] = Facet(normal, offset, incident)
     return sorted(found.values(), key=lambda f: (f.normal, f.offset))
 
 

@@ -1,10 +1,20 @@
+import json
+import os
 import random
 
 import pytest
 
-from posetfano import classify, classify_geometric, find_disagreement, poset_classes
+import posetfano.geometry as geometry
+from posetfano import (
+    classify,
+    classify_geometric,
+    find_disagreement,
+    oracle_report,
+    poset_classes,
+)
+from posetfano.cli import main
 from conftest import random_poset
-from oracles import fraction_rank, qhull_exact_facets
+from oracles import box_is_fano, box_is_terminal, fraction_rank, qhull_exact_facets
 
 
 class TestOracleEquivalence:
@@ -83,3 +93,32 @@ class TestClassifyGeometric:
             mine = {(f.normal, f.offset): f.incident
                     for f in enumerate_facets(vs.vectors)}
             assert mine == qhull_exact_facets(vs.vectors)
+
+
+class TestOracleReport:
+    def test_scans_the_lattice_box_once(self, monkeypatch):
+        boxes = []
+        lattice_box = geometry._lattice_box
+
+        def counted(points):
+            boxes.append(points)
+            return lattice_box(points)
+
+        monkeypatch.setattr(geometry, "_lattice_box", counted)
+        for d in range(1, 5):
+            for p in poset_classes(d):
+                del boxes[:]
+                vs, facets, flags = oracle_report(p)
+                assert len(boxes) == 1
+                assert flags["fano"] == box_is_fano(vs.vectors, facets)
+                assert flags["terminal"] == box_is_terminal(vs.vectors, facets)
+
+
+@pytest.mark.skipif(not os.environ.get("RUN_D8"),
+                    reason="full d = 8 cross-check, a few minutes; set RUN_D8=1 to run")
+def test_full_d8_cross_check(capsys):
+    jobs = min(2, os.cpu_count() or 1)
+    assert main(["cross-check", "--d", "8", "--jobs", str(jobs), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["classes"] == 16999
+    assert out["disagreements"] == []

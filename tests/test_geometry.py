@@ -23,7 +23,6 @@ from posetfano import (
     quotient_by_duality,
     witness_hyperplane,
 )
-from posetfano.geometry import _normals
 from conftest import antichain, chain
 from oracles import (
     box_is_fano,
@@ -31,7 +30,9 @@ from oracles import (
     brute_facets,
     cofactor_det,
     minor_normal,
+    prefix_normals,
     qhull_exact_facets,
+    subset_facets,
 )
 
 CROSS2 = [(-1, 0), (1, 0), (0, -1), (0, 1)]
@@ -127,6 +128,9 @@ def outcome(fn, *args):
 # sha256 of the facet lists of every d = 6 duality class, computed with
 # the C(n, d) minors loop that preceded the prefix-pruned search
 D6_FACETS_SHA256 = "0606f42eedccd0f4b22e93701e718332a5b787df422ce36a8ec191f09b820f46"
+# the same over every d = 7 duality class, computed with the
+# prefix-pruned subset search that preceded the double description
+D7_FACETS_SHA256 = "eefc8f1b59aa33faf82ce5126cbf5de84d28d86c2718a3f64fb713f230893df4"
 
 
 class TestFacetsAgainstBruteForce:
@@ -160,7 +164,7 @@ class TestFacetsAgainstBruteForce:
             found = []
             for i, base in enumerate(points):
                 rows = [[x - b for x, b in zip(p, base)] for p in points]
-                found.extend(primitive_up_to_sign(n) for n in _normals(rows, i + 1, ()))
+                found.extend(primitive_up_to_sign(n) for n in prefix_normals(rows, i + 1, ()))
             assert found == expected, points
 
     def test_d6_facet_lists_pinned(self):
@@ -170,6 +174,53 @@ class TestFacetsAgainstBruteForce:
             digest.update(repr([(f.normal, f.offset, f.incident) for f in facets]).encode())
             digest.update(b"\n")
         assert digest.hexdigest() == D6_FACETS_SHA256
+
+    def test_d7_facet_lists_pinned(self):
+        digest = hashlib.sha256()
+        for points in class_vertex_sets([7]):
+            facets = enumerate_facets(points)
+            digest.update(repr([(f.normal, f.offset, f.incident) for f in facets]).encode())
+            digest.update(b"\n")
+        assert digest.hexdigest() == D7_FACETS_SHA256
+
+
+def cube_point_sets(rng, d, count):
+    """Seeded point sets in {-1, 0, 1}^d with coplanar and repeated points.
+
+    Half start from the simplex e_1, ..., e_d, (-1, ..., -1) around the
+    origin; each adds random points, points on the face x_c = 1 of the
+    cube and copies of points already in the set, in shuffled order.
+    """
+    for _ in range(count):
+        points = []
+        if rng.random() < 0.5:
+            points = [tuple(int(k == c) for k in range(d)) for c in range(d)]
+            points.append((-1,) * d)
+        points += [tuple(rng.choice((-1, 0, 1)) for _ in range(d))
+                   for _ in range(rng.randint(1, 4))]
+        c = rng.randrange(d)
+        points += [tuple(1 if k == c else rng.choice((-1, 0, 1)) for k in range(d))
+                   for _ in range(rng.randint(0, 3))]
+        points += [rng.choice(points) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(points)
+        yield points
+
+
+class TestFacetsAgainstSubsetSearch:
+    def test_cube_point_sets_d5_to_d8(self):
+        rng = random.Random(83)
+        seen = set()
+        for d, count in ((5, 30), (6, 30), (7, 20), (8, 12)):
+            for points in cube_point_sets(rng, d, count):
+                mine = outcome(enumerate_facets, points)
+                assert mine == outcome(subset_facets, points), points
+                if isinstance(mine, type):
+                    seen.add(mine)
+                    continue
+                seen.add("repeated" if len(set(points)) < len(points) else "distinct")
+                if any(len(f.incident) > d for f in mine):
+                    seen.add("non-simplicial")
+        assert {DegenerateInput, "repeated", "distinct", "non-simplicial"} <= seen
 
 
 class TestScansAgainstFullBox:

@@ -1,3 +1,4 @@
+import gc
 import pickle
 import random
 
@@ -53,6 +54,41 @@ class TestFromCoverRelations:
         for pairs in ([(1, 2)], [(1, 2), (2, 3), (1, 3)], [(1, 3), (2, 3)]):
             p = Poset.from_cover_relations(3, pairs)
             assert Poset.from_cover_relations(3, p.covers) == p
+
+    def test_closure_matches_warshall(self):
+        rng = random.Random(61)
+        outcomes = set()
+        for _ in range(300):
+            d = rng.randint(2, 9)
+            pairs = [(rng.randint(1, d), rng.randint(1, d)) for _ in range(rng.randint(0, 2 * d))]
+            pairs = [(i, j) for i, j in pairs if i != j]
+            less = set(pairs)
+            for k in range(1, d + 1):
+                for i in range(1, d + 1):
+                    for j in range(1, d + 1):
+                        if (i, k) in less and (k, j) in less:
+                            less.add((i, j))
+            if any((i, i) in less for i in range(1, d + 1)):
+                outcomes.add("cycle")
+                with pytest.raises(CycleInInput):
+                    Poset.from_cover_relations(d, pairs)
+                continue
+            outcomes.add("order")
+            p = Poset.from_cover_relations(d, pairs)
+            assert {(i, j) for i in p.elements for j in p.elements if p.less(i, j)} == less
+        assert outcomes == {"cycle", "order"}
+
+    def test_leaves_no_reference_cycles(self):
+        # the closure and the chain search run on explicit stacks
+        posets = poset_classes(6)[::3]
+        gc.collect()
+        gc.disable()
+        try:
+            for p in posets:
+                Poset.from_cover_relations(p.d, p.covers).hat().maximal_chains()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestConstructorValidation:
@@ -192,6 +228,12 @@ class TestMaximalChains:
         for _ in range(25):
             h = random_poset(rng, rng.randint(1, 5)).hat()
             assert set(h.maximal_chains()) == maximal_chains_by_definition(h)
+
+    def test_lexicographic_order(self):
+        rng = random.Random(17)
+        for _ in range(100):
+            h = random_poset(rng, rng.randint(1, 7)).hat()
+            assert h.maximal_chains() == tuple(sorted(maximal_chains_by_definition(h)))
 
 
 class TestPurity:
