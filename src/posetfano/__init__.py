@@ -18,7 +18,7 @@ from .classifier import (
     level_labels,
     path_levels_compatible,
 )
-from .crosscheck import classify_geometric, find_disagreement, oracle_report
+from .crosscheck import find_disagreement, oracle_report
 from .enumeration import (
     TableRow,
     build_table,

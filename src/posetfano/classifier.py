@@ -281,7 +281,7 @@ class ClassificationReport:
     gorenstein: bool
     q_factorial: bool
     smooth: bool
-    method: str  # "combinatorial" | "geometric" | "pure-shortcut"
+    method: str  # always "combinatorial"
     witness: Optional[Walk] = None
 
     def to_dict(self) -> dict:
@@ -304,20 +304,13 @@ class ClassificationReport:
         return out
 
 
-def classify(p: Poset, *, shortcut: bool = True) -> ClassificationReport:
+def classify(p: Poset) -> ClassificationReport:
     """Decide Q-factoriality/smoothness of the poset's polytope.
 
-    The polytope is smooth iff no blocking walk exists.  When the poset
-    is pure, smoothness is equivalent to being a disjoint union of
-    chains; with shortcut enabled that test answers positively without
-    searching (a negative answer still runs the search to produce the
-    witness walk).
+    The polytope is smooth iff no blocking walk exists; the first walk
+    iter_witnesses yields is the report's witness.  Every report comes
+    from that search, so method is always "combinatorial".
     """
-    if shortcut and p.is_disjoint_union_of_chains() and p.is_pure():
-        return ClassificationReport(
-            d=p.d, fano=True, terminal=True, gorenstein=True,
-            q_factorial=True, smooth=True, method="pure-shortcut",
-        )
     witness = next(iter_witnesses(p.hat()), None)
     ok = witness is None
     return ClassificationReport(

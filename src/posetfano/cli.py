@@ -93,7 +93,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (PosetfanoError, ValueError, FileNotFoundError) as e:
+    except (PosetfanoError, ValueError, OSError) as e:
         _log(f"error: {e}")
         return 1
 

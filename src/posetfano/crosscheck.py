@@ -1,7 +1,7 @@
 """Glue between the combinatorial classifier and the geometric oracle."""
 from __future__ import annotations
 
-from .classifier import ClassificationReport, classify, iter_witnesses
+from .classifier import classify
 from .geometry import (
     Facet,
     enumerate_facets,
@@ -27,29 +27,6 @@ def oracle_report(p: Poset) -> tuple[PolytopeVertexSet, list[Facet], dict]:
         "smooth": is_smooth_geometric(vs.vectors, facets),
     }
     return vs, facets, flags
-
-
-def classify_geometric(p: Poset) -> ClassificationReport:
-    """Classification computed purely by exact geometry.
-
-    A combinatorial witness walk is attached when the polytope is not
-    simplicial, so the report keeps its witness-iff-not-Q-factorial
-    shape.
-    """
-    _, _, flags = oracle_report(p)
-    witness = None
-    if not flags["simplicial"]:
-        witness = next(iter_witnesses(p.hat()), None)
-    return ClassificationReport(
-        d=p.d,
-        fano=flags["fano"],
-        terminal=flags["terminal"],
-        gorenstein=flags["gorenstein"],
-        q_factorial=flags["simplicial"],
-        smooth=flags["smooth"],
-        method="geometric",
-        witness=witness,
-    )
 
 
 def find_disagreement(p: Poset) -> dict | None:

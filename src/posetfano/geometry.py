@@ -76,27 +76,6 @@ class Facet:
         return len(self.normal)
 
 
-def _row_rank(rows: list[list[int]]) -> int:
-    rows = [row[:] for row in rows if any(row)]
-    cols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < cols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pr = rows[rank]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col]:
-                f1, f2 = pr[col], rows[r][col]
-                rows[r] = [f1 * rows[r][c] - f2 * pr[c] for c in range(cols)]
-        rank += 1
-        col += 1
-    return rank
-
-
 def _primitive(v: list[int]) -> list[int]:
     g = gcd(*v)
     return [x // g for x in v] if g > 1 else v
@@ -124,6 +103,17 @@ def _extend(basis, row: list[int]):
         grown.append((c, r))
     grown.append((col, row))
     return tuple(grown)
+
+
+def _rank(rows) -> int:
+    """Rank of integer rows of one length: the size of their _extend
+    basis, which stops growing once it has as many rows as columns."""
+    basis = ()
+    for row in rows:
+        basis = _extend(basis, row) or basis
+        if len(basis) == len(row):
+            break
+    return len(basis)
 
 
 def _null_vector(rows: list[list[int]]) -> list[int]:
@@ -274,7 +264,7 @@ def fano_and_terminal(points, facets: list[Facet] | None = None) -> tuple[bool, 
         tight = [list(f.normal) for f, v in zip(facets, values) if v == 0]
         if not tight:
             fano = False
-        if terminal and _row_rank(tight) != d:
+        if terminal and _rank(tight) != d:
             terminal = False
         if not (fano or terminal):
             break

@@ -217,11 +217,7 @@ class TestClassify:
         rep = classify(chain3)
         assert rep.smooth and rep.q_factorial and rep.witness is None
         assert rep.fano and rep.terminal and rep.gorenstein
-        assert rep.method == "pure-shortcut"
-
-    def test_chain_without_shortcut(self, chain3):
-        rep = classify(chain3, shortcut=False)
-        assert rep.smooth and rep.method == "combinatorial"
+        assert rep.method == "combinatorial"
 
     def test_v_poset_witness(self, v_poset):
         rep = classify(v_poset)
@@ -267,15 +263,24 @@ class TestClassify:
                 rebuilt = Walk.from_elements(h, w.elements, w.kind)
                 assert rebuilt == w
 
+    def test_pure_posets_smooth_iff_disjoint_chains_d7(self):
+        # the pure-poset theorem (smooth iff a disjoint union of chains),
+        # checked against the walk search on every class with d <= 7
+        for d in range(1, 8):
+            for p in poset_classes(d):
+                if p.is_pure():
+                    assert classify(p).smooth == p.is_disjoint_union_of_chains()
+
     def test_reports_pinned_d6(self):
-        # digest computed with the pre-test order is_pure() first; the two
-        # predicates are pure, so their order must not change any report
+        # digest computed from the reports of the classifier that still
+        # answered disjoint unions of chains by the pure-poset theorem,
+        # with their "method": "pure-shortcut" rewritten to "combinatorial"
         digest = hashlib.sha256()
         for d in range(1, 7):
             for p in quotient_by_duality(poset_classes(d)):
                 digest.update(json.dumps(classify(p).to_dict(), sort_keys=True).encode())
         assert digest.hexdigest() == (
-            "a14f5b9fd4ea1b41fdda220e7a2810522a135413105039c2d302702ba4557ccc"
+            "11c6bf5d8fb212d919439e88032af4e2d18c7e96c37d4d59201c03670be4aa3d"
         )
 
 
@@ -294,11 +299,13 @@ class TestWitnessSearch:
         )
 
     def test_reports_pinned_d7(self):
+        # computed like the d <= 6 digest in TestClassify: the shortcut
+        # classifier's reports, "pure-shortcut" rewritten to "combinatorial"
         digest = hashlib.sha256()
         for p in quotient_by_duality(poset_classes(7)):
             digest.update(json.dumps(classify(p).to_dict(), sort_keys=True).encode())
         assert digest.hexdigest() == (
-            "8ff0a6236d3d87a4779373b0737d1f8f9d3cefd2fedbec9c119c3e02644fae14"
+            "a99c18f9f928198d952836b0def0de0d2e6cec93e1de5e59e5db6657bbc288f0"
         )
 
     def test_matches_reference_on_random_posets(self):

@@ -58,6 +58,10 @@ class TestClassifyCommand:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["classify", str(tmp_path / "nope.poset")]) == 1
 
+    def test_directory_input(self, tmp_path, capsys):
+        assert main(["classify", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bad_file(self, tmp_path, capsys):
         f = tmp_path / "bad.poset"
         f.write_text("3\n1 nope\n")

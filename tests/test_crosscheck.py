@@ -7,7 +7,6 @@ import pytest
 import posetfano.geometry as geometry
 from posetfano import (
     classify,
-    classify_geometric,
     find_disagreement,
     oracle_report,
     poset_classes,
@@ -67,15 +66,11 @@ class TestOracleEquivalence:
                 assert is_simplicial(facets) == is_smooth_geometric(vs.vectors, facets)
 
 
-class TestClassifyGeometric:
+class TestFixtures:
     def test_matches_combinatorial(self, v_poset, chain3, diamond, broom6, zigzag7):
         for p in (v_poset, chain3, diamond, broom6, zigzag7):
-            combinatorial = classify(p)
-            geometric = classify_geometric(p)
-            assert geometric.method == "geometric"
-            for name in ("fano", "terminal", "gorenstein", "q_factorial", "smooth"):
-                assert getattr(geometric, name) == getattr(combinatorial, name)
-            assert (geometric.witness is None) == geometric.q_factorial
+            assert find_disagreement(p) is None
+            assert (classify(p).witness is None) == oracle_report(p)[2]["simplicial"]
 
     def test_qhull_agrees_on_fixtures(self, v_poset, diamond, broom6, zigzag7):
         from posetfano import build_vertex_set, enumerate_facets

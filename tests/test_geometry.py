@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+import posetfano.geometry as geometry
 from posetfano import (
     DegenerateInput,
     Facet,
@@ -29,6 +30,7 @@ from oracles import (
     box_is_terminal,
     brute_facets,
     cofactor_det,
+    fraction_rank,
     minor_normal,
     prefix_normals,
     qhull_exact_facets,
@@ -58,6 +60,32 @@ class TestDeterminant:
     def test_singular(self):
         assert det_fraction_free([[1, 1], [1, 1]]) == 0
         assert det_fraction_free([[0, 0, 0], [1, 2, 3], [4, 5, 6]]) == 0
+
+
+class TestRank:
+    def test_agrees_with_fraction_rank(self):
+        # an m x r by r x d product has rank at most r, m may exceed d, and
+        # zero rows and repeated rows are mixed in; every rank 0..d occurs
+        rng = random.Random(61)
+        for d in range(1, 9):
+            seen = set()
+            for r in range(d + 1):
+                for _ in range(8):
+                    m = rng.randint(r, d + 3)
+                    left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+                    right = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(r)]
+                    rows = [[sum(row[k] * right[k][c] for k in range(r))
+                             for c in range(d)] for row in left]
+                    if rows and rng.random() < 0.4:
+                        rows.append(list(rng.choice(rows)))
+                    if rng.random() < 0.4:
+                        rows.insert(rng.randint(0, len(rows)), [0] * d)
+                    rng.shuffle(rows)
+                    expected = fraction_rank(rows)
+                    assert geometry._rank(rows) == expected
+                    seen.add(expected)
+            assert seen == set(range(d + 1))
+        assert geometry._rank([]) == 0
 
 
 class TestEnumerateFacets:
