@@ -114,7 +114,12 @@ def cycle_levels_compatible(h: HatPoset, cycle: Walk,
     levels[a]-levels[b] may not exceed dist(b, a); for every ordered
     pair the gap may not exceed dist(bottom, a) + dist(b, top), where a
     degenerate distance from the bottom to itself (or top to itself)
-    counts as 0.
+    counts as 0.  The second family is what lets a hyperplane through
+    the walk vanish on both bounds: each element x allows the shifts
+    from levels[x] - dist(bottom, x) to levels[x] + dist(x, top), and
+    these ranges meet iff every pair fits.  It is not implied by the
+    first: some smooth posets carry a balanced cycle that only it
+    rejects.
     """
     top = h.top
     els = cycle.elements

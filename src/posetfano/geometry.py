@@ -3,8 +3,11 @@ the Fano / terminal / Gorenstein / simplicial / smooth tests.
 
 Everything runs on arbitrary-precision integers: facets come from the
 double description method (Motzkin et al. 1953; Fukuda and Prodon
-1996), support tests are integer dot products, and lattice-point scans
-cover the integer bounding box of the input.  The oracle's independence
+1996), support tests are integer dot products, and the hull's lattice
+points come from a meet-in-the-middle scan of the integer bounding box:
+each normal's dot product splits into a sum over the first half of the
+coordinates and one over the second, and a bit set over the second half
+drops the box points each facet cuts off.  The oracle's independence
 from the classifier rests on the hull algorithm being generic: it knows
 nothing about posets, and the tests check it against the C(n, d)
 minors loop (``brute_facets``) and qhull.
@@ -209,31 +212,79 @@ def enumerate_facets(points) -> list[Facet]:
     return facets
 
 
-def _lattice_box(points: list[Vector]):
-    d = len(points[0])
-    lows = [min(p[c] for p in points) for c in range(d)]
-    highs = [max(p[c] for p in points) for c in range(d)]
-    return product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs)))
+def _lattice_box(points: list[Vector]) -> list[range]:
+    """The integer range of each coordinate over the points."""
+    return [range(min(column), max(column) + 1) for column in zip(*points)]
+
+
+def _sums(normal: Vector, box: list[range]) -> list[int]:
+    """normal . q for each q of the product of the ranges, in product order."""
+    sums = [0]
+    for a, r in zip(normal, box):
+        sums = [s + a * x for s in sums for x in r]
+    return sums
 
 
 def _hull_points(points: list[Vector], facets: list[Facet]):
     """(q, facet values - offsets) for each lattice point q of the hull.
 
-    Scans the integer bounding box.  A box point is rejected at its
-    first violated facet, and that facet is tried first on the next
-    point: neighbouring box points tend to leave the hull through the
-    same facet.  Only points inside the hull get the full value vector.
+    Meets in the middle of the integer bounding box.  A box point q is
+    a head u (its first d // 2 coordinates) followed by a tail w, and
+    a . q = A[u] + B[w], where the head sums A and the tail sums B are
+    computed once per distinct half of a normal.  The tails of one head
+    point are the bits of an integer, all set to begin with; a facet
+    with t = offset - A[u] keeps only the bits of fits[t], the tails
+    with B[w] <= t (none when t < min B, all when t >= max B).  A head
+    point is done when no bit is left, and the bits left after the last
+    facet are its hull points.  Points come in product order.
     """
-    planes = [(f.normal, f.offset) for f in facets]
-    order = list(planes)
-    for q in _lattice_box(points):
-        for k, (normal, offset) in enumerate(order):
-            if sum(map(mul, normal, q)) > offset:
-                if k:
-                    order.insert(0, order.pop(k))
+    box = _lattice_box(points)
+    h = len(box) // 2
+    heads = list(product(*box[:h]))
+    tails = list(product(*box[h:]))
+    head_sums: dict[Vector, list[int]] = {}
+    tail_cuts: dict[Vector, tuple] = {}
+    planes, values = [], []
+    for f in facets:
+        head, tail = f.normal[:h], f.normal[h:]
+        if head not in head_sums:
+            head_sums[head] = _sums(head, box[:h])
+        if tail not in tail_cuts:
+            sums = _sums(tail, box[h:])
+            low, high = min(sums), max(sums)
+            equal = [0] * (high - low)
+            for w, s in enumerate(sums):
+                if s < high:
+                    equal[s - low] |= 1 << w
+            # fits[t - low] for low <= t < high; runs of one mask share
+            # one int, so the list costs a pointer per value of t
+            fits, mask = [], 0
+            for bits in equal:
+                if bits:
+                    mask |= bits
+                fits.append(mask)
+            tail_cuts[tail] = sums, low, high - low, fits
+        sums, low, span, fits = tail_cuts[tail]
+        # a plane's fits index for head point i is offset - low - A[i]
+        planes.append((head_sums[head], f.offset - low, span, fits))
+        values.append((head_sums[head], sums, f.offset))
+    every_tail = (1 << len(tails)) - 1
+    for i, u in enumerate(heads):
+        alive = every_tail
+        for a, reach, span, fits in planes:
+            k = reach - a[i]
+            if k < 0:
+                alive = 0
                 break
-        else:
-            yield q, [sum(map(mul, normal, q)) - offset for normal, offset in planes]
+            if k < span:
+                alive &= fits[k]
+                if not alive:
+                    break
+        while alive:
+            bit = alive & -alive
+            alive ^= bit
+            w = bit.bit_length() - 1
+            yield u + tails[w], [a[i] + b[w] - offset for a, b, offset in values]
 
 
 def fano_and_terminal(points, facets: list[Facet] | None = None) -> tuple[bool, bool]:
@@ -244,9 +295,11 @@ def fano_and_terminal(points, facets: list[Facet] | None = None) -> tuple[bool, 
     Terminal needs every lattice point but the origin to be a vertex,
     i.e. to have tight normals that span.  An interior point other
     than the origin fails both; the scan stops once both have failed.
-    The box scanned is the integer bounding box of the points, which
-    contains the hull (and equals the {-1,0,1} cube for poset
-    polytopes, which sit inside it).
+    The points come from ``_hull_points``, whose split scan of the
+    integer bounding box (the {-1,0,1} cube for poset polytopes) tests
+    every facet exactly, so any facet list is decided as given: a
+    point is interior when no listed facet is tight, and a vertex when
+    the tight normals have rank d (``_rank``), whatever the incidents.
     """
     points = [tuple(p) for p in points]
     if facets is None:

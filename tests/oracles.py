@@ -6,7 +6,8 @@ labeled posets come from exhaustive relation assignment, determinants
 from cofactor expansion, ranks from elimination over the rationals,
 facets from every d-subset in turn or from the prefix-pruned subset
 search the package used before its double description, lattice points
-from evaluating every facet at every point of the bounding box, hulls
+from evaluating every facet at every point of the bounding box or from
+the move-to-front box walk the package used before its split scan, hulls
 from qhull's combinatorics with the hyperplanes re-identified in exact
 integer arithmetic, order ideals by filtering every subset, and witness
 walks by a recursive search over every cycle and path that filters
@@ -18,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
+from operator import mul
 
 import networkx as nx
 import numpy as np
@@ -337,6 +339,30 @@ def _box_values(points, facets):
               for c in range(d)]
     for q in product(*ranges):
         yield q, [sum(a * x for a, x in zip(f.normal, q)) - f.offset for f in facets]
+
+
+def box_hull_points(points, facets):
+    """(q, facet values - offsets) for each lattice point q of the hull.
+
+    Scans the integer bounding box.  A box point is rejected at its
+    first violated facet, and that facet is tried first on the next
+    point: neighbouring box points tend to leave the hull through the
+    same facet.  Only points inside the hull get the full value vector.
+    (The package's scan before the meet-in-the-middle split.)
+    """
+    d = len(points[0])
+    lows = [min(p[c] for p in points) for c in range(d)]
+    highs = [max(p[c] for p in points) for c in range(d)]
+    planes = [(f.normal, f.offset) for f in facets]
+    order = list(planes)
+    for q in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+        for k, (normal, offset) in enumerate(order):
+            if sum(map(mul, normal, q)) > offset:
+                if k:
+                    order.insert(0, order.pop(k))
+                break
+        else:
+            yield q, [sum(map(mul, normal, q)) - offset for normal, offset in planes]
 
 
 def box_is_fano(points, facets=None) -> bool:

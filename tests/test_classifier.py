@@ -7,6 +7,7 @@ import pytest
 
 from posetfano import (
     NotConsistent,
+    Poset,
     Walk,
     classify,
     cycle_levels_compatible,
@@ -115,6 +116,42 @@ class TestCycleGapBounds:
         lv = level_labels(w)
         assert lv[7] - lv[1] == 3 and h.dist(1, 7) == 2
         assert not cycle_levels_compatible(h, w, lv)
+
+    # A 14-cycle b z z1 z2 z3 z4 u a w w4 w3 w2 w1 y avoiding both bounds,
+    # with r below z and s above u.  The minimal a sits 3 levels above the
+    # maximal b, while dist(0, a) + dist(b, top) = 2: no potential that is
+    # 0 on both bounds makes the walk tight, every comparable gap fits, and
+    # no other walk blocks, so the polytope is smooth only by this cap.
+    CAP_COVERS = [("z", "b"), ("y", "b"), ("z", "z1"), ("z1", "z2"), ("z2", "z3"),
+                  ("z3", "z4"), ("z4", "u"), ("a", "u"), ("a", "w"), ("y", "w1"),
+                  ("w1", "w2"), ("w2", "w3"), ("w3", "w4"), ("w4", "w"), ("r", "z"),
+                  ("u", "s")]
+
+    @pytest.mark.parametrize("order", [
+        # the search yields the cycle as z b y ... w a u ... z1: the cap
+        # breaks only when w, a or u joins above the level of b, z or y
+        "z b y w1 w2 w3 w4 w a u z4 z3 z2 z1 r s",
+        # as u a w ... y b z ... z4: only when y, b or z joins below
+        "u a w w4 w3 w2 w1 y b z z1 z2 z3 z4 r s",
+    ])
+    def test_bound_cap_binds(self, order):
+        from posetfano import build_vertex_set, enumerate_facets, is_smooth_geometric
+
+        label = {name: k for k, name in enumerate(order.split(), 1)}
+        p = Poset.from_cover_relations(16, [(label[x], label[y]) for x, y in self.CAP_COVERS])
+        h = p.hat()
+        cycle = "b z z1 z2 z3 z4 u a w w4 w3 w2 w1 y".split()
+        w = Walk.from_elements(h, [label[x] for x in cycle], "cycle")
+        lv = level_labels(w)
+        assert is_very_special_cycle(h, w)
+        assert all(lv[x] - lv[y] <= h.dist(y, x)
+                   for x in w.elements for y in w.elements if h.less(y, x))
+        a, b = label["a"], label["b"]
+        assert lv[a] - lv[b] == 3 and h.dist(0, a) + h.dist(b, h.top) == 2
+        assert not cycle_levels_compatible(h, w, lv)
+        assert classify(p).smooth
+        vs = build_vertex_set(h)
+        assert is_smooth_geometric(vs.vectors, enumerate_facets(vs.vectors))
 
     def test_violating_instance_exists_below_seven(self):
         # some d <= 6 poset is smooth although it carries balanced

@@ -24,8 +24,9 @@ from posetfano import (
     quotient_by_duality,
     witness_hyperplane,
 )
-from conftest import antichain, chain
+from conftest import antichain, chain, random_poset
 from oracles import (
+    box_hull_points,
     box_is_fano,
     box_is_terminal,
     brute_facets,
@@ -283,6 +284,122 @@ class TestScansAgainstFullBox:
             cut = facets + [extra]
             assert not is_fano(CROSS2, cut) and not box_is_fano(CROSS2, cut)
             assert is_terminal(CROSS2, cut) == box_is_terminal(CROSS2, cut)
+
+
+class TestCallerFacetLists:
+    def test_facet_lists_with_non_lattice_vertices_and_wrong_incidents(self):
+        # the scan decides a vertex by the rank of its tight normals, not by
+        # Facet.incident: here the incidents are empty or name points that
+        # are not on the facet, and the regions have the non-lattice
+        # vertices (+-2/3, -1) and (0, -1/3)
+        wedge = [((3, 1), 1), ((-3, 1), 1), ((0, -1), 1)]
+        kite = [((1, 1), 1), ((-1, 1), 1), ((1, -3), 1), ((-1, -3), 1)]
+        cases = [
+            [Facet(f.normal, f.offset, ()) for f in enumerate_facets(CROSS2)],
+            [Facet(a, b, ()) for a, b in wedge],
+            # (0, -1) is listed on all three facets, (0, 1) on none
+            [Facet(a, b, (2,)) for a, b in wedge],
+            [Facet(a, b, ()) for a, b in kite],
+            [Facet(a, b, (0, 1)) for a, b in kite],
+        ]
+        seen = set()
+        for facets in cases:
+            fano, terminal = is_fano(CROSS2, facets), is_terminal(CROSS2, facets)
+            assert fano == box_is_fano(CROSS2, facets), facets
+            assert terminal == box_is_terminal(CROSS2, facets), facets
+            seen.add((fano, terminal))
+        assert {(True, True), (True, False)} <= seen
+
+
+def cut_facet_lists():
+    """Facet lists of small classes cut by one more facet.
+
+    The extra facet has offset 0 or -1 (a region without the origin
+    inside) or lies beyond the box (an empty region).
+    """
+    rng = random.Random(89)
+    for points in class_vertex_sets(range(1, 6)):
+        d = len(points[0])
+        facets = enumerate_facets(points)
+        normal = tuple(rng.randint(-2, 2) for _ in range(d - 1)) + (1,)
+        yield points, facets + [Facet(normal, 0, ())]
+        yield points, facets + [Facet(normal, -1, ())]
+        yield points, [Facet((-1,) + (0,) * (d - 1), -2, ())] + facets
+
+
+def random_point_sets_with_facets(count):
+    """Seeded point sets, d = 1..5, coordinates in [-2, 2], 30 % with
+    repeated points, each with its facets or, when the hull has none
+    (flat, or the origin on its boundary), a random facet list."""
+    rng = random.Random(97)
+    for _ in range(count):
+        d = rng.randint(1, 5)
+        points = [tuple(rng.randint(-2, 2) for _ in range(d))
+                  for _ in range(rng.randint(2, d + 4))]
+        if rng.random() < 0.3:
+            points += rng.choices(points, k=rng.randint(1, 3))
+            rng.shuffle(points)
+        facets = outcome(enumerate_facets, points)
+        if isinstance(facets, type):
+            facets = [Facet(tuple(rng.randint(-2, 2) for _ in range(d)),
+                            rng.randint(-1, 3), ())
+                      for _ in range(rng.randint(0, 2 * d + 2))]
+        yield points, facets
+
+
+def same_stream(points, facets):
+    return list(geometry._hull_points(points, facets)) == list(box_hull_points(points, facets))
+
+
+class TestHullPointsAgainstBoxWalk:
+    """The split scan yields the box walk's points, order and values."""
+
+    def test_every_class_up_to_d6(self):
+        for points in class_vertex_sets(range(1, 7)):
+            assert same_stream(points, enumerate_facets(points)), points
+
+    def test_sampled_classes_d7_d8(self):
+        # d = 8 classes come as seeded random posets, which spares the
+        # suite a d = 8 enumeration
+        rng = random.Random(101)
+        sample = [*rng.sample(quotient_by_duality(poset_classes(7)), 60),
+                  *(random_poset(rng, 8) for _ in range(30))]
+        for p in sample:
+            points = build_vertex_set(p.hat()).vectors
+            assert same_stream(points, enumerate_facets(points)), p
+
+    def test_random_point_sets(self):
+        seen = set()
+        for points, facets in random_point_sets_with_facets(3000):
+            assert same_stream(points, facets), (points, facets)
+            seen.add((len(points[0]), len(set(points)) < len(points)))
+        assert seen == {(d, repeated) for d in range(1, 6) for repeated in (False, True)}
+
+    def test_sums_once_per_distinct_half(self, monkeypatch):
+        # the box splits after d // 2 coordinates, and each distinct half
+        # of a normal has its sums computed once per scan
+        calls = []
+        sums = geometry._sums
+        monkeypatch.setattr(geometry, "_sums",
+                            lambda normal, box: calls.append(normal) or sums(normal, box))
+        shared = 0
+        for points in class_vertex_sets([6]):
+            h = len(points[0]) // 2
+            facets = enumerate_facets(points)
+            del calls[:]
+            list(geometry._hull_points(points, facets))
+            assert sorted(calls) == sorted([*{f.normal[:h] for f in facets},
+                                            *{f.normal[h:] for f in facets}])
+            shared += len(calls) < 2 * len(facets)
+        assert shared
+
+    def test_cut_facet_lists(self):
+        kinds = set()
+        for points, facets in cut_facet_lists():
+            stream = list(geometry._hull_points(points, facets))
+            assert stream == list(box_hull_points(points, facets)), (points, facets)
+            kinds.add(bool(stream))
+        assert kinds == {True, False}
 
 
 class TestIsFano:
