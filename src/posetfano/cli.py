@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("table", help="poset/smooth counts for d = 1..max-d")
     t.add_argument("--max-d", type=int, required=True)
     t.add_argument("--jobs", type=_positive_int, default=os.cpu_count() or 1,
-                   help="worker processes for enumeration, duality and "
+                   help="worker processes for enumeration and "
                         "classification (default: all cores)")
     t.add_argument("--out", help="stream rows to this CSV file")
     t.add_argument("--resume", action="store_true",

@@ -5,11 +5,12 @@ on d-1 elements with one new maximal element whose down-set is an order
 ideal, kept only if no other maximal element has a larger down-set.
 Canonical keys deduplicate the results, giving exactly one
 representative per isomorphism class.  Counts are then quotiented by
-order-duality and each representative's polytope is classified for
-smoothness.
+order-duality, one poset at a time, and each representative's polytope
+is classified for smoothness, which the dual's negated polytope shares.
 
-Every layer takes an optional process pool by keyword (``pool=None``
-runs serially), and ``build_table`` opens one pool for all of them.
+Extension and classification take an optional process pool by keyword
+(``pool=None`` runs serially), and ``build_table`` opens one pool for
+both.
 Extension shards over parents: a worker returns the canonical key and
 strict-order masks of each child of one parent, and the results are
 merged in parent order, keeping the first child seen under each key.
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, ContextManager, Iterator, Sequence
 
 from .classifier import classify
-from .errors import UnsupportedSize
+from .errors import ParseError, UnsupportedSize
 from .poset import Poset, _bits
 
 
@@ -104,38 +105,22 @@ def _dual_key(p: Poset) -> bytes:
     return p.dual().canonical_key()
 
 
-def _sorts_low(p: Poset) -> bool:
-    """True iff p's sorted (down-set size, up-set size) pairs are not
-    larger than its dual's, which swaps each pair."""
+def _represents_its_pair(p: Poset) -> bool:
+    """True iff p stands for the pair {class of p, class of its dual}.
+
+    Duality swaps each element's (down-set size, up-set size) pair.  Of
+    p and its dual, the one whose sorted pairs sort strictly lower is
+    kept; only on a tie are the keys compared, keeping the smaller one.
+    """
     sizes = [(p.below_mask(i).bit_count(), p.above_mask(i).bit_count())
              for i in p.elements]
-    return sorted(sizes) <= sorted(pair[::-1] for pair in sizes)
+    own, swapped = sorted(sizes), sorted(pair[::-1] for pair in sizes)
+    return own < swapped if own != swapped else p.canonical_key() <= _dual_key(p)
 
 
-def quotient_by_duality(posets: Sequence[Poset], *,
-                        pool: Executor | None = None) -> list[Poset]:
-    """Keep one poset per {class, dual class} pair.
-
-    A representative survives iff its canonical key is not larger than
-    its dual's, so the count is (classes + self-dual classes) / 2.
-
-    Dual keys are canonicalized first only for the posets that sort low
-    (_sorts_low).  Each one pairs two keys both ways: key(dual q) ==
-    key(p) means dual p is isomorphic to q, so key(dual p) == key(q).
-    A whole level holds both members of every pair and one of them sorts
-    low; a poset left unpaired (its dual's class is missing from the
-    input) is canonicalized in a second round.
-    """
-    keys = [p.canonical_key() for p in posets]
-    dual_of: dict[bytes, bytes] = {}
-    low = [p for p in posets if _sorts_low(p)]
-    for p, dual in zip(low, pool_map(_dual_key, low, pool)):
-        dual_of[p.canonical_key()] = dual
-        dual_of[dual] = p.canonical_key()
-    unpaired = [p for p, key in zip(posets, keys) if key not in dual_of]
-    for p, dual in zip(unpaired, pool_map(_dual_key, unpaired, pool)):
-        dual_of[p.canonical_key()] = dual
-    return [p for p, key in zip(posets, keys) if key <= dual_of[key]]
+def quotient_by_duality(posets: Sequence[Poset]) -> list[Poset]:
+    """One poset per {class, dual class} pair, each decided on its own."""
+    return [p for p in posets if _represents_its_pair(p)]
 
 
 def _smooth_flag(p: Poset) -> bool:
@@ -190,29 +175,38 @@ def build_table(
                 continue
             if log:
                 log(f"enumerating d={d}")
-            reps = quotient_by_duality(poset_classes(d, pool=pool), pool=pool)
+            reps = quotient_by_duality(poset_classes(d, pool=pool))
             if log:
                 log(f"classifying {len(reps)} representatives at d={d}")
             row = TableRow(d, len(reps), count_smooth(reps, pool=pool))
             rows.append(row)
             if out:
-                _append_rows(out, [row], header=not os.path.exists(out))
+                _append_row(out, row)
     return rows
 
 
-def _append_rows(path: str, rows: Sequence[TableRow], header: bool) -> None:
+_HEADER = ["d", "posets", "smooth"]
+
+
+def _append_row(path: str, row: TableRow) -> None:
     with open(path, "a", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        if header:
-            writer.writerow(["d", "posets", "smooth"])
-        for row in rows:
-            writer.writerow([row.d, row.posets, row.smooth])
-        fh.flush()
+        if fh.tell() == 0:  # a new or empty file
+            writer.writerow(_HEADER)
+        writer.writerow([row.d, row.posets, row.smooth])
 
 
 def read_table(path: str) -> list[TableRow]:
-    rows = []
+    """Rows of a table CSV; ParseError names the file and the bad line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append(TableRow(int(rec["d"]), int(rec["posets"]), int(rec["smooth"])))
+        records = list(csv.reader(fh))
+    if records and records[0] != _HEADER:
+        raise ParseError(f"{path}, line 1: expected the header {','.join(_HEADER)}")
+    rows = []
+    for line, record in enumerate(records[1:], start=2):
+        try:
+            rows.append(TableRow(*map(int, record)))
+        except (TypeError, ValueError):
+            raise ParseError(f"{path}, line {line}: expected three integers, "
+                             f"got {','.join(record)!r}") from None
     return rows

@@ -38,7 +38,7 @@ class WalkNotEligible(PosetfanoError):
 
 
 class ParseError(PosetfanoError):
-    """A poset file could not be parsed."""
+    """A poset file or a table CSV could not be parsed."""
 
 
 class UnsupportedSize(PosetfanoError, ValueError):

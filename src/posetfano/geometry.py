@@ -421,8 +421,10 @@ def witness_hyperplane(h: HatPoset, walk: Walk) -> Hyperplane:
             [coeff_of[x] + h.dist(y, x) for x in uppers] + [0]
         )
         if lowers and uppers:
-            # at most one side can be nonzero for an eligible walk
-            assert from_below == 0 or from_above == 0
+            # from_below >= 0 >= from_above, and not both are nonzero: that
+            # needs walk elements x < y < z with coeff_of[x] - coeff_of[z] =
+            # levels[z] - levels[x] > dist(x, y) + dist(y, z) >= dist(x, z),
+            # a level gap the eligibility checks above have rejected
             coeffs[y] = from_below if from_below != 0 else from_above
         elif lowers:
             coeffs[y] = from_below

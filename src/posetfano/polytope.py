@@ -60,10 +60,13 @@ class PolytopeVertexSet:
 
 
 def build_vertex_set(h: HatPoset) -> PolytopeVertexSet:
-    """Apply edge_vector to every Hasse edge of the bounded poset."""
+    """Apply edge_vector to every Hasse edge of the bounded poset.
+
+    The vectors are pairwise distinct because each one gives back its
+    edge: the +1 coordinate is the lower end (the bottom if there is
+    none) and the -1 coordinate the upper end (the top if there is none).
+    """
     vectors = tuple(edge_vector(h, e) for e in h.edges)
-    if len(set(vectors)) != len(vectors):
-        raise AssertionError("edge vectors must be pairwise distinct")
     return PolytopeVertexSet(h.d, vectors, h.edges)
 
 

@@ -9,10 +9,11 @@ search the package used before its double description, lattice points
 from evaluating every facet at every point of the bounding box or from
 the move-to-front box walk the package used before its split scan, hulls
 from qhull's combinatorics with the hyperplanes re-identified in exact
-integer arithmetic, order ideals by filtering every subset, and witness
+integer arithmetic, order ideals by filtering every subset, witness
 walks by a recursive search over every cycle and path that filters
 them afterwards (the filters are the classifier's public level-gap
-predicates; the pruned search in the package is what is checked).
+predicates; the pruned search in the package is what is checked), and
+the duality quotient by comparing every poset's key with its dual's.
 """
 from __future__ import annotations
 
@@ -105,6 +106,15 @@ def eager_covers(p: Poset) -> tuple[tuple[int, int], ...]:
         covers.extend((i, j) for j in range(1, p.d + 1) if (up & ~skip) >> j & 1)
     covers.sort()
     return tuple(covers)
+
+
+def smaller_key_quotient(posets) -> list[Poset]:
+    """The posets whose canonical key is not larger than their dual's.
+
+    The representatives the package's duality quotient kept before its
+    per-poset rule; the pinned report and facet digests hash these.
+    """
+    return [p for p in posets if p.canonical_key() <= p.dual().canonical_key()]
 
 
 def labeled_posets(d: int):

@@ -190,6 +190,28 @@ class TestTableCommand:
         ]
         assert out_file.read_text().splitlines()[0] == "d,posets,smooth"
 
+    @pytest.mark.parametrize("text,line", [
+        ("n,classes,smooth\n1,1,1\n", "line 1"),  # wrong header
+        ("d,posets,smooth\n1,1,1\n2,2\n", "line 3"),  # truncated row
+        ("d,posets,smooth\n1,one,1\n", "line 2"),  # non-integer field
+    ])
+    def test_resume_from_malformed_csv(self, text, line, tmp_path, capsys):
+        out_file = tmp_path / "t.csv"
+        out_file.write_text(text)
+        assert main(["table", "--max-d", "3", "--jobs", "1",
+                     "--out", str(out_file), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(out_file) in err and line in err
+        assert out_file.read_text() == text
+
+    def test_resume_into_an_empty_csv_writes_the_header(self, tmp_path, capsys):
+        out_file = tmp_path / "t.csv"
+        out_file.write_text("")
+        assert main(["table", "--max-d", "2", "--jobs", "1",
+                     "--out", str(out_file), "--resume"]) == 0
+        assert out_file.read_text().splitlines() == ["d,posets,smooth", "1,1,1", "2,2,2"]
+
 
 class TestJobs:
     @pytest.mark.parametrize("command", [
@@ -207,7 +229,7 @@ class TestJobs:
         with pytest.raises(SystemExit):
             main(["table", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
-        assert "enumeration, duality and classification" in help_text
+        assert "enumeration and classification" in help_text
 
 
 class TestEnumerateCommand:

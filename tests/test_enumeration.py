@@ -1,7 +1,7 @@
 import random
 from concurrent.futures import ProcessPoolExecutor
 from math import factorial
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -29,12 +29,20 @@ LABELED = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
 
 
 def _orbit_sum(d):
-    perms = [(0,) + p for p in permutations(range(1, d + 1))]
     acc = 0
     for p in poset_classes(d):
         masks = [p.above_mask(i) for i in range(d + 1)]
+        # an automorphism maps each element to one with the same (down-set
+        # size, up-set size), so only those permutations are tried
+        blocks: dict[tuple[int, int], list[int]] = {}
+        for i in p.elements:
+            blocks.setdefault((p.below_mask(i).bit_count(), masks[i].bit_count()), []).append(i)
         auts = 0
-        for pm in perms:
+        for images in product(*(permutations(b) for b in blocks.values())):
+            pm = [0] * (d + 1)
+            for block, image in zip(blocks.values(), images):
+                for i, j in zip(block, image):
+                    pm[i] = j
             ok = True
             for i in range(1, d + 1):
                 m = 0
@@ -83,6 +91,10 @@ class TestIsoClassCounts:
     @pytest.mark.slow
     def test_orbit_count_identity_d7(self):
         assert _orbit_sum(7) == 6129859
+
+    @pytest.mark.slow
+    def test_orbit_count_identity_d8(self):
+        assert _orbit_sum(8) == 431723379  # OEIS A001035
 
 
 class TestMaximalElementExtension:
@@ -154,14 +166,6 @@ class TestDualityQuotient:
         assert self_dual == 15
         assert (len(reps) + self_dual) // 2 == 39
 
-    def test_kept_representative_has_minimal_key(self):
-        for p in quotient_by_duality(poset_classes(5)):
-            assert p.canonical_key() <= p.dual().canonical_key()
-
-
-def _quotient_by_definition(posets):
-    return [p for p in posets if p.canonical_key() <= p.dual().canonical_key()]
-
 
 @pytest.fixture
 def dual_key_calls(monkeypatch):
@@ -177,16 +181,29 @@ def dual_key_calls(monkeypatch):
     return calls
 
 
-class TestPairedQuotient:
-    @pytest.mark.parametrize("use_pool", [False, True])
-    def test_equals_the_definition(self, use_pool, pool):
+class TestLocalQuotient:
+    @pytest.mark.parametrize("d", [
+        1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+    def test_one_member_of_every_pair(self, d):
+        # kept keys and their duals' keys cover the level, and overlap
+        # only in the self-dual classes
+        keys = {p.canonical_key() for p in poset_classes(d)}
+        kept = quotient_by_duality(poset_classes(d))
+        kept_keys = {p.canonical_key() for p in kept}
+        dual_keys = {p.dual().canonical_key() for p in kept}
+        self_dual = {p.canonical_key() for p in kept
+                     if p.canonical_key() == p.dual().canonical_key()}
+        assert kept_keys | dual_keys == keys
+        assert kept_keys & dual_keys == self_dual
+
+    def test_decision_ignores_the_rest_of_the_input(self):
         rng = random.Random(61)
         shuffled = list(poset_classes(6))
         rng.shuffle(shuffled)
         duplicated = list(poset_classes(5))
         duplicated.insert(7, duplicated[3])
         v = Poset.from_cover_relations(3, [(1, 2), (1, 3)])
-        cases = [list(poset_classes(d)) for d in range(1, 8)] + [
+        cases = [
             shuffled,
             list(poset_classes(6))[::2],  # half a level: partners missing
             [v],  # its dual partner is absent and its degrees sort higher
@@ -195,17 +212,25 @@ class TestPairedQuotient:
             [],
         ]
         for posets in cases:
-            got = quotient_by_duality(posets, pool=pool if use_pool else None)
-            assert got == _quotient_by_definition(posets)
+            alone = [p for p in posets if quotient_by_duality([p])]
+            assert quotient_by_duality(posets) == alone
+
+    def test_relabelings_get_the_same_decision(self):
+        rng = random.Random(67)
+        for p in poset_classes(6):
+            perm = list(range(1, 7))
+            rng.shuffle(perm)
+            q = p.relabel([0] + perm)
+            assert bool(quotient_by_duality([q])) == bool(quotient_by_duality([p]))
 
     def test_dual_keys_computed_d7(self, dual_key_calls):
         assert len(quotient_by_duality(poset_classes(7))) == 1082
-        assert len(dual_key_calls) == 1085
+        assert len(dual_key_calls) == 125
 
     @pytest.mark.slow
     def test_dual_keys_computed_d8(self, dual_key_calls):
         assert len(quotient_by_duality(poset_classes(8))) == 8746
-        assert len(dual_key_calls) == 8771
+        assert len(dual_key_calls) == 543
 
 
 class TestDeterminism:
@@ -278,7 +303,7 @@ def _levels(d_max, pool, monkeypatch):
     """Fresh levels 1..d_max and their quotients, bypassing the memo."""
     monkeypatch.setattr(enumeration, "_LEVELS", {})
     levels = [poset_classes(d, pool=pool) for d in range(1, d_max + 1)]
-    quotients = [quotient_by_duality(level, pool=pool) for level in levels]
+    quotients = [quotient_by_duality(level) for level in levels]
     return levels, quotients
 
 
@@ -331,7 +356,7 @@ class TestSharedPool:
 
     @pytest.mark.parametrize("jobs,executors,mapped", [
         (1, 0, set()),
-        (2, 1, {"_keyed_children", "_dual_key", "_smooth_flag"}),
+        (2, 1, {"_keyed_children", "_smooth_flag"}),
     ])
     def test_one_executor_per_table(self, jobs, executors, mapped, counting):
         opened, used = counting

@@ -2,6 +2,7 @@ import hashlib
 import random
 from itertools import combinations
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -21,7 +22,6 @@ from posetfano import (
     is_smooth_geometric,
     is_terminal,
     poset_classes,
-    quotient_by_duality,
     witness_hyperplane,
 )
 from conftest import antichain, chain, random_poset
@@ -35,6 +35,9 @@ from oracles import (
     minor_normal,
     prefix_normals,
     qhull_exact_facets,
+    recursive_cycles,
+    recursive_paths,
+    smaller_key_quotient,
     subset_facets,
 )
 
@@ -131,9 +134,10 @@ class TestEnumerateFacets:
 
 
 def class_vertex_sets(ds):
-    """Vertex sets of every duality class of each size in ds."""
+    """Vertex sets of every duality class of each size in ds, one
+    representative per class as the pinned digests were taken."""
     for d in ds:
-        for p in quotient_by_duality(poset_classes(d)):
+        for p in smaller_key_quotient(poset_classes(d)):
             yield build_vertex_set(p.hat()).vectors
 
 
@@ -362,7 +366,7 @@ class TestHullPointsAgainstBoxWalk:
         # d = 8 classes come as seeded random posets, which spares the
         # suite a d = 8 enumeration
         rng = random.Random(101)
-        sample = [*rng.sample(quotient_by_duality(poset_classes(7)), 60),
+        sample = [*rng.sample(smaller_key_quotient(poset_classes(7)), 60),
                   *(random_poset(rng, 8) for _ in range(30))]
         for p in sample:
             points = build_vertex_set(p.hat()).vectors
@@ -529,6 +533,31 @@ class TestWitnessHyperplane:
         walk = Walk.from_elements(h, (1, 2, 3, 7, 6), "cycle")
         with pytest.raises(WalkNotEligible):
             witness_hyperplane(h, walk)
+
+    def test_clamps_pull_one_way_only(self):
+        # an element outside the walk with walk elements below and above
+        # it is clamped from one side only; both sides would need a level
+        # gap larger than a distance, which eligibility rejects
+        both = 0
+        for p in [*poset_classes(6), *poset_classes(7)[::10]]:
+            h = p.hat()
+            vectors = build_vertex_set(h).vectors
+            walks = [*(Walk.from_elements(h, els, "cycle") for els in recursive_cycles(h)),
+                     *(Walk.from_elements(h, els, "path") for els in recursive_paths(h))]
+            for walk in walks:
+                try:
+                    normal = witness_hyperplane(h, walk).normal
+                except WalkNotEligible:
+                    continue
+                assert all(sum(map(mul, normal, v)) <= 1 for v in vectors)
+                a = (0, *normal, 0)
+                for y in set(p.elements) - set(walk.elements):
+                    below = [a[x] - h.dist(x, y) for x in walk.elements if h.less(x, y)]
+                    above = [a[z] + h.dist(y, z) for z in walk.elements if h.less(y, z)]
+                    if below and above:
+                        both += 1
+                        assert max(below) <= 0 or min(above) >= 0
+        assert both > 100
 
     def test_cycle_failing_gaps_rejected(self, broom6):
         h = broom6.hat()
