@@ -1,6 +1,7 @@
 """Glue between the combinatorial classifier and the geometric oracle."""
 from __future__ import annotations
 
+from . import geometry
 from .classifier import classify
 from .geometry import (
     Facet,
@@ -15,10 +16,15 @@ from .poset import Poset
 
 
 def oracle_report(p: Poset) -> tuple[PolytopeVertexSet, list[Facet], dict]:
-    """Vertex set, facets, and the five geometric flags of the polytope."""
+    """Vertex set, facets, and the five geometric flags of the polytope.
+
+    Raises UnsupportedSize when the vertices' lattice bounding box is
+    too large to scan (``geometry.MAX_BOX_POINTS``).
+    """
     vs = build_vertex_set(p.hat())
+    box = geometry._lattice_box(vs.vectors)  # UnsupportedSize before any facet work
     facets = enumerate_facets(vs.vectors)
-    fano, terminal = fano_and_terminal(vs.vectors, facets)
+    fano, terminal = fano_and_terminal(vs.vectors, facets, box)
     flags = {
         "fano": fano,
         "terminal": terminal,

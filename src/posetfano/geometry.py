@@ -3,20 +3,23 @@ the Fano / terminal / Gorenstein / simplicial / smooth tests.
 
 Everything runs on arbitrary-precision integers: facets come from the
 double description method (Motzkin et al. 1953; Fukuda and Prodon
-1996), support tests are integer dot products, and the hull's lattice
-points come from a meet-in-the-middle scan of the integer bounding box:
-each normal's dot product splits into a sum over the first half of the
-coordinates and one over the second, and a bit set over the second half
-drops the box points each facet cuts off.  The oracle's independence
-from the classifier rests on the hull algorithm being generic: it knows
-nothing about posets, and the tests check it against the C(n, d)
-minors loop (``brute_facets``) and qhull.
+1996), whose seed cone is read off one fraction-free inverse, support
+tests are integer dot products, and the hull's lattice points come from
+a meet-in-the-middle scan of the integer bounding box (at most 3^16
+points): each normal's dot product splits into a sum over the first
+half of the coordinates and one over the second, and a bit set over the
+second half drops the box points each facet cuts off.  A hull point is
+a vertex when the Gram matrix of its tight normals has a nonzero
+determinant.  The oracle's independence from the classifier rests on
+the hull algorithm being generic: it knows nothing about posets, and
+the tests check it against the C(n, d) minors loop (``brute_facets``)
+and qhull.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd, lcm
+from math import gcd, prod
 from operator import mul
 
 from .classifier import (
@@ -27,7 +30,13 @@ from .classifier import (
     level_labels,
     path_levels_compatible,
 )
-from .errors import DegenerateInput, NotConsistent, OriginOnHyperplane, WalkNotEligible
+from .errors import (
+    DegenerateInput,
+    NotConsistent,
+    OriginOnHyperplane,
+    UnsupportedSize,
+    WalkNotEligible,
+)
 from .poset import HatPoset
 
 Vector = tuple[int, ...]
@@ -85,10 +94,11 @@ def _primitive(v: list[int]) -> list[int]:
 
 
 def _extend(basis, row: list[int]):
-    """The fully reduced basis grown by one row, or None if dependent.
+    """The echelon basis grown by one row, or None if dependent.
 
-    ``basis`` holds (pivot column, row) pairs, each row zero in every
-    other pivot column and divided by its gcd, so entries stay small.
+    ``basis`` holds (pivot column, row) pairs, each row zero in the
+    pivot columns of the rows before it and divided by its gcd, so
+    entries stay small.
     """
     for c, r in basis:
         if row[c]:
@@ -97,42 +107,42 @@ def _extend(basis, row: list[int]):
     if not any(row):
         return None
     row = _primitive(row)
-    col = next(c for c, x in enumerate(row) if x)
-    grown = []
-    for c, r in basis:
-        if r[col]:
-            a, b = row[col], r[col]
-            r = _primitive([a * x - b * y for x, y in zip(r, row)])
-        grown.append((c, r))
-    grown.append((col, row))
-    return tuple(grown)
+    return basis + ((next(c for c, x in enumerate(row) if x), row),)
 
 
-def _rank(rows) -> int:
-    """Rank of integer rows of one length: the size of their _extend
-    basis, which stops growing once it has as many rows as columns."""
-    basis = ()
-    for row in rows:
-        basis = _extend(basis, row) or basis
-        if len(basis) == len(row):
-            break
-    return len(basis)
+def _inverse(matrix) -> tuple[int, list[list[int]]]:
+    """(delta, X) with matrix . X = delta * I for a nonsingular integer
+    matrix, where delta = +-det and X is the adjugate up to that sign.
+
+    Fraction-free Gauss-Jordan elimination of [matrix | I] (Bareiss
+    1968): step k replaces every row but the pivot row by pivot * row -
+    row[k] * pivot row, divided exactly by the previous pivot, so the
+    left half ends as delta * I and the right half as X.
+    """
+    n = len(matrix)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    prev = 1
+    for k in range(n):
+        if m[k][k] == 0:
+            r = next(r for r in range(k + 1, n) if m[r][k])
+            m[k], m[r] = m[r], m[k]
+        pivot, top = m[k][k], m[k]
+        for r, row in enumerate(m):
+            if r != k:
+                f = row[k]
+                m[r] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+        prev = pivot
+    return prev, [row[n:] for row in m]
 
 
-def _null_vector(rows: list[list[int]]) -> list[int]:
-    """Primitive integer null vector of n independent rows of length n + 1."""
-    basis = ()
-    for row in rows:
-        basis = _extend(basis, row)
-    width = len(rows[0])
-    pivots = {c for c, _ in basis}
-    free = next(c for c in range(width) if c not in pivots)
-    scale = lcm(*(r[c] for c, r in basis))
-    vector = [0] * width
-    vector[free] = scale
-    for c, r in basis:
-        vector[c] = -r[free] * scale // r[c]
-    return _primitive(vector)
+def _dimension(points: list[Vector]) -> int:
+    """The dimension the points share; DegenerateInput if there are none."""
+    if not points:
+        raise DegenerateInput("empty point set")
+    d = len(points[0])
+    if d == 0 or any(len(p) != d for p in points):
+        raise ValueError("points must share one positive dimension")
+    return d
 
 
 def enumerate_facets(points) -> list[Facet]:
@@ -142,8 +152,8 @@ def enumerate_facets(points) -> list[Facet]:
     point form a cone in R^(d+1), pointed when the points affinely
     span, whose extreme rays (a, b) are the facets.  The cone starts
     as the simplicial cone of the first d + 1 affinely independent
-    points, one ray through each d of them, and takes the other points
-    in input order.  A new point drops the rays it violates; a violated
+    points, one ray through each d of them (a column of the inverse of
+    their matrix), and takes the other points in input order.  A new point drops the rays it violates; a violated
     ray and a satisfied one span a new ray on the point's hyperplane
     when they are adjacent: their common zero set (the points tight on
     both) lies in no other ray's zero set.  Counting its members first,
@@ -155,11 +165,7 @@ def enumerate_facets(points) -> list[Facet]:
     hull cannot be Fano).
     """
     points = [tuple(p) for p in points]
-    if not points:
-        raise DegenerateInput("empty point set")
-    d = len(points[0])
-    if d == 0 or any(len(p) != d for p in points):
-        raise ValueError("points must share one positive dimension")
+    d = _dimension(points)
     # a ray (a, b) satisfies point p iff (p, -1) . (a, b) <= 0
     rows = [list(p) + [-1] for p in points]
     seeds: list[int] = []
@@ -174,12 +180,14 @@ def enumerate_facets(points) -> list[Facet]:
     else:
         raise DegenerateInput(f"points do not affinely span dimension {d}")
     spanned = sum(1 << i for i in seeds)
+    # column j of the seed rows' inverse is orthogonal to every seed row
+    # but j, and seed row j takes delta on it: the seed ray through the
+    # others, made outward by giving it the sign of -delta
+    delta, inverse = _inverse([rows[i] for i in seeds])
+    sign = -1 if delta > 0 else 1
     cone = []  # (ray, zero set as a bit mask over the points added so far)
-    for j in seeds:
-        ray = _null_vector([rows[k] for k in seeds if k != j])
-        if sum(map(mul, rows[j], ray)) > 0:
-            ray = [-x for x in ray]
-        cone.append((ray, spanned & ~(1 << j)))
+    for j, column in zip(seeds, zip(*inverse)):
+        cone.append((_primitive([sign * x for x in column]), spanned & ~(1 << j)))
     for i, row in enumerate(rows):
         if spanned >> i & 1:
             continue
@@ -212,9 +220,22 @@ def enumerate_facets(points) -> list[Facet]:
     return facets
 
 
+MAX_BOX_POINTS = 3 ** 16
+
+
 def _lattice_box(points: list[Vector]) -> list[range]:
-    """The integer range of each coordinate over the points."""
-    return [range(min(column), max(column) + 1) for column in zip(*points)]
+    """The integer range of each coordinate over the points.
+
+    Raises UnsupportedSize for a box of more than MAX_BOX_POINTS points
+    (the {-1, 0, 1} cube of d = 16), which the lattice scan would take
+    too long over.
+    """
+    box = [range(min(column), max(column) + 1) for column in zip(*points)]
+    size = prod(map(len, box))
+    if size > MAX_BOX_POINTS:
+        raise UnsupportedSize(
+            f"the lattice scan supports bounding boxes of at most 3^16 points, got {size}")
+    return box
 
 
 def _sums(normal: Vector, box: list[range]) -> list[int]:
@@ -225,7 +246,7 @@ def _sums(normal: Vector, box: list[range]) -> list[int]:
     return sums
 
 
-def _hull_points(points: list[Vector], facets: list[Facet]):
+def _hull_points(points: list[Vector], facets: list[Facet], box: list[range] | None = None):
     """(q, facet values - offsets) for each lattice point q of the hull.
 
     Meets in the middle of the integer bounding box.  A box point q is
@@ -236,9 +257,11 @@ def _hull_points(points: list[Vector], facets: list[Facet]):
     with t = offset - A[u] keeps only the bits of fits[t], the tails
     with B[w] <= t (none when t < min B, all when t >= max B).  A head
     point is done when no bit is left, and the bits left after the last
-    facet are its hull points.  Points come in product order.
+    facet are its hull points.  Points come in product order.  ``box``
+    is ``_lattice_box(points)`` when the caller has it already.
     """
-    box = _lattice_box(points)
+    if box is None:
+        box = _lattice_box(points)
     h = len(box) // 2
     heads = list(product(*box[:h]))
     tails = list(product(*box[h:]))
@@ -287,37 +310,61 @@ def _hull_points(points: list[Vector], facets: list[Facet]):
             yield u + tails[w], [a[i] + b[w] - offset for a, b, offset in values]
 
 
-def fano_and_terminal(points, facets: list[Facet] | None = None) -> tuple[bool, bool]:
+def _spans(outers: list[list[int]], d: int) -> bool:
+    """True iff the normals with these outer products a . a^T (entries
+    row by row) span R^d.
+
+    Their Gram matrix, the sum of the outer products, is nonsingular
+    exactly then; fewer than d normals never span.
+    """
+    if len(outers) < d:
+        return False
+    gram = list(map(sum, zip(*outers)))
+    return det_fraction_free([gram[i:i + d] for i in range(0, d * d, d)]) != 0
+
+
+def fano_and_terminal(points, facets: list[Facet] | None = None,
+                      box: list[range] | None = None) -> tuple[bool, bool]:
     """(is_fano, is_terminal) from one scan of the hull's lattice points.
 
     Fano needs every offset positive (the origin strictly inside) and
     no other lattice point in the interior, where no facet is tight.
     Terminal needs every lattice point but the origin to be a vertex,
-    i.e. to have tight normals that span.  An interior point other
+    i.e. to have tight normals that span R^d, which one determinant of
+    their Gram matrix decides (``_spans``).  An interior point other
     than the origin fails both; the scan stops once both have failed.
     The points come from ``_hull_points``, whose split scan of the
     integer bounding box (the {-1,0,1} cube for poset polytopes) tests
     every facet exactly, so any facet list is decided as given: a
     point is interior when no listed facet is tight, and a vertex when
-    the tight normals have rank d (``_rank``), whatever the incidents.
+    the tight normals span, whatever the incidents.  ``box`` is
+    ``_lattice_box(points)`` when the caller has it already.  Raises
+    UnsupportedSize, before any facet or scan work, for a box of more
+    than MAX_BOX_POINTS points, DegenerateInput for no points and
+    ValueError for a facet normal of another dimension.
     """
     points = [tuple(p) for p in points]
+    d = _dimension(points)
+    if box is None:
+        box = _lattice_box(points)
     if facets is None:
         try:
             facets = enumerate_facets(points)
         except OriginOnHyperplane:
             return False, False
-    d = len(points[0])
+    elif any(len(f.normal) != d for f in facets):
+        raise ValueError(f"facet normals must have the points' dimension {d}")
     origin = (0,) * d
+    outers = [[x * y for x in f.normal for y in f.normal] for f in facets]
     fano = all(f.offset > 0 for f in facets)
     terminal = True
-    for q, values in _hull_points(points, facets):
+    for q, values in _hull_points(points, facets, box):
         if q == origin:
             continue
-        tight = [list(f.normal) for f, v in zip(facets, values) if v == 0]
+        tight = [o for o, v in zip(outers, values) if v == 0]
         if not tight:
             fano = False
-        if terminal and _rank(tight) != d:
+        if terminal and not _spans(tight, d):
             terminal = False
         if not (fano or terminal):
             break

@@ -153,6 +153,15 @@ class TestCycleGapBounds:
         vs = build_vertex_set(h)
         assert is_smooth_geometric(vs.vectors, enumerate_facets(vs.vectors))
 
+    def test_oracle_scans_the_cap_poset(self):
+        # d = 16: the {-1, 0, 1}^16 box is the largest the scan takes
+        from posetfano import find_disagreement
+
+        label = {name: k for k, name in enumerate(
+            "z b y w1 w2 w3 w4 w a u z4 z3 z2 z1 r s".split(), 1)}
+        p = Poset.from_cover_relations(16, [(label[x], label[y]) for x, y in self.CAP_COVERS])
+        assert find_disagreement(p) is None
+
     def test_violating_instance_exists_below_seven(self):
         # some d <= 6 poset is smooth although it carries balanced
         # bound-avoiding cycles (all of which must fail the gap bounds)

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -93,6 +94,18 @@ class TestOracleCommand:
         assert not out["simplicial"] and not out["smooth"]
         assert all(f["offset"] == 1 for f in out["facets"])
         assert max(len(f["vertices"]) for f in out["facets"]) == 4
+
+    def test_box_beyond_the_scan_budget(self, tmp_path, capsys):
+        # a d = 20 chain spans the {-1, 0, 1}^20 box, 3^20 points
+        f = tmp_path / "chain20.poset"
+        f.write_text("20\n" + "".join(f"{i} {i + 1}\n" for i in range(1, 20)))
+        start = time.perf_counter()
+        assert main(["oracle", str(f)]) == 1
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "3^16" in captured.err
+        assert "Traceback" not in captured.err
 
 
 class TestCrossCheckCommand:

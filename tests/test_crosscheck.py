@@ -108,6 +108,20 @@ class TestOracleReport:
                 assert flags["fano"] == box_is_fano(vs.vectors, facets)
                 assert flags["terminal"] == box_is_terminal(vs.vectors, facets)
 
+    def test_box_budget_before_facets(self, monkeypatch):
+        # d = 17 spans 3^17 box points: refused before any facet work;
+        # d = 16 still runs
+        import posetfano.crosscheck as crosscheck
+        from posetfano import Poset, UnsupportedSize
+
+        monkeypatch.setattr(crosscheck, "enumerate_facets",
+                            lambda points: pytest.fail("facets enumerated"))
+        with pytest.raises(UnsupportedSize):
+            oracle_report(Poset.from_cover_relations(17, [(i, i + 1) for i in range(1, 17)]))
+        monkeypatch.undo()
+        flags = oracle_report(Poset.from_cover_relations(16, [(i, i + 1) for i in range(1, 16)]))[2]
+        assert all(flags.values())
+
 
 @pytest.mark.skipif(not os.environ.get("RUN_D8"),
                     reason="full d = 8 cross-check, a few minutes; set RUN_D8=1 to run")

@@ -11,11 +11,16 @@ from posetfano import (
     DegenerateInput,
     Facet,
     OriginOnHyperplane,
+    Poset,
+    UnsupportedSize,
     Walk,
     WalkNotEligible,
     build_vertex_set,
+    classify,
     det_fraction_free,
     enumerate_facets,
+    find_disagreement,
+    is_balanced,
     is_fano,
     is_gorenstein,
     is_simplicial,
@@ -68,6 +73,7 @@ class TestDeterminant:
 
 class TestRank:
     def test_agrees_with_fraction_rank(self):
+        # the Gram test says the rows span R^d exactly when their rank is d;
         # an m x r by r x d product has rank at most r, m may exceed d, and
         # zero rows and repeated rows are mixed in; every rank 0..d occurs
         rng = random.Random(61)
@@ -86,10 +92,11 @@ class TestRank:
                         rows.insert(rng.randint(0, len(rows)), [0] * d)
                     rng.shuffle(rows)
                     expected = fraction_rank(rows)
-                    assert geometry._rank(rows) == expected
+                    outers = [[x * y for x in row for y in row] for row in rows]
+                    assert geometry._spans(outers, d) == (expected == d), rows
                     seen.add(expected)
             assert seen == set(range(d + 1))
-        assert geometry._rank([]) == 0
+            assert not geometry._spans([], d)
 
 
 class TestEnumerateFacets:
@@ -314,6 +321,15 @@ class TestCallerFacetLists:
             seen.add((fano, terminal))
         assert {(True, True), (True, False)} <= seen
 
+    def test_facets_listed_twice(self):
+        # each edge midpoint of the square is tight on two listed facets,
+        # as many as d, but both have one normal: it is no vertex
+        square = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
+        facets = [Facet(a, 1, ()) for a in ((1, 0), (-1, 0), (0, 1), (0, -1))] * 2
+        assert not is_terminal(square, facets)
+        assert not box_is_terminal(square, facets)
+        assert is_fano(square, facets) and box_is_fano(square, facets)
+
 
 def cut_facet_lists():
     """Facet lists of small classes cut by one more facet.
@@ -439,6 +455,39 @@ class TestIsTerminal:
         assert not is_terminal([(-2,), (1,)])
 
 
+class TestScanInputs:
+    def test_empty_point_set_with_facets(self):
+        facets = enumerate_facets(CROSS2)
+        for check in (is_fano, is_terminal):
+            with pytest.raises(DegenerateInput):
+                check([], facets)
+
+    def test_facet_normal_of_another_dimension(self):
+        facets = enumerate_facets(CROSS2)
+        for bad in ([Facet((1, 0, 0), 1, ())], [Facet((1,), 1, ())]):
+            for check in (is_fano, is_terminal):
+                with pytest.raises(ValueError, match="dimension"):
+                    check(CROSS2, facets + bad)
+
+    def test_box_budget_comes_first(self, monkeypatch):
+        # 200001 x 601 box points, more than 3^16, in d = 2; no facet
+        # work starts before the box is refused
+        monkeypatch.setattr(geometry, "enumerate_facets",
+                            lambda points: pytest.fail("facets enumerated"))
+        wide = [(-10 ** 5, 0), (10 ** 5, 0), (0, -300), (0, 300)]
+        for check in (is_fano, is_terminal):
+            with pytest.raises(UnsupportedSize, match="3\\^16"):
+                check(wide)
+
+    def test_box_budget_bound(self):
+        # a box of 3^16 points passes, one of 4 * 3^15 does not
+        cube = [(-1,) * 16, (1,) * 16]
+        assert geometry.MAX_BOX_POINTS == 3 ** 16
+        assert len(geometry._lattice_box(cube)) == 16
+        with pytest.raises(UnsupportedSize):
+            geometry._lattice_box(cube + [(2,) + (1,) * 15])
+
+
 class TestIsGorenstein:
     def test_cross(self):
         assert is_gorenstein(enumerate_facets(CROSS2))
@@ -558,6 +607,20 @@ class TestWitnessHyperplane:
                         both += 1
                         assert max(below) <= 0 or min(above) >= 0
         assert both > 100
+
+    def test_path_failing_gaps_rejected(self):
+        # a balanced bottom-to-top path that only the path gap check
+        # rejects; the polytope is smooth, so no hyperplane may come of it
+        covers = [(2, 6), (3, 10), (4, 6), (5, 9), (6, 9), (7, 4), (8, 1),
+                  (8, 2), (8, 5), (8, 7), (9, 10)]
+        p = Poset.from_cover_relations(10, covers)
+        h = p.hat()
+        walk = Walk.from_elements(h, (0, 3, 10, 9, 6, 2, 8, 1, 11), "path")
+        assert is_balanced(walk)
+        with pytest.raises(WalkNotEligible, match="path level gaps"):
+            witness_hyperplane(h, walk)
+        assert classify(p).smooth
+        assert find_disagreement(p) is None
 
     def test_cycle_failing_gaps_rejected(self, broom6):
         h = broom6.hat()
