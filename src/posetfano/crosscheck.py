@@ -6,7 +6,6 @@ from .classifier import classify
 from .geometry import (
     Facet,
     enumerate_facets,
-    fano_and_terminal,
     is_gorenstein,
     is_simplicial,
     is_smooth_geometric,
@@ -24,7 +23,7 @@ def oracle_report(p: Poset) -> tuple[PolytopeVertexSet, list[Facet], dict]:
     vs = build_vertex_set(p.hat())
     box = geometry._lattice_box(vs.vectors)  # UnsupportedSize before any facet work
     facets = enumerate_facets(vs.vectors)
-    fano, terminal = fano_and_terminal(vs.vectors, facets, box)
+    fano, terminal = geometry._own_hull_flags(vs.vectors, facets, box)
     flags = {
         "fano": fano,
         "terminal": terminal,

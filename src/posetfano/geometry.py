@@ -8,19 +8,22 @@ tests are integer dot products, and the hull's lattice points come from
 a meet-in-the-middle scan of the integer bounding box (at most 3^16
 points): each normal's dot product splits into a sum over the first
 half of the coordinates and one over the second, and a bit set over the
-second half drops the box points each facet cuts off.  A hull point is
-a vertex when the Gram matrix of its tight normals has a nonzero
-determinant.  The oracle's independence from the classifier rests on
-the hull algorithm being generic: it knows nothing about posets, and
-the tests check it against the C(n, d) minors loop (``brute_facets``)
-and qhull.
+second half drops the box points each facet cuts off.  With the hull's
+own facets, a hull point is a vertex when no other hull lattice point
+is tight on every facet it is tight on, a comparison of one bit mask
+per point; with a caller's facet list, whose region may have vertices
+off the lattice, a point is a vertex when the Gram matrix of its tight
+normals has a nonzero determinant.  The oracle's independence from
+the classifier rests on the hull algorithm being generic: it knows
+nothing about posets, and the tests check it against the C(n, d)
+minors loop (``brute_facets``) and qhull.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, permutations, product
 from math import gcd, prod
-from operator import mul
+from operator import mul, not_
 
 from .classifier import (
     Walk,
@@ -312,7 +315,8 @@ def _hull_points(points: list[Vector], facets: list[Facet], box: list[range] | N
 
 def _spans(outers: list[list[int]], d: int) -> bool:
     """True iff the normals with these outer products a . a^T (entries
-    row by row) span R^d.
+    row by row) span R^d: the vertex test for caller-supplied facet
+    lists, whose regions may have vertices off the lattice.
 
     Their Gram matrix, the sum of the outer products, is nonsingular
     exactly then; fewer than d normals never span.
@@ -323,36 +327,74 @@ def _spans(outers: list[list[int]], d: int) -> bool:
     return det_fraction_free([gram[i:i + d] for i in range(0, d * d, d)]) != 0
 
 
-def fano_and_terminal(points, facets: list[Facet] | None = None,
-                      box: list[range] | None = None) -> tuple[bool, bool]:
+def _own_hull_flags(points: list[Vector], facets: list[Facet],
+                    box: list[range]) -> tuple[bool, bool]:
+    """(is_fano, is_terminal) of the hull of points, tuples whose box is
+    ``box`` and whose facets are ``facets = enumerate_facets(points)``.
+
+    Never called with a caller's facet list: the vertex test below is
+    exact only for the complete facet list of a hull of integer points.
+    Each hull lattice point q gets the bit mask of the facets tight at
+    q.  A point other than the origin with mask 0 is interior, so the
+    hull is neither Fano nor terminal and the scan stops.  Otherwise q
+    is a vertex iff no other hull lattice point's mask contains q's:
+
+    - If q is a vertex, {q} is the intersection of the facets through q
+      (every face of a polytope is the intersection of the facets that
+      contain it, and the list is complete), so no other point of the
+      hull is tight on all of them.
+    - If q is no vertex, its smallest face F has dimension at least 1
+      and is the intersection of the facets through q.  F's vertices
+      are vertices of the hull, hence input points and lattice points,
+      and one of them, q' != q, is tight on every facet through q.
+
+    The origin, when in the hull, is interior (enumerate_facets refuses
+    a facet through it), and its mask 0 contains no other point's, so
+    it is left out of the comparison.
+    """
+    origin = (0,) * len(box)
+    bits = [1 << k for k in range(len(facets))]
+    masks = []
+    for q, values in _hull_points(points, facets, box):
+        if q != origin:
+            mask = sum(compress(bits, map(not_, values)))
+            if not mask:
+                return False, False
+            masks.append(mask)
+    fano = all(f.offset > 0 for f in facets)
+    terminal = all(m & o != m for m, o in permutations(masks, 2))
+    return fano, terminal
+
+
+def fano_and_terminal(points, facets: list[Facet] | None = None) -> tuple[bool, bool]:
     """(is_fano, is_terminal) from one scan of the hull's lattice points.
 
     Fano needs every offset positive (the origin strictly inside) and
     no other lattice point in the interior, where no facet is tight.
-    Terminal needs every lattice point but the origin to be a vertex,
-    i.e. to have tight normals that span R^d, which one determinant of
-    their Gram matrix decides (``_spans``).  An interior point other
-    than the origin fails both; the scan stops once both have failed.
-    The points come from ``_hull_points``, whose split scan of the
-    integer bounding box (the {-1,0,1} cube for poset polytopes) tests
-    every facet exactly, so any facet list is decided as given: a
-    point is interior when no listed facet is tight, and a vertex when
-    the tight normals span, whatever the incidents.  ``box`` is
-    ``_lattice_box(points)`` when the caller has it already.  Raises
-    UnsupportedSize, before any facet or scan work, for a box of more
-    than MAX_BOX_POINTS points, DegenerateInput for no points and
-    ValueError for a facet normal of another dimension.
+    Terminal needs every lattice point but the origin to be a vertex.
+    Without a facet list, the hull's own facets decide both
+    (``_own_hull_flags``).  A caller-supplied list bounds a region
+    whose vertices need not be lattice points, so there a point is a
+    vertex when its tight normals span R^d, which one determinant of
+    their Gram matrix decides (``_spans``); a point is interior when no
+    listed facet is tight, whatever the incidents.  An interior point
+    other than the origin fails both; the scan stops once both have
+    failed.  The points come from ``_hull_points``, whose split scan of
+    the integer bounding box (the {-1,0,1} cube for poset polytopes)
+    tests every facet exactly.  Raises UnsupportedSize, before any facet
+    or scan work, for a box of more than MAX_BOX_POINTS points,
+    DegenerateInput for no points and ValueError for a facet normal of
+    another dimension.
     """
     points = [tuple(p) for p in points]
     d = _dimension(points)
-    if box is None:
-        box = _lattice_box(points)
+    box = _lattice_box(points)
     if facets is None:
         try:
-            facets = enumerate_facets(points)
+            return _own_hull_flags(points, enumerate_facets(points), box)
         except OriginOnHyperplane:
             return False, False
-    elif any(len(f.normal) != d for f in facets):
+    if any(len(f.normal) != d for f in facets):
         raise ValueError(f"facet normals must have the points' dimension {d}")
     origin = (0,) * d
     outers = [[x * y for x in f.normal for y in f.normal] for f in facets]
@@ -392,11 +434,18 @@ def is_simplicial(facets: list[Facet]) -> bool:
 
 
 def is_smooth_geometric(points, facets: list[Facet]) -> bool:
-    """Simplicial with every facet's vertex matrix of determinant +-1."""
+    """Simplicial with every facet's vertex matrix of determinant +-1.
+
+    Raises DegenerateInput for no points and ValueError for a facet
+    incident index outside the points.
+    """
+    points = [tuple(p) for p in points]
+    _dimension(points)
     if not is_simplicial(facets):
         return False
-    points = [tuple(p) for p in points]
     for f in facets:
+        if not all(0 <= k < len(points) for k in f.incident):
+            raise ValueError(f"facet incident indices must lie in range({len(points)})")
         matrix = [points[k] for k in f.incident]
         if abs(det_fraction_free(matrix)) != 1:
             return False

@@ -26,6 +26,7 @@ from posetfano import (
     is_simplicial,
     is_smooth_geometric,
     is_terminal,
+    oracle_report,
     poset_classes,
     witness_hyperplane,
 )
@@ -422,6 +423,95 @@ class TestHullPointsAgainstBoxWalk:
         assert kinds == {True, False}
 
 
+def own_and_gram(points):
+    """The flags from the hull's own facets (the mask test), or the
+    error type as in outcome, and from the same facets passed as a
+    caller's list (the Gram test); the Gram side repeats the first
+    when the hull has no facet list."""
+    own = outcome(geometry.fano_and_terminal, points)
+    facets = outcome(enumerate_facets, points)
+    if isinstance(facets, type):
+        return own, own
+    return own, geometry.fano_and_terminal(points, facets)
+
+
+def box_flags(points, facets=None):
+    return box_is_fano(points, facets), box_is_terminal(points, facets)
+
+
+class TestOwnHullVertexMasks:
+    """With the hull's own facets, the mask vertex test gives the flags
+    of the Gram test and of the full box walk.  The box walk costs 50 ms
+    per class at d = 6 and 0.3 and 1.4 s at d = 7 and 8, so it checks
+    every eighth d = 6 class, the first few of the d = 7, 8 sample and
+    the d = 5 cube point sets.  On random_point_sets, is_fano(points)
+    and is_terminal(points) meet the box walk in TestScansAgainstFullBox."""
+
+    def test_every_class_up_to_d6(self):
+        for k, points in enumerate(class_vertex_sets(range(1, 7))):
+            own, gram = own_and_gram(points)
+            assert own == gram, points
+            if len(points[0]) < 6 or k % 8 == 0:
+                assert own == box_flags(points, enumerate_facets(points)), points
+
+    def test_sampled_classes_d7_d8(self):
+        rng = random.Random(101)
+        sevens = rng.sample(smaller_key_quotient(poset_classes(7)), 60)
+        eights = [random_poset(rng, 8) for _ in range(30)]
+        for sample, boxed in ((sevens, 3), (eights, 1)):
+            for k, p in enumerate(sample):
+                points = build_vertex_set(p.hat()).vectors
+                own, gram = own_and_gram(points)
+                assert own == gram, p
+                if k < boxed:
+                    assert own == box_flags(points, enumerate_facets(points)), p
+
+    def test_cube_point_sets_d5_to_d8(self):
+        rng = random.Random(83)
+        seen = set()
+        for d, count in ((5, 30), (6, 30), (7, 20), (8, 12)):
+            for points in cube_point_sets(rng, d, count):
+                own, gram = own_and_gram(points)
+                assert own == gram, points
+                facets = outcome(enumerate_facets, points)
+                if d == 5 and not isinstance(facets, type):
+                    assert own == box_flags(points, facets), points
+                seen.add(own)
+        assert {DegenerateInput, (True, True), (False, False)} <= seen
+
+    def test_random_point_sets(self):
+        seen = set()
+        for points in random_point_sets():
+            own, gram = own_and_gram(points)
+            assert own == gram, points
+            if own is DegenerateInput:
+                continue
+            facets = outcome(enumerate_facets, points)
+            inside = not isinstance(facets, type) and min(f.offset for f in facets) > 0
+            seen.add((*own, inside))
+        # Fano and terminal, Fano and not terminal, not Fano with the
+        # origin inside, and hulls missing the origin, terminal or not
+        assert {(True, True, True), (True, False, True), (False, False, True),
+                (False, True, False), (False, False, False)} <= seen
+
+    def test_own_facets_take_no_gram_determinant(self, monkeypatch):
+        monkeypatch.setattr(geometry, "_spans",
+                            lambda outers, d: pytest.fail("Gram test on own facets"))
+        for d in range(1, 5):
+            for p in poset_classes(d):
+                flags = oracle_report(p)[2]
+                assert flags["fano"] and flags["terminal"]
+        assert is_fano(CROSS2) and is_terminal(CROSS2)
+
+    def test_caller_lists_take_the_gram_test(self, monkeypatch):
+        calls = []
+        spans = geometry._spans
+        monkeypatch.setattr(geometry, "_spans",
+                            lambda outers, d: calls.append(d) or spans(outers, d))
+        assert is_terminal(CROSS2, enumerate_facets(CROSS2))
+        assert calls == [2] * 4
+
+
 class TestIsFano:
     def test_segment(self):
         assert is_fano([(-1,), (1,)])
@@ -486,6 +576,20 @@ class TestScanInputs:
         assert len(geometry._lattice_box(cube)) == 16
         with pytest.raises(UnsupportedSize):
             geometry._lattice_box(cube + [(2,) + (1,) * 15])
+
+
+class TestSmoothCheckInputs:
+    def test_empty_point_set(self):
+        with pytest.raises(DegenerateInput):
+            is_smooth_geometric([], enumerate_facets(CROSS2))
+
+    def test_incident_index_outside_the_points(self):
+        facets = enumerate_facets(CROSS2)
+        for shift in (len(CROSS2), -len(CROSS2)):
+            bad = [Facet(f.normal, f.offset, tuple(k + shift for k in f.incident))
+                   for f in facets]
+            with pytest.raises(ValueError, match="incident"):
+                is_smooth_geometric(CROSS2, bad)
 
 
 class TestIsGorenstein:
