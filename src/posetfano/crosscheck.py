@@ -1,11 +1,10 @@
 """Glue between the combinatorial classifier and the geometric oracle."""
 from __future__ import annotations
 
-from . import geometry
 from .classifier import classify
 from .geometry import (
     Facet,
-    enumerate_facets,
+    facets_and_flags,
     is_gorenstein,
     is_simplicial,
     is_smooth_geometric,
@@ -21,9 +20,7 @@ def oracle_report(p: Poset) -> tuple[PolytopeVertexSet, list[Facet], dict]:
     too large to scan (``geometry.MAX_BOX_POINTS``).
     """
     vs = build_vertex_set(p.hat())
-    box = geometry._lattice_box(vs.vectors)  # UnsupportedSize before any facet work
-    facets = enumerate_facets(vs.vectors)
-    fano, terminal = geometry._own_hull_flags(vs.vectors, facets, box)
+    facets, fano, terminal = facets_and_flags(vs.vectors)
     flags = {
         "fano": fano,
         "terminal": terminal,

@@ -8,15 +8,13 @@ tests are integer dot products, and the hull's lattice points come from
 a meet-in-the-middle scan of the integer bounding box (at most 3^16
 points): each normal's dot product splits into a sum over the first
 half of the coordinates and one over the second, and a bit set over the
-second half drops the box points each facet cuts off.  With the hull's
-own facets, a hull point is a vertex when no other hull lattice point
-is tight on every facet it is tight on, a comparison of one bit mask
-per point; with a caller's facet list, whose region may have vertices
-off the lattice, a point is a vertex when the Gram matrix of its tight
-normals has a nonzero determinant.  The oracle's independence from
-the classifier rests on the hull algorithm being generic: it knows
-nothing about posets, and the tests check it against the C(n, d)
-minors loop (``brute_facets``) and qhull.
+second half drops the box points each facet cuts off.  A hull point is
+a vertex when no other hull lattice point is tight on every facet it
+is tight on, a comparison of one bit mask per point, exact for the
+hull's own complete facet list (``facets_and_flags``).  The oracle's
+independence from the classifier rests on the hull algorithm being
+generic: it knows nothing about posets, and the tests check it against
+the C(n, d) minors loop (``brute_facets``) and qhull.
 """
 from __future__ import annotations
 
@@ -249,22 +247,20 @@ def _sums(normal: Vector, box: list[range]) -> list[int]:
     return sums
 
 
-def _hull_points(points: list[Vector], facets: list[Facet], box: list[range] | None = None):
+def _hull_points(box: list[range], facets: list[Facet]):
     """(q, facet values - offsets) for each lattice point q of the hull.
 
-    Meets in the middle of the integer bounding box.  A box point q is
-    a head u (its first d // 2 coordinates) followed by a tail w, and
-    a . q = A[u] + B[w], where the head sums A and the tail sums B are
-    computed once per distinct half of a normal.  The tails of one head
-    point are the bits of an integer, all set to begin with; a facet
-    with t = offset - A[u] keeps only the bits of fits[t], the tails
-    with B[w] <= t (none when t < min B, all when t >= max B).  A head
-    point is done when no bit is left, and the bits left after the last
-    facet are its hull points.  Points come in product order.  ``box``
-    is ``_lattice_box(points)`` when the caller has it already.
+    Meets in the middle of the integer bounding box ``box``.  A box
+    point q is a head u (its first d // 2 coordinates) followed by a
+    tail w, and a . q = A[u] + B[w], where the head sums A and the tail
+    sums B are computed once per distinct half of a normal.  The tails
+    of one head point are the bits of an integer, all set to begin
+    with; a facet with t = offset - A[u] keeps only the bits of
+    fits[t], the tails with B[w] <= t (none when t < min B, all when
+    t >= max B).  A head point is done when no bit is left, and the
+    bits left after the last facet are its hull points.  Points come in
+    product order.
     """
-    if box is None:
-        box = _lattice_box(points)
     h = len(box) // 2
     heads = list(product(*box[:h]))
     tails = list(product(*box[h:]))
@@ -313,27 +309,17 @@ def _hull_points(points: list[Vector], facets: list[Facet], box: list[range] | N
             yield u + tails[w], [a[i] + b[w] - offset for a, b, offset in values]
 
 
-def _spans(outers: list[list[int]], d: int) -> bool:
-    """True iff the normals with these outer products a . a^T (entries
-    row by row) span R^d: the vertex test for caller-supplied facet
-    lists, whose regions may have vertices off the lattice.
+def facets_and_flags(points) -> tuple[list[Facet], bool, bool]:
+    """(facets, is_fano, is_terminal) of the hull of the points.
 
-    Their Gram matrix, the sum of the outer products, is nonsingular
-    exactly then; fewer than d normals never span.
-    """
-    if len(outers) < d:
-        return False
-    gram = list(map(sum, zip(*outers)))
-    return det_fraction_free([gram[i:i + d] for i in range(0, d * d, d)]) != 0
+    The box budget comes first: UnsupportedSize for a bounding box of
+    more than MAX_BOX_POINTS points, before any facet or scan work.
+    Then ``enumerate_facets`` (with its DegenerateInput and
+    OriginOnHyperplane), then one scan of the hull's lattice points.
+    Fano needs every offset positive (the origin strictly inside) and
+    no other lattice point in the interior, where no facet is tight;
+    terminal needs every lattice point but the origin to be a vertex.
 
-
-def _own_hull_flags(points: list[Vector], facets: list[Facet],
-                    box: list[range]) -> tuple[bool, bool]:
-    """(is_fano, is_terminal) of the hull of points, tuples whose box is
-    ``box`` and whose facets are ``facets = enumerate_facets(points)``.
-
-    Never called with a caller's facet list: the vertex test below is
-    exact only for the complete facet list of a hull of integer points.
     Each hull lattice point q gets the bit mask of the facets tight at
     q.  A point other than the origin with mask 0 is interior, so the
     hull is neither Fano nor terminal and the scan stops.  Otherwise q
@@ -352,75 +338,44 @@ def _own_hull_flags(points: list[Vector], facets: list[Facet],
     a facet through it), and its mask 0 contains no other point's, so
     it is left out of the comparison.
     """
+    points = [tuple(p) for p in points]
+    box = _lattice_box(points)
+    facets = enumerate_facets(points)
     origin = (0,) * len(box)
     bits = [1 << k for k in range(len(facets))]
     masks = []
-    for q, values in _hull_points(points, facets, box):
+    for q, values in _hull_points(box, facets):
         if q != origin:
             mask = sum(compress(bits, map(not_, values)))
             if not mask:
-                return False, False
+                return facets, False, False
             masks.append(mask)
     fano = all(f.offset > 0 for f in facets)
     terminal = all(m & o != m for m, o in permutations(masks, 2))
-    return fano, terminal
+    return facets, fano, terminal
 
 
-def fano_and_terminal(points, facets: list[Facet] | None = None) -> tuple[bool, bool]:
-    """(is_fano, is_terminal) from one scan of the hull's lattice points.
+def fano_and_terminal(points) -> tuple[bool, bool]:
+    """(is_fano, is_terminal) from ``facets_and_flags``; a hull with
+    the origin on its boundary is neither.
 
-    Fano needs every offset positive (the origin strictly inside) and
-    no other lattice point in the interior, where no facet is tight.
-    Terminal needs every lattice point but the origin to be a vertex.
-    Without a facet list, the hull's own facets decide both
-    (``_own_hull_flags``).  A caller-supplied list bounds a region
-    whose vertices need not be lattice points, so there a point is a
-    vertex when its tight normals span R^d, which one determinant of
-    their Gram matrix decides (``_spans``); a point is interior when no
-    listed facet is tight, whatever the incidents.  An interior point
-    other than the origin fails both; the scan stops once both have
-    failed.  The points come from ``_hull_points``, whose split scan of
-    the integer bounding box (the {-1,0,1} cube for poset polytopes)
-    tests every facet exactly.  Raises UnsupportedSize, before any facet
-    or scan work, for a box of more than MAX_BOX_POINTS points,
-    DegenerateInput for no points and ValueError for a facet normal of
-    another dimension.
+    Raises UnsupportedSize for a box of more than MAX_BOX_POINTS points
+    and DegenerateInput for no points or points that do not span.
     """
-    points = [tuple(p) for p in points]
-    d = _dimension(points)
-    box = _lattice_box(points)
-    if facets is None:
-        try:
-            return _own_hull_flags(points, enumerate_facets(points), box)
-        except OriginOnHyperplane:
-            return False, False
-    if any(len(f.normal) != d for f in facets):
-        raise ValueError(f"facet normals must have the points' dimension {d}")
-    origin = (0,) * d
-    outers = [[x * y for x in f.normal for y in f.normal] for f in facets]
-    fano = all(f.offset > 0 for f in facets)
-    terminal = True
-    for q, values in _hull_points(points, facets, box):
-        if q == origin:
-            continue
-        tight = [o for o, v in zip(outers, values) if v == 0]
-        if not tight:
-            fano = False
-        if terminal and not _spans(tight, d):
-            terminal = False
-        if not (fano or terminal):
-            break
-    return fano, terminal
+    try:
+        return facets_and_flags(points)[1:]
+    except OriginOnHyperplane:
+        return False, False
 
 
-def is_fano(points, facets: list[Facet] | None = None) -> bool:
+def is_fano(points) -> bool:
     """True iff the origin is the unique interior lattice point."""
-    return fano_and_terminal(points, facets)[0]
+    return fano_and_terminal(points)[0]
 
 
-def is_terminal(points, facets: list[Facet] | None = None) -> bool:
+def is_terminal(points) -> bool:
     """True iff every lattice point of the hull is the origin or a vertex."""
-    return fano_and_terminal(points, facets)[1]
+    return fano_and_terminal(points)[1]
 
 
 def is_gorenstein(facets: list[Facet]) -> bool:

@@ -52,9 +52,6 @@ class PolytopeVertexSet:
     vectors: tuple[Vector, ...]
     edges: tuple[tuple[int, int], ...]
 
-    def edge_of_vertex(self, k: int) -> tuple[int, int]:
-        return self.edges[k]
-
     def __len__(self) -> int:
         return len(self.vectors)
 
@@ -78,17 +75,8 @@ def maximal_chain_vector_sum(h: HatPoset, chain) -> Vector:
     interior point of the polytope.
     """
     chain = tuple(chain)
-    if (
-        len(chain) < 2
-        or chain[0] != 0
-        or chain[-1] != h.top
-        or any((chain[k], chain[k + 1]) not in set(h.edges)
-               for k in range(len(chain) - 1))
-    ):
+    steps = list(zip(chain, chain[1:]))
+    if (not steps or chain[0] != 0 or chain[-1] != h.top
+            or not set(steps) <= set(h.edges)):
         raise NotAMaximalChain(f"{chain} is not a maximal chain")
-    total = [0] * h.d
-    for k in range(len(chain) - 1):
-        v = edge_vector(h, (chain[k], chain[k + 1]))
-        for t in range(h.d):
-            total[t] += v[t]
-    return tuple(total)
+    return tuple(map(sum, zip(*(edge_vector(h, step) for step in steps))))

@@ -257,10 +257,6 @@ class HatPoset:
         self._dist: tuple[tuple[int, ...], ...] | None = None
         self._chains: tuple[tuple[int, ...], ...] | None = None
 
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
     def less(self, i: int, j: int) -> bool:
         """Strict order of the bounded poset on indices 0..d+1."""
         if i == j:
@@ -367,12 +363,15 @@ def poset_from_text(text: str) -> Poset:
             raise ParseError('JSON poset must be an object with a "d" field')
         d = obj["d"]
         rels = obj.get("relations", [])
-        if not isinstance(d, int):
+        # JSON true and false load as bools, which isinstance counts as ints
+        if type(d) is not int:
             raise ParseError('"d" must be an integer')
+        if not isinstance(rels, list):
+            raise ParseError('"relations" must be a list')
         pairs = []
         for rel in rels:
             if not (isinstance(rel, list) and len(rel) == 2
-                    and all(isinstance(v, int) for v in rel)):
+                    and all(type(v) is int for v in rel)):
                 raise ParseError(f"bad relation entry {rel!r}")
             pairs.append((rel[0], rel[1]))
         return _build_checked(d, pairs, "json")

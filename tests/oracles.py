@@ -7,7 +7,10 @@ from cofactor expansion, ranks from elimination over the rationals,
 facets from every d-subset in turn or from the prefix-pruned subset
 search the package used before its double description, lattice points
 from evaluating every facet at every point of the bounding box or from
-the move-to-front box walk the package used before its split scan, hulls
+the move-to-front box walk the package used before its split scan, hull
+vertices from the rank of their tight normals over the rationals (on
+the package's facets and scan, each checked against its own reference
+here, so only the vertex test is independent), hulls
 from qhull's combinatorics with the hyperplanes re-identified in exact
 integer arithmetic, order ideals by filtering every subset, witness
 walks by a recursive search over every cycle and path that filters
@@ -26,6 +29,7 @@ import networkx as nx
 import numpy as np
 from scipy.spatial import ConvexHull
 
+import posetfano.geometry as geometry
 from posetfano import (
     DegenerateInput,
     Facet,
@@ -34,6 +38,7 @@ from posetfano import (
     Poset,
     Walk,
     cycle_levels_compatible,
+    enumerate_facets,
     is_balanced,
     is_very_special_cycle,
     level_labels,
@@ -404,6 +409,34 @@ def box_is_terminal(points, facets=None) -> bool:
             if fraction_rank(tight) != d:
                 return False
     return True
+
+
+def rank_flags(points) -> tuple[bool, bool]:
+    """``fano_and_terminal`` with the vertex test by rank.
+
+    A hull lattice point other than the origin is interior when no
+    facet is tight at it and a vertex when its tight normals have rank
+    d.  Facets and hull points come from the package
+    (``enumerate_facets`` and the split scan), so the errors are
+    ``enumerate_facets``'s, and a hull with the origin on its boundary
+    is neither Fano nor terminal.
+    """
+    points = [tuple(p) for p in points]
+    try:
+        facets = enumerate_facets(points)
+    except OriginOnHyperplane:
+        return False, False
+    d = len(points[0])
+    fano = all(f.offset > 0 for f in facets)
+    terminal = True
+    for q, values in geometry._hull_points(geometry._lattice_box(points), facets):
+        if any(q):
+            tight = [f.normal for f, v in zip(facets, values) if v == 0]
+            fano = fano and bool(tight)
+            terminal = terminal and fraction_rank(tight) == d
+            if not (fano or terminal):
+                break
+    return fano, terminal
 
 
 def qhull_exact_facets(points) -> dict[tuple[tuple[int, ...], int], tuple[int, ...]]:

@@ -98,8 +98,8 @@ def test_criterion_4_unconditional_flags_to_d5():
         for p in poset_classes(d):
             vs = build_vertex_set(p.hat())
             facets = enumerate_facets(vs.vectors)
-            if not (is_fano(vs.vectors, facets)
-                    and is_terminal(vs.vectors, facets)
+            if not (is_fano(vs.vectors)
+                    and is_terminal(vs.vectors)
                     and is_gorenstein(facets)):
                 bad.append(p)
     report(4, "Fano/terminal/Gorenstein d<=5", not bad, f"{len(bad)} failures")

@@ -111,10 +111,9 @@ class TestOracleReport:
     def test_box_budget_before_facets(self, monkeypatch):
         # d = 17 spans 3^17 box points: refused before any facet work;
         # d = 16 still runs
-        import posetfano.crosscheck as crosscheck
         from posetfano import Poset, UnsupportedSize
 
-        monkeypatch.setattr(crosscheck, "enumerate_facets",
+        monkeypatch.setattr(geometry, "enumerate_facets",
                             lambda points: pytest.fail("facets enumerated"))
         with pytest.raises(UnsupportedSize):
             oracle_report(Poset.from_cover_relations(17, [(i, i + 1) for i in range(1, 17)]))

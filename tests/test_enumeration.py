@@ -294,7 +294,7 @@ class TestBuildTable:
             for p in poset_classes(d):
                 h = p.hat()
                 vs = build_vertex_set(h)
-                assert len(set(vs.vectors)) == h.n_edges
+                assert len(set(vs.vectors)) == len(h.edges)
                 for c in h.maximal_chains():
                     assert maximal_chain_vector_sum(h, c) == (0,) * d
 

@@ -26,7 +26,6 @@ from posetfano import (
     is_simplicial,
     is_smooth_geometric,
     is_terminal,
-    oracle_report,
     poset_classes,
     witness_hyperplane,
 )
@@ -37,10 +36,10 @@ from oracles import (
     box_is_terminal,
     brute_facets,
     cofactor_det,
-    fraction_rank,
     minor_normal,
     prefix_normals,
     qhull_exact_facets,
+    rank_flags,
     recursive_cycles,
     recursive_paths,
     smaller_key_quotient,
@@ -70,34 +69,6 @@ class TestDeterminant:
     def test_singular(self):
         assert det_fraction_free([[1, 1], [1, 1]]) == 0
         assert det_fraction_free([[0, 0, 0], [1, 2, 3], [4, 5, 6]]) == 0
-
-
-class TestRank:
-    def test_agrees_with_fraction_rank(self):
-        # the Gram test says the rows span R^d exactly when their rank is d;
-        # an m x r by r x d product has rank at most r, m may exceed d, and
-        # zero rows and repeated rows are mixed in; every rank 0..d occurs
-        rng = random.Random(61)
-        for d in range(1, 9):
-            seen = set()
-            for r in range(d + 1):
-                for _ in range(8):
-                    m = rng.randint(r, d + 3)
-                    left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
-                    right = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(r)]
-                    rows = [[sum(row[k] * right[k][c] for k in range(r))
-                             for c in range(d)] for row in left]
-                    if rows and rng.random() < 0.4:
-                        rows.append(list(rng.choice(rows)))
-                    if rng.random() < 0.4:
-                        rows.insert(rng.randint(0, len(rows)), [0] * d)
-                    rng.shuffle(rows)
-                    expected = fraction_rank(rows)
-                    outers = [[x * y for x in row for y in row] for row in rows]
-                    assert geometry._spans(outers, d) == (expected == d), rows
-                    seen.add(expected)
-            assert seen == set(range(d + 1))
-            assert not geometry._spans([], d)
 
 
 class TestEnumerateFacets:
@@ -268,68 +239,24 @@ class TestScansAgainstFullBox:
     def test_every_class_up_to_d5(self):
         for points in class_vertex_sets(range(1, 6)):
             facets = enumerate_facets(points)
-            assert is_fano(points, facets) == box_is_fano(points, facets)
-            assert is_terminal(points, facets) == box_is_terminal(points, facets)
+            assert is_fano(points) == box_is_fano(points, facets)
+            assert is_terminal(points) == box_is_terminal(points, facets)
 
     def test_random_point_sets(self):
         seen = set()
         for points in random_point_sets():
-            assert outcome(is_fano, points) == outcome(box_is_fano, points), points
-            assert outcome(is_terminal, points) == outcome(box_is_terminal, points)
+            fano, terminal = outcome(is_fano, points), outcome(is_terminal, points)
+            assert fano == outcome(box_is_fano, points), points
+            assert terminal == outcome(box_is_terminal, points), points
             facets = outcome(brute_facets, points)
             if isinstance(facets, type):
                 continue
-            fano = is_fano(points, facets)
-            terminal = is_terminal(points, facets)
-            assert fano == box_is_fano(points, facets), points
-            assert terminal == box_is_terminal(points, facets), points
             seen.add((fano, terminal, min(f.offset for f in facets) > 0))
         # Fano and not, terminal and not, and hulls missing the origin
         # (terminal with the origin inside implies Fano)
         assert {(True, True, True), (True, False, True),
                 (False, False, True), (False, True, False),
                 (False, False, False)} <= seen
-
-    def test_facet_lists_with_nonpositive_offsets(self):
-        facets = enumerate_facets(CROSS2)
-        for extra in (Facet((1, 0), 0, ()), Facet((0, -1), -1, ())):
-            cut = facets + [extra]
-            assert not is_fano(CROSS2, cut) and not box_is_fano(CROSS2, cut)
-            assert is_terminal(CROSS2, cut) == box_is_terminal(CROSS2, cut)
-
-
-class TestCallerFacetLists:
-    def test_facet_lists_with_non_lattice_vertices_and_wrong_incidents(self):
-        # the scan decides a vertex by the rank of its tight normals, not by
-        # Facet.incident: here the incidents are empty or name points that
-        # are not on the facet, and the regions have the non-lattice
-        # vertices (+-2/3, -1) and (0, -1/3)
-        wedge = [((3, 1), 1), ((-3, 1), 1), ((0, -1), 1)]
-        kite = [((1, 1), 1), ((-1, 1), 1), ((1, -3), 1), ((-1, -3), 1)]
-        cases = [
-            [Facet(f.normal, f.offset, ()) for f in enumerate_facets(CROSS2)],
-            [Facet(a, b, ()) for a, b in wedge],
-            # (0, -1) is listed on all three facets, (0, 1) on none
-            [Facet(a, b, (2,)) for a, b in wedge],
-            [Facet(a, b, ()) for a, b in kite],
-            [Facet(a, b, (0, 1)) for a, b in kite],
-        ]
-        seen = set()
-        for facets in cases:
-            fano, terminal = is_fano(CROSS2, facets), is_terminal(CROSS2, facets)
-            assert fano == box_is_fano(CROSS2, facets), facets
-            assert terminal == box_is_terminal(CROSS2, facets), facets
-            seen.add((fano, terminal))
-        assert {(True, True), (True, False)} <= seen
-
-    def test_facets_listed_twice(self):
-        # each edge midpoint of the square is tight on two listed facets,
-        # as many as d, but both have one normal: it is no vertex
-        square = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-        facets = [Facet(a, 1, ()) for a in ((1, 0), (-1, 0), (0, 1), (0, -1))] * 2
-        assert not is_terminal(square, facets)
-        assert not box_is_terminal(square, facets)
-        assert is_fano(square, facets) and box_is_fano(square, facets)
 
 
 def cut_facet_lists():
@@ -368,8 +295,12 @@ def random_point_sets_with_facets(count):
         yield points, facets
 
 
+def scan(points, facets):
+    return list(geometry._hull_points(geometry._lattice_box(points), facets))
+
+
 def same_stream(points, facets):
-    return list(geometry._hull_points(points, facets)) == list(box_hull_points(points, facets))
+    return scan(points, facets) == list(box_hull_points(points, facets))
 
 
 class TestHullPointsAgainstBoxWalk:
@@ -408,7 +339,7 @@ class TestHullPointsAgainstBoxWalk:
             h = len(points[0]) // 2
             facets = enumerate_facets(points)
             del calls[:]
-            list(geometry._hull_points(points, facets))
+            scan(points, facets)
             assert sorted(calls) == sorted([*{f.normal[:h] for f in facets},
                                             *{f.normal[h:] for f in facets}])
             shared += len(calls) < 2 * len(facets)
@@ -417,22 +348,16 @@ class TestHullPointsAgainstBoxWalk:
     def test_cut_facet_lists(self):
         kinds = set()
         for points, facets in cut_facet_lists():
-            stream = list(geometry._hull_points(points, facets))
+            stream = scan(points, facets)
             assert stream == list(box_hull_points(points, facets)), (points, facets)
             kinds.add(bool(stream))
         assert kinds == {True, False}
 
 
-def own_and_gram(points):
-    """The flags from the hull's own facets (the mask test), or the
-    error type as in outcome, and from the same facets passed as a
-    caller's list (the Gram test); the Gram side repeats the first
-    when the hull has no facet list."""
-    own = outcome(geometry.fano_and_terminal, points)
-    facets = outcome(enumerate_facets, points)
-    if isinstance(facets, type):
-        return own, own
-    return own, geometry.fano_and_terminal(points, facets)
+def own_and_rank(points):
+    """The flags of the mask vertex test and of the rank oracle, or the
+    error type as in outcome."""
+    return outcome(geometry.fano_and_terminal, points), outcome(rank_flags, points)
 
 
 def box_flags(points, facets=None):
@@ -440,8 +365,8 @@ def box_flags(points, facets=None):
 
 
 class TestOwnHullVertexMasks:
-    """With the hull's own facets, the mask vertex test gives the flags
-    of the Gram test and of the full box walk.  The box walk costs 50 ms
+    """The mask vertex test gives the flags of the rank oracle and of
+    the full box walk.  The box walk costs 50 ms
     per class at d = 6 and 0.3 and 1.4 s at d = 7 and 8, so it checks
     every eighth d = 6 class, the first few of the d = 7, 8 sample and
     the d = 5 cube point sets.  On random_point_sets, is_fano(points)
@@ -449,8 +374,8 @@ class TestOwnHullVertexMasks:
 
     def test_every_class_up_to_d6(self):
         for k, points in enumerate(class_vertex_sets(range(1, 7))):
-            own, gram = own_and_gram(points)
-            assert own == gram, points
+            own, rank = own_and_rank(points)
+            assert own == rank, points
             if len(points[0]) < 6 or k % 8 == 0:
                 assert own == box_flags(points, enumerate_facets(points)), points
 
@@ -461,8 +386,8 @@ class TestOwnHullVertexMasks:
         for sample, boxed in ((sevens, 3), (eights, 1)):
             for k, p in enumerate(sample):
                 points = build_vertex_set(p.hat()).vectors
-                own, gram = own_and_gram(points)
-                assert own == gram, p
+                own, rank = own_and_rank(points)
+                assert own == rank, p
                 if k < boxed:
                     assert own == box_flags(points, enumerate_facets(points)), p
 
@@ -471,8 +396,8 @@ class TestOwnHullVertexMasks:
         seen = set()
         for d, count in ((5, 30), (6, 30), (7, 20), (8, 12)):
             for points in cube_point_sets(rng, d, count):
-                own, gram = own_and_gram(points)
-                assert own == gram, points
+                own, rank = own_and_rank(points)
+                assert own == rank, points
                 facets = outcome(enumerate_facets, points)
                 if d == 5 and not isinstance(facets, type):
                     assert own == box_flags(points, facets), points
@@ -482,8 +407,8 @@ class TestOwnHullVertexMasks:
     def test_random_point_sets(self):
         seen = set()
         for points in random_point_sets():
-            own, gram = own_and_gram(points)
-            assert own == gram, points
+            own, rank = own_and_rank(points)
+            assert own == rank, points
             if own is DegenerateInput:
                 continue
             facets = outcome(enumerate_facets, points)
@@ -493,24 +418,6 @@ class TestOwnHullVertexMasks:
         # origin inside, and hulls missing the origin, terminal or not
         assert {(True, True, True), (True, False, True), (False, False, True),
                 (False, True, False), (False, False, False)} <= seen
-
-    def test_own_facets_take_no_gram_determinant(self, monkeypatch):
-        monkeypatch.setattr(geometry, "_spans",
-                            lambda outers, d: pytest.fail("Gram test on own facets"))
-        for d in range(1, 5):
-            for p in poset_classes(d):
-                flags = oracle_report(p)[2]
-                assert flags["fano"] and flags["terminal"]
-        assert is_fano(CROSS2) and is_terminal(CROSS2)
-
-    def test_caller_lists_take_the_gram_test(self, monkeypatch):
-        calls = []
-        spans = geometry._spans
-        monkeypatch.setattr(geometry, "_spans",
-                            lambda outers, d: calls.append(d) or spans(outers, d))
-        assert is_terminal(CROSS2, enumerate_facets(CROSS2))
-        assert calls == [2] * 4
-
 
 class TestIsFano:
     def test_segment(self):
@@ -546,18 +453,10 @@ class TestIsTerminal:
 
 
 class TestScanInputs:
-    def test_empty_point_set_with_facets(self):
-        facets = enumerate_facets(CROSS2)
+    def test_empty_point_set(self):
         for check in (is_fano, is_terminal):
             with pytest.raises(DegenerateInput):
-                check([], facets)
-
-    def test_facet_normal_of_another_dimension(self):
-        facets = enumerate_facets(CROSS2)
-        for bad in ([Facet((1, 0, 0), 1, ())], [Facet((1,), 1, ())]):
-            for check in (is_fano, is_terminal):
-                with pytest.raises(ValueError, match="dimension"):
-                    check(CROSS2, facets + bad)
+                check([])
 
     def test_box_budget_comes_first(self, monkeypatch):
         # 200001 x 601 box points, more than 3^16, in d = 2; no facet

@@ -58,14 +58,14 @@ class TestBuildVertexSet:
         assert vs.edges == h.edges
         for k, e in enumerate(vs.edges):
             assert vs.vectors[k] == edge_vector(h, e)
-            assert vs.edge_of_vertex(k) == e
+            assert vs.edges[k] == e
 
     def test_injective_on_random_posets(self):
         rng = random.Random(23)
         for _ in range(80):
             p = random_poset(rng, rng.randint(1, 7))
             vs = build_vertex_set(p.hat())
-            assert len(set(vs.vectors)) == len(vs.vectors) == p.hat().n_edges
+            assert len(set(vs.vectors)) == len(vs.vectors) == len(p.hat().edges)
 
 
 class TestChainVectorSum:

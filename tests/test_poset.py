@@ -148,7 +148,7 @@ class TestHat:
     def test_antichain(self):
         h = antichain(2).hat()
         assert set(h.edges) == {(0, 1), (1, 3), (0, 2), (2, 3)}
-        assert h.n_edges == len(antichain(2).covers) + 2 + 2
+        assert len(h.edges) == len(antichain(2).covers) + 2 + 2
 
     def test_triangle_free(self):
         # cover relations of a poset never close a 3-cycle
@@ -329,6 +329,18 @@ class TestFileFormats:
     def test_json(self):
         p = poset_from_text('{"d": 3, "relations": [[1, 2]]}')
         assert p == Poset.from_cover_relations(3, [(1, 2)])
+
+    @pytest.mark.parametrize("text", [
+        '{"d": 3, "relations": null}',
+        '{"d": 3, "relations": 5}',
+        '{"d": 3, "relations": true}',
+        '{"d": true, "relations": []}',
+        '{"d": 3, "relations": [[true, 2]]}',
+        '{"d": 3, "relations": [[2, true]]}',
+    ])
+    def test_json_type_errors(self, text):
+        with pytest.raises(ParseError):
+            poset_from_text(text)
 
     def test_parse_error_cites_line(self):
         with pytest.raises(ParseError, match="line 2"):
