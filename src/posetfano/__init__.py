@@ -7,16 +7,10 @@ enumerate posets up to isomorphism and duality.
 """
 from .classifier import (
     ClassificationReport,
-    Walk,
     classify,
-    cycle_levels_compatible,
     enumerate_cycles,
-    enumerate_special_paths,
-    is_balanced,
-    is_very_special_cycle,
     iter_witnesses,
     level_labels,
-    path_levels_compatible,
 )
 from .crosscheck import find_disagreement, oracle_report
 from .enumeration import (
@@ -59,6 +53,7 @@ from .polytope import (
 from .poset import (
     HatPoset,
     Poset,
+    Walk,
     load_poset,
     poset_from_text,
     poset_to_text,

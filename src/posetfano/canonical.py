@@ -36,8 +36,6 @@ def _rank(values: list) -> list[int]:
 
 def canonical_key(p: Poset) -> bytes:
     d = p.d
-    if d == 1:
-        return bytes([1, 0])
     # element i + 1 of p is index i here
     masks = [(p.below_mask(i) >> 1, p.above_mask(i) >> 1) for i in range(1, d + 1)]
     downs = [_elements(below) for below, _ in masks]

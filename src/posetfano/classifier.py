@@ -27,54 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import NotConsistent
-from .poset import HatPoset, Poset
-
-
-@dataclass(frozen=True)
-class Walk:
-    """A simple path or cycle in the bounded Hasse diagram.
-
-    steps[k] is +1 if elements[k] < elements[k+1] and -1 otherwise; for
-    cycles the closing step back to the first element is included, so
-    len(steps) == len(elements) for cycles and len(elements)-1 for paths.
-    """
-
-    elements: tuple[int, ...]
-    kind: str  # "path" | "cycle"
-    steps: tuple[int, ...]
-
-    @classmethod
-    def from_elements(cls, h: HatPoset, elements, kind: str) -> "Walk":
-        elements = tuple(elements)
-        if kind not in ("path", "cycle"):
-            raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
-        if len(set(elements)) != len(elements):
-            raise ValueError("walk elements must be pairwise distinct")
-        if kind == "cycle" and len(elements) < 4:
-            # Hasse diagrams are triangle-free, so shorter cycles cannot occur
-            raise ValueError("cycles have at least 4 elements")
-        if kind == "path" and len(elements) < 2:
-            raise ValueError("paths have at least 2 elements")
-        pairs = list(zip(elements, elements[1:]))
-        if kind == "cycle":
-            pairs.append((elements[-1], elements[0]))
-        steps = []
-        for x, y in pairs:
-            if not h.is_edge(x, y):
-                raise ValueError(f"{{{x},{y}}} is not a Hasse edge")
-            steps.append(1 if h.less(x, y) else -1)
-        return cls(elements, kind, tuple(steps))
-
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        pairs = list(zip(self.elements, self.elements[1:]))
-        if self.kind == "cycle":
-            pairs.append((self.elements[-1], self.elements[0]))
-        return pairs
-
-
-def is_balanced(walk: Walk) -> bool:
-    """True iff the walk has equally many ascending and descending steps."""
-    return sum(walk.steps) == 0
+from .poset import HatPoset, Poset, Walk
 
 
 def level_labels(walk: Walk) -> dict[int, int]:
@@ -92,65 +45,6 @@ def level_labels(walk: Walk) -> dict[int, int]:
     return {x: lv - low for x, lv in zip(walk.elements, labels)}
 
 
-def is_very_special_cycle(h: HatPoset, cycle: Walk) -> bool:
-    """Balanced cycle not containing both the bottom and the top.
-
-    Cycles through both adjoined bounds never certify a non-simplex
-    face, so the search excludes them.
-    """
-    els = set(cycle.elements)
-    return (
-        cycle.kind == "cycle"
-        and is_balanced(cycle)
-        and not (0 in els and h.top in els)
-    )
-
-
-def cycle_levels_compatible(h: HatPoset, cycle: Walk,
-                            levels: dict[int, int]) -> bool:
-    """Level gaps of the cycle fit within saturated-chain distances.
-
-    Two families of bounds: for comparable cycle elements b < a the gap
-    levels[a]-levels[b] may not exceed dist(b, a); for every ordered
-    pair the gap may not exceed dist(bottom, a) + dist(b, top), where a
-    degenerate distance from the bottom to itself (or top to itself)
-    counts as 0.  The second family is what lets a hyperplane through
-    the walk vanish on both bounds: each element x allows the shifts
-    from levels[x] - dist(bottom, x) to levels[x] + dist(x, top), and
-    these ranges meet iff every pair fits.  It is not implied by the
-    first: some smooth posets carry a balanced cycle that only it
-    rejects.
-    """
-    top = h.top
-    els = cycle.elements
-    for a in els:
-        d0a = 0 if a == 0 else h.dist(0, a)
-        for b in els:
-            gap = levels[a] - levels[b]
-            if gap <= 0:
-                continue
-            if h.less(b, a) and gap > h.dist(b, a):
-                return False
-            db1 = 0 if b == top else h.dist(b, top)
-            if gap > d0a + db1:
-                return False
-    return True
-
-
-def path_levels_compatible(h: HatPoset, path: Walk,
-                           levels: dict[int, int]) -> bool:
-    """Level gaps along a bottom-to-top path fit within distances."""
-    els = path.elements
-    for a in els:
-        for b in els:
-            gap = levels[a] - levels[b]
-            if gap <= 0:
-                continue
-            if h.less(b, a) and gap > h.dist(b, a):
-                return False
-    return True
-
-
 # -- walk search ---------------------------------------------------------
 
 def _gaps_fit(dist, d0, d1, path: list[int], levels: list[int],
@@ -160,8 +54,13 @@ def _gaps_fit(dist, d0, d1, path: list[int], levels: list[int],
     A gap levels[a] - levels[b] > 0 may not exceed dist(b, a) when b < a
     (``dist`` is HatPoset.distances) nor d0[a] + d1[b], the distances
     from the bottom to a and from b to the top (for paths the caller
-    passes caps that never bind), as in cycle_levels_compatible and
-    path_levels_compatible.
+    passes caps that never bind).  The second cap is what lets a
+    hyperplane through a cycle vanish on both bounds: each element x
+    allows the shifts from levels[x] - d0[x] to levels[x] + d1[x], and
+    these ranges meet iff every pair fits.  It is not implied by the
+    first: some smooth posets carry a balanced cycle that only it
+    rejects.  These are the gaps that geometry.witness_hyperplane checks
+    on its plane.
     """
     from_y = dist[y]
     for x, lx in zip(path, levels):
@@ -249,19 +148,12 @@ def enumerate_paths(h: HatPoset) -> Iterator[Walk]:
         yield Walk.from_elements(h, elements, "path")
 
 
-def enumerate_special_paths(h: HatPoset) -> Iterator[Walk]:
-    """Balanced simple bottom-to-top paths."""
-    for walk in enumerate_paths(h):
-        if is_balanced(walk):
-            yield walk
-
-
 def iter_witnesses(h: HatPoset) -> Iterator[Walk]:
     """All walks certifying a non-simplex face, cycles first.
 
     The order is that of enumerate_cycles and then enumerate_paths,
-    filtered by is_very_special_cycle or is_balanced and the level-gap
-    tests; the search prunes instead of filtering (see _walks).
+    filtered to balanced walks (cycles missing a bound) whose level gaps
+    fit (_gaps_fit); the search prunes instead of filtering (see _walks).
     """
     for elements in _walks(h, cycle=True, witnesses=True):
         yield Walk.from_elements(h, elements, "cycle")

@@ -14,31 +14,24 @@ is tight on, a comparison of one bit mask per point, exact for the
 hull's own complete facet list (``facets_and_flags``).  The oracle's
 independence from the classifier rests on the hull algorithm being
 generic: it knows nothing about posets, and the tests check it against
-the C(n, d) minors loop (``brute_facets``) and qhull.
+the C(n, d) minors loop (``brute_facets``) and qhull.  Nothing here
+imports the classifier: ``witness_hyperplane`` builds a plane from a
+walk and checks that plane on every Hasse edge itself.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, permutations, product
+from itertools import accumulate, compress, permutations, product
 from math import gcd, prod
 from operator import mul, not_
 
-from .classifier import (
-    Walk,
-    cycle_levels_compatible,
-    is_balanced,
-    is_very_special_cycle,
-    level_labels,
-    path_levels_compatible,
-)
 from .errors import (
     DegenerateInput,
-    NotConsistent,
     OriginOnHyperplane,
     UnsupportedSize,
     WalkNotEligible,
 )
-from .poset import HatPoset
+from .poset import HatPoset, Walk
 
 Vector = tuple[int, ...]
 
@@ -420,65 +413,50 @@ class Hyperplane:
 def witness_hyperplane(h: HatPoset, walk: Walk) -> Hyperplane:
     """Supporting hyperplane whose face contains all walk edge vectors.
 
-    Eligible walks are blocking cycles (balanced, missing a bound,
-    level gaps within distances) and blocking bottom-to-top paths.  The
-    coefficient of each walk element is a fixed integer minus its
-    level; the fix point is pinned by the bound elements when present
-    and otherwise chosen at the lower end of its feasible range.
-    Remaining elements get the largest (or smallest) value that keeps
-    every edge inequality valid, clamped toward zero.
+    Eligible walks are balanced cycles missing a bound and balanced
+    bottom-to-top paths whose level gaps fit within distances.  The
+    coefficient a[x] of each walk element is a fixed base minus its
+    level (a prefix sum of the steps); the base is pinned by a bound on
+    the walk and otherwise chosen at the lower end of its feasible
+    range.  Every other element gets the largest (or smallest) value
+    that keeps the edge inequalities to walk elements valid, clamped
+    toward zero, and both bounds get 0.
+
+    The plane a . x = 1 supports the polytope iff a[lo] - a[hi] <= 1 on
+    every Hasse edge (Higashitani 2015, the edge vectors form a network
+    matrix), and its face holds the walk iff equality holds on every
+    walk edge.  Both are checked on the plane itself, so a walk whose
+    level gaps exceed the distances raises WalkNotEligible there.
     """
     top = h.top
-    try:
-        levels = level_labels(walk)
-    except NotConsistent as e:
-        raise WalkNotEligible(str(e)) from e
-    if walk.kind == "cycle":
-        if not is_very_special_cycle(h, walk):
-            raise WalkNotEligible("cycle is unbalanced or joins both bounds")
-        if not cycle_levels_compatible(h, walk, levels):
-            raise WalkNotEligible("cycle level gaps exceed distances")
-        els = set(walk.elements)
-        if 0 in els:
-            base = levels[0]
-        elif top in els:
-            base = levels[top]
-        else:
-            base = max(levels[x] - h.dist(0, x) for x in walk.elements)
-    else:
-        if walk.elements[0] != 0 or walk.elements[-1] != top:
-            raise WalkNotEligible("path must run from the bottom to the top")
-        if not is_balanced(walk):
-            raise WalkNotEligible("path is not balanced")
-        if not path_levels_compatible(h, walk, levels):
-            raise WalkNotEligible("path level gaps exceed distances")
-        base = levels[0]
+    els = walk.elements
+    if walk.kind == "path" and (els[0] != 0 or els[-1] != top):
+        raise WalkNotEligible("path must run from the bottom to the top")
+    if sum(walk.steps):
+        raise WalkNotEligible(f"{walk.kind} is not balanced")
+    if walk.kind == "cycle" and 0 in els and top in els:
+        raise WalkNotEligible("cycle is unbalanced or joins both bounds")
 
-    walk_els = set(walk.elements)
-    coeff_of = {x: base - levels[x] for x in walk.elements}
-    coeffs = [0] * (h.d + 1)
-    for x in walk.elements:
-        if 1 <= x <= h.d:
-            coeffs[x] = coeff_of[x]
-    for y in range(1, h.d + 1):
-        if y in walk_els:
+    levels = dict(zip(els, accumulate(walk.steps, initial=0)))
+    if 0 in levels:
+        base = levels[0]
+    elif top in levels:
+        base = levels[top]
+    else:
+        base = max(levels[x] - h.dist(0, x) for x in els)
+    a = [0] * (top + 1)
+    for x in els:
+        if 0 < x < top:
+            a[x] = base - levels[x]
+    for y in range(1, top):
+        if y in levels:
             continue
-        lowers = [x for x in walk.elements if h.less(x, y)]
-        uppers = [x for x in walk.elements if h.less(y, x)]
-        from_below = max(
-            [coeff_of[x] - h.dist(x, y) for x in lowers] + [0]
-        )
-        from_above = min(
-            [coeff_of[x] + h.dist(y, x) for x in uppers] + [0]
-        )
-        if lowers and uppers:
-            # from_below >= 0 >= from_above, and not both are nonzero: that
-            # needs walk elements x < y < z with coeff_of[x] - coeff_of[z] =
-            # levels[z] - levels[x] > dist(x, y) + dist(y, z) >= dist(x, z),
-            # a level gap the eligibility checks above have rejected
-            coeffs[y] = from_below if from_below != 0 else from_above
-        elif lowers:
-            coeffs[y] = from_below
-        elif uppers:
-            coeffs[y] = from_above
-    return Hyperplane(tuple(coeffs[1:]), 1)
+        from_below = max([a[x] - h.dist(x, y) for x in els if h.less(x, y)] + [0])
+        from_above = min([a[x] + h.dist(y, x) for x in els if h.less(y, x)] + [0])
+        a[y] = from_below if from_below else from_above
+
+    # a walk step s from x to y is tight iff a[x] - a[y] == s
+    if (any(a[lo] - a[hi] > 1 for lo, hi in h.edges)
+            or any(a[x] - a[y] != s for (x, y), s in zip(walk.edge_pairs(), walk.steps))):
+        raise WalkNotEligible(f"{walk.kind} level gaps exceed distances")
+    return Hyperplane(tuple(a[1:top]), 1)

@@ -4,11 +4,13 @@ Elements of a poset on d points are the integers 1..d.  The hat-poset
 adjoins a bottom element (index 0) and a top element (index d+1); its
 Hasse diagram drives everything downstream.  Every instance keeps the
 strict-order bitmasks; the cover relation is derived on first use.
+A Walk is a simple path or cycle in that diagram.
 """
 from __future__ import annotations
 
 import json
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CycleInInput, NotComparable, ParseError
@@ -230,7 +232,7 @@ class HatPoset:
     afterwards, so instances are safe to share across workers.
     """
 
-    __slots__ = ("base", "d", "top", "edges", "_edge_set", "up", "down",
+    __slots__ = ("base", "d", "top", "edges", "_edge_set", "up",
                  "neighbors", "_dist", "_chains")
 
     def __init__(self, base: Poset):
@@ -245,15 +247,13 @@ class HatPoset:
         self.edges = tuple(edges)
         self._edge_set = frozenset(edges)
         up: list[list[int]] = [[] for _ in range(d + 2)]
-        down: list[list[int]] = [[] for _ in range(d + 2)]
+        neighbors: list[list[int]] = [[] for _ in range(d + 2)]
         for lo, hi in edges:
             up[lo].append(hi)
-            down[hi].append(lo)
+            neighbors[lo].append(hi)
+            neighbors[hi].append(lo)
         self.up = tuple(tuple(sorted(s)) for s in up)
-        self.down = tuple(tuple(sorted(s)) for s in down)
-        self.neighbors = tuple(
-            tuple(sorted(self.up[x] + self.down[x])) for x in range(d + 2)
-        )
+        self.neighbors = tuple(tuple(sorted(s)) for s in neighbors)
         self._dist: tuple[tuple[int, ...], ...] | None = None
         self._chains: tuple[tuple[int, ...], ...] | None = None
 
@@ -338,6 +338,48 @@ class HatPoset:
         return f"HatPoset(d={self.d}, edges={list(self.edges)})"
 
 
+@dataclass(frozen=True)
+class Walk:
+    """A simple path or cycle in the bounded Hasse diagram.
+
+    steps[k] is +1 if elements[k] < elements[k+1] and -1 otherwise; for
+    cycles the closing step back to the first element is included, so
+    len(steps) == len(elements) for cycles and len(elements)-1 for paths.
+    """
+
+    elements: tuple[int, ...]
+    kind: str  # "path" | "cycle"
+    steps: tuple[int, ...]
+
+    @classmethod
+    def from_elements(cls, h: HatPoset, elements, kind: str) -> "Walk":
+        elements = tuple(elements)
+        if kind not in ("path", "cycle"):
+            raise ValueError(f"kind must be 'path' or 'cycle', got {kind!r}")
+        if len(set(elements)) != len(elements):
+            raise ValueError("walk elements must be pairwise distinct")
+        if kind == "cycle" and len(elements) < 4:
+            # Hasse diagrams are triangle-free, so shorter cycles cannot occur
+            raise ValueError("cycles have at least 4 elements")
+        if kind == "path" and len(elements) < 2:
+            raise ValueError("paths have at least 2 elements")
+        pairs = list(zip(elements, elements[1:]))
+        if kind == "cycle":
+            pairs.append((elements[-1], elements[0]))
+        steps = []
+        for x, y in pairs:
+            if not h.is_edge(x, y):
+                raise ValueError(f"{{{x},{y}}} is not a Hasse edge")
+            steps.append(1 if h.less(x, y) else -1)
+        return cls(elements, kind, tuple(steps))
+
+    def edge_pairs(self) -> list[tuple[int, int]]:
+        pairs = list(zip(self.elements, self.elements[1:]))
+        if self.kind == "cycle":
+            pairs.append((self.elements[-1], self.elements[0]))
+        return pairs
+
+
 # -- file formats -------------------------------------------------------
 
 def poset_to_text(p: Poset) -> str:
@@ -381,15 +423,18 @@ def poset_from_text(text: str) -> Poset:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
+        try:
+            values = [int(t) for t in line.split()]
+        except ValueError:
+            values = []
         if d is None:
-            if len(parts) != 1 or not parts[0].lstrip("-").isdigit():
+            if len(values) != 1:
                 raise ParseError(f"line {lineno}: expected element count, got {raw!r}")
-            d = int(parts[0])
+            d = values[0]
             continue
-        if len(parts) != 2 or not all(t.lstrip("-").isdigit() for t in parts):
+        if len(values) != 2:
             raise ParseError(f"line {lineno}: expected two integers, got {raw!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
+        pairs.append((values[0], values[1]))
     if d is None:
         raise ParseError("empty poset file")
     return _build_checked(d, pairs, "file")

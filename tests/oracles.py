@@ -14,12 +14,14 @@ here, so only the vertex test is independent), hulls
 from qhull's combinatorics with the hyperplanes re-identified in exact
 integer arithmetic, order ideals by filtering every subset, witness
 walks by a recursive search over every cycle and path that filters
-them afterwards (the filters are the classifier's public level-gap
-predicates; the pruned search in the package is what is checked), and
-the duality quotient by comparing every poset's key with its dual's.
+them afterwards (the filters are the whole-walk level-gap predicates
+the package kept before its pruned search and its self-checking
+witness plane, both of which are what is checked), and the duality
+quotient by comparing every poset's key with its dual's.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd, lcm
@@ -37,13 +39,10 @@ from posetfano import (
     OriginOnHyperplane,
     Poset,
     Walk,
-    cycle_levels_compatible,
     enumerate_facets,
-    is_balanced,
-    is_very_special_cycle,
     level_labels,
-    path_levels_compatible,
 )
+from posetfano.classifier import enumerate_paths
 
 
 def saturated_chains(h: HatPoset, y: int, z: int) -> list[tuple[int, ...]]:
@@ -510,12 +509,83 @@ def recursive_paths(h: HatPoset):
     yield from extend()
 
 
+def is_balanced(walk: Walk) -> bool:
+    """True iff the walk has equally many ascending and descending steps."""
+    return sum(walk.steps) == 0
+
+
+def is_very_special_cycle(h: HatPoset, cycle: Walk) -> bool:
+    """Balanced cycle not containing both the bottom and the top.
+
+    Cycles through both adjoined bounds never certify a non-simplex
+    face, so the search excludes them.
+    """
+    els = set(cycle.elements)
+    return (
+        cycle.kind == "cycle"
+        and is_balanced(cycle)
+        and not (0 in els and h.top in els)
+    )
+
+
+def cycle_levels_compatible(h: HatPoset, cycle: Walk,
+                            levels: dict[int, int]) -> bool:
+    """Level gaps of the cycle fit within saturated-chain distances.
+
+    Two families of bounds: for comparable cycle elements b < a the gap
+    levels[a]-levels[b] may not exceed dist(b, a); for every ordered
+    pair the gap may not exceed dist(bottom, a) + dist(b, top), where a
+    degenerate distance from the bottom to itself (or top to itself)
+    counts as 0.  The second family is what lets a hyperplane through
+    the walk vanish on both bounds: each element x allows the shifts
+    from levels[x] - dist(bottom, x) to levels[x] + dist(x, top), and
+    these ranges meet iff every pair fits.  It is not implied by the
+    first: some smooth posets carry a balanced cycle that only it
+    rejects.
+    """
+    top = h.top
+    els = cycle.elements
+    for a in els:
+        d0a = 0 if a == 0 else h.dist(0, a)
+        for b in els:
+            gap = levels[a] - levels[b]
+            if gap <= 0:
+                continue
+            if h.less(b, a) and gap > h.dist(b, a):
+                return False
+            db1 = 0 if b == top else h.dist(b, top)
+            if gap > d0a + db1:
+                return False
+    return True
+
+
+def path_levels_compatible(h: HatPoset, path: Walk,
+                           levels: dict[int, int]) -> bool:
+    """Level gaps along a bottom-to-top path fit within distances."""
+    els = path.elements
+    for a in els:
+        for b in els:
+            gap = levels[a] - levels[b]
+            if gap <= 0:
+                continue
+            if h.less(b, a) and gap > h.dist(b, a):
+                return False
+    return True
+
+
+def enumerate_special_paths(h: HatPoset) -> Iterator[Walk]:
+    """Balanced simple bottom-to-top paths."""
+    for walk in enumerate_paths(h):
+        if is_balanced(walk):
+            yield walk
+
+
 def reference_witnesses(h: HatPoset) -> list[Walk]:
     """Every witness walk by enumerate-then-filter, cycles first.
 
     Builds a Walk for every simple cycle and bottom-to-top path and keeps
-    those that pass the classifier's own predicates (balance, avoiding a
-    bound, level gaps within distances).
+    those that pass the predicates above (balance, avoiding a bound,
+    level gaps within distances).
     """
     out = []
     for els in recursive_cycles(h):
@@ -528,6 +598,20 @@ def reference_witnesses(h: HatPoset) -> list[Walk]:
         if is_balanced(path) and path_levels_compatible(h, path, level_labels(path)):
             out.append(path)
     return out
+
+
+def gap_free_smooth(p: Poset) -> bool:
+    """The walk rule without its level-gap conditions.
+
+    Smooth iff the bounded Hasse diagram has no balanced simple cycle
+    that misses a bound and no balanced bottom-to-top path.  This rule
+    gives the reference smooth counts 1 2 3 6 12 31 83 266 for d = 1..8.
+    """
+    h = p.hat()
+    return not (any(is_very_special_cycle(h, Walk.from_elements(h, els, "cycle"))
+                    for els in recursive_cycles(h))
+                or any(is_balanced(Walk.from_elements(h, els, "path"))
+                       for els in recursive_paths(h)))
 
 
 def filtered_extensions(p: Poset) -> list[Poset]:

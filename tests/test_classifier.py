@@ -10,20 +10,20 @@ from posetfano import (
     Poset,
     Walk,
     classify,
-    cycle_levels_compatible,
     enumerate_cycles,
-    enumerate_special_paths,
-    is_balanced,
-    is_very_special_cycle,
     iter_witnesses,
     level_labels,
-    path_levels_compatible,
     poset_classes,
 )
 from posetfano.classifier import enumerate_paths
 from conftest import antichain, chain, random_poset
 from oracles import (
+    cycle_levels_compatible,
+    enumerate_special_paths,
+    is_balanced,
+    is_very_special_cycle,
     nx_cycle_count,
+    path_levels_compatible,
     recursive_cycles,
     recursive_paths,
     reference_witnesses,

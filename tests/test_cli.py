@@ -69,6 +69,12 @@ class TestClassifyCommand:
         assert main(["classify", str(f)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_text_count_not_an_integer(self, tmp_path, capsys):
+        f = tmp_path / "bad.poset"
+        f.write_text("--3\n")
+        assert main(["classify", str(f)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 1")
+
     def test_json_relations_not_a_list(self, tmp_path, capsys):
         f = tmp_path / "bad.json"
         f.write_text('{"d": 3, "relations": null}')

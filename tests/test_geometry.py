@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import random
 from itertools import combinations
@@ -20,7 +21,6 @@ from posetfano import (
     det_fraction_free,
     enumerate_facets,
     find_disagreement,
-    is_balanced,
     is_fano,
     is_gorenstein,
     is_simplicial,
@@ -36,12 +36,14 @@ from oracles import (
     box_is_terminal,
     brute_facets,
     cofactor_det,
+    is_balanced,
     minor_normal,
     prefix_normals,
     qhull_exact_facets,
     rank_flags,
     recursive_cycles,
     recursive_paths,
+    reference_witnesses,
     smaller_key_quotient,
     subset_facets,
 )
@@ -630,3 +632,39 @@ class TestWitnessHyperplane:
         walk = Walk.from_elements(h, (1, 2, 3, 7, 4, 5), "cycle")
         with pytest.raises(WalkNotEligible):
             witness_hyperplane(h, walk)
+
+    def test_plane_exactly_for_reference_walks(self):
+        # every cycle and path of every class with d <= 7: a plane comes
+        # back exactly when the whole-walk predicates accept the walk, and
+        # the normals are the ones the eligibility-first construction gave
+        digest = hashlib.sha256()
+        planes = 0
+        for p in [q for d in range(1, 8) for q in poset_classes(d)]:
+            h = p.hat()
+            eligible = set(reference_witnesses(h))
+            walks = [*(Walk.from_elements(h, els, "cycle") for els in recursive_cycles(h)),
+                     *(Walk.from_elements(h, els, "path") for els in recursive_paths(h))]
+            for walk in walks:
+                try:
+                    normal = witness_hyperplane(h, walk).normal
+                except WalkNotEligible:
+                    normal = None
+                assert (normal is not None) == (walk in eligible), walk
+                planes += normal is not None
+                digest.update(f"{walk.kind} {walk.elements} {normal}\n".encode())
+        assert planes == 17916
+        assert digest.hexdigest() == (
+            "99c6e376b6115872ce83c68f3747666631f08220f091b38b1b9c5a21040c02c3")
+
+
+def test_geometry_imports_no_classifier():
+    # the oracle stays independent of what it checks
+    tree = ast.parse(open(geometry.__file__, encoding="utf-8").read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(part for a in node.names for part in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(a.name for a in node.names)
+    assert not names & {"classifier", "crosscheck", "enumeration"}

@@ -346,6 +346,16 @@ class TestFileFormats:
         with pytest.raises(ParseError, match="line 2"):
             poset_from_text("3\n1 two\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("--3\n", "line 1"),
+        ("3\n1 --2\n", "line 2"),
+        ("\u00b2\n", "line 1"),
+    ])
+    def test_text_tokens_int_refuses(self, text, line):
+        # each passed a digit pre-check and then failed int()
+        with pytest.raises(ParseError, match=line):
+            poset_from_text(text)
+
     def test_empty_file(self):
         with pytest.raises(ParseError):
             poset_from_text("# nothing\n")

@@ -13,12 +13,12 @@ from posetfano import (
     edge_vector,
     enumerate_cycles,
     enumerate_facets,
-    is_balanced,
     level_labels,
     maximal_chain_vector_sum,
     witness_hyperplane,
 )
 from conftest import random_poset
+from oracles import is_balanced
 
 
 def exact_affine_rank(points):
