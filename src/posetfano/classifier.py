@@ -86,11 +86,8 @@ def _walks(h: HatPoset, cycle: bool,
     both bounds is no witness; other roots never reach 0), and a walk
     must close at level 0, i.e. be balanced.
     """
-    top = h.top
+    top, above = h.top, h.above
     n = top + 1
-    # above[x]: the elements above x in the bounded poset, as a bit mask
-    above = ([(1 << n) - 2]
-             + [h.base.above_mask(i) | 1 << top for i in range(1, top)] + [0])
     if witnesses:
         dist = h.distances
         if cycle:
@@ -193,11 +190,7 @@ class ClassificationReport:
             "witness": None,
         }
         if self.witness is not None:
-            out["witness"] = {
-                "kind": self.witness.kind,
-                "elements": list(self.witness.elements),
-                "steps": list(self.witness.steps),
-            }
+            out["witness"] = self.witness.to_dict()
         return out
 
 

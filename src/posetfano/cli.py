@@ -110,10 +110,7 @@ def cmd_classify(args) -> int:
     if args.verify:
         payload["verified"] = True
     if args.all_witnesses:
-        payload["witnesses"] = [
-            {"kind": w.kind, "elements": list(w.elements), "steps": list(w.steps)}
-            for w in iter_witnesses(p.hat())
-        ]
+        payload["witnesses"] = [w.to_dict() for w in iter_witnesses(p.hat())]
     if args.json:
         print(json.dumps(payload))
     else:

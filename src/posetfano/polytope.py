@@ -24,10 +24,9 @@ def edge_vector(h: HatPoset, edge: tuple[int, int]) -> Vector:
     is not an edge of the bounded Hasse diagram.
     """
     i, j = edge
-    try:
-        lo, hi = h.orient_edge(i, j)
-    except KeyError:
-        raise NotAnEdge(f"{{{i},{j}}} is not a Hasse edge") from None
+    if not h.is_edge(i, j):
+        raise NotAnEdge(f"{{{i},{j}}} is not a Hasse edge")
+    lo, hi = (i, j) if h.less(i, j) else (j, i)
     d = h.d
     coords = [0] * d
     if hi == h.top:

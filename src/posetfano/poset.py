@@ -2,13 +2,16 @@
 
 Elements of a poset on d points are the integers 1..d.  The hat-poset
 adjoins a bottom element (index 0) and a top element (index d+1); its
-Hasse diagram drives everything downstream.  Every instance keeps the
-strict-order bitmasks; the cover relation is derived on first use.
+Hasse diagram drives everything downstream.  The order is kept as bit
+masks: a Poset holds the strict order of 1..d, and HatPoset.above is
+the bounded order on 0..d+1, the one table that its order queries, its
+edges and the walk search read.  Covers are derived on first read.
 A Walk is a simple path or cycle in that diagram.
 """
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -16,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import CycleInInput, NotComparable, ParseError
 
 MAX_D = 64
+_INTEGER = re.compile("-?[0-9]+")  # a text-format token: ASCII digits only
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -83,35 +87,21 @@ class Poset:
         """
         if not 1 <= d <= MAX_D:
             raise ValueError(f"d must be in 1..{MAX_D}, got {d}")
-        adj = [0] * (d + 1)
+        above = [0] * (d + 1)
         for i, j in pairs:
             if not (1 <= i <= d and 1 <= j <= d):
                 raise ValueError(f"relation ({i},{j}) out of range 1..{d}")
-            if i == j:
-                raise CycleInInput(f"relation ({i},{j}) makes y_{i} < itself")
-            adj[i] |= 1 << j
-        above = [0] * (d + 1)
-        state = [0] * (d + 1)  # 0 unseen, 1 on the stack, 2 done
-        for root in range(1, d + 1):
-            if state[root]:
-                continue
-            state[root] = 1
-            stack = [(root, _bits(adj[root]))]
-            while stack:
-                i, rest = stack[-1]
-                j = next(rest, None)
-                if j is None:  # every successor done: close i
-                    stack.pop()
-                    acc = adj[i]
-                    for j in _bits(adj[i]):
-                        acc |= above[j]
-                    above[i] = acc
-                    state[i] = 2
-                elif state[j] == 1:
-                    raise CycleInInput(f"input relations contain a cycle through y_{j}")
-                elif state[j] == 0:
-                    state[j] = 1
-                    stack.append((j, _bits(adj[j])))
+            above[i] |= 1 << j
+        # Warshall's closure: once k is done, above[i] holds every element
+        # reachable from i through intermediates among 1..k
+        for k in range(1, d + 1):
+            bit = 1 << k
+            for i in range(1, d + 1):
+                if above[i] & bit:
+                    above[i] |= above[k]
+        for i in range(1, d + 1):
+            if (above[i] >> i) & 1:
+                raise CycleInInput(f"input relations contain a cycle through y_{i}")
         return cls(d, above)
 
     # -- basic queries -------------------------------------------------
@@ -177,23 +167,12 @@ class Poset:
     def is_pure(self) -> bool:
         """True iff all bottom-to-top maximal chains have equal length.
 
-        Equivalent to the Hasse diagram of the bounded poset admitting a
-        rank labeling that increases by exactly 1 along every edge.
+        Equivalent to the distance from the bottom rising by exactly 1
+        along every Hasse edge of the bounded poset.
         """
         h = self.hat()
-        rank: dict[int, int] = {0: 0}
-        queue = deque([0])
-        while queue:
-            x = queue.popleft()
-            for y in h.up[x]:
-                r = rank[x] + 1
-                if y in rank:
-                    if rank[y] != r:
-                        return False
-                else:
-                    rank[y] = r
-                    queue.append(y)
-        return True
+        rank = h.distances[0]
+        return all(rank[hi] == rank[lo] + 1 for lo, hi in h.edges)
 
     def is_disjoint_union_of_chains(self) -> bool:
         """True iff every connected component of the Hasse diagram is a chain."""
@@ -227,25 +206,29 @@ class Poset:
 class HatPoset:
     """A poset with adjoined bottom 0 and top d+1, plus its Hasse diagram.
 
-    Edges are stored as (lower, upper) pairs sorted lexicographically;
-    the distance table is built whole on first use and only read
-    afterwards, so instances are safe to share across workers.
+    ``above[x]`` has bit y set iff x < y in the bounded order: the bottom
+    lies below every other index, the top above every other index, and
+    between them the order is the base order.  Edges are stored as
+    (lower, upper) pairs sorted lexicographically; the distance table is
+    built whole on first use and only read afterwards, so instances are
+    safe to share across workers.
     """
 
-    __slots__ = ("base", "d", "top", "edges", "_edge_set", "up",
+    __slots__ = ("base", "d", "top", "above", "edges", "up",
                  "neighbors", "_dist", "_chains")
 
     def __init__(self, base: Poset):
         d = base.d
         self.base = base
         self.d = d
-        self.top = d + 1
+        self.top = top = d + 1
+        self.above = ((2 << top) - 2,) + tuple(
+            m | 1 << top for m in base._above[1:]) + (0,)
         edges = [(0, m) for m in base.minimal_elements]
         edges.extend(base.covers)
-        edges.extend((m, d + 1) for m in base.maximal_elements)
+        edges.extend((m, top) for m in base.maximal_elements)
         edges.sort()
         self.edges = tuple(edges)
-        self._edge_set = frozenset(edges)
         up: list[list[int]] = [[] for _ in range(d + 2)]
         neighbors: list[list[int]] = [[] for _ in range(d + 2)]
         for lo, hi in edges:
@@ -258,29 +241,12 @@ class HatPoset:
         self._chains: tuple[tuple[int, ...], ...] | None = None
 
     def less(self, i: int, j: int) -> bool:
-        """Strict order of the bounded poset on indices 0..d+1."""
-        if i == j:
-            return False
-        if i == 0:
-            return True
-        if j == 0:
-            return False
-        if j == self.top:
-            return True
-        if i == self.top:
-            return False
-        return self.base.less(i, j)
+        """Strict order of the bounded poset; False unless both are in 0..d+1."""
+        return 0 <= i <= self.top and j >= 0 and (self.above[i] >> j) & 1 == 1
 
     def is_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self._edge_set or (j, i) in self._edge_set
-
-    def orient_edge(self, i: int, j: int) -> tuple[int, int]:
-        """Return the edge as (lower, upper)."""
-        if (i, j) in self._edge_set:
-            return (i, j)
-        if (j, i) in self._edge_set:
-            return (j, i)
-        raise KeyError((i, j))
+        """True iff {i, j} is a Hasse edge of the bounded poset."""
+        return 0 <= i <= self.top and j in self.neighbors[i]
 
     @property
     def distances(self) -> tuple[tuple[int, ...], ...]:
@@ -373,6 +339,10 @@ class Walk:
             steps.append(1 if h.less(x, y) else -1)
         return cls(elements, kind, tuple(steps))
 
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "elements": list(self.elements),
+                "steps": list(self.steps)}
+
     def edge_pairs(self) -> list[tuple[int, int]]:
         pairs = list(zip(self.elements, self.elements[1:]))
         if self.kind == "cycle":
@@ -393,7 +363,8 @@ def poset_from_text(text: str) -> Poset:
     """Parse either the plain text format or the JSON variant.
 
     Text: first non-comment line is d, each further line "i j" meaning
-    y_i < y_j.  JSON: {"d": 3, "relations": [[1, 2]]}.
+    y_i < y_j; a number is an optional "-" and ASCII digits.
+    JSON: {"d": 3, "relations": [[1, 2]]}.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -423,10 +394,8 @@ def poset_from_text(text: str) -> Poset:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            values = [int(t) for t in line.split()]
-        except ValueError:
-            values = []
+        tokens = line.split()
+        values = [int(t) for t in tokens] if all(map(_INTEGER.fullmatch, tokens)) else []
         if d is None:
             if len(values) != 1:
                 raise ParseError(f"line {lineno}: expected element count, got {raw!r}")

@@ -56,6 +56,17 @@ class TestClassifyCommand:
             {"kind": "cycle", "elements": [1, 2, 4, 3], "steps": [1, 1, -1, -1]}
         ]
 
+    def test_all_witnesses_bytes(self, v_file, example_file, capsys):
+        assert main(["classify", "--json", "--all-witnesses", v_file]) == 0
+        walk = '{"kind": "cycle", "elements": [1, 2, 4, 3], "steps": [1, 1, -1, -1]}'
+        assert capsys.readouterr().out == (
+            '{"d": 3, "fano": true, "terminal": true, "gorenstein": true, '
+            '"q_factorial": false, "smooth": false, "method": "combinatorial", '
+            f'"witness": {walk}, "witnesses": [{walk}]}}\n')
+        assert main(["classify", "--json", "--all-witnesses", example_file]) == 0
+        assert capsys.readouterr().out.endswith(
+            '"method": "combinatorial", "witness": null, "witnesses": []}\n')
+
     def test_missing_file(self, tmp_path, capsys):
         assert main(["classify", str(tmp_path / "nope.poset")]) == 1
 
@@ -74,6 +85,13 @@ class TestClassifyCommand:
         f.write_text("--3\n")
         assert main(["classify", str(f)]) == 1
         assert capsys.readouterr().err.startswith("error: line 1")
+
+    def test_text_token_beyond_ascii_digits(self, tmp_path, capsys):
+        # int() reads "1_0" as 10; the text format takes only ASCII digits
+        f = tmp_path / "bad.poset"
+        f.write_text("3\n1_0 2\n")
+        assert main(["classify", str(f)]) == 1
+        assert capsys.readouterr().err.startswith("error: line 2")
 
     def test_json_relations_not_a_list(self, tmp_path, capsys):
         f = tmp_path / "bad.json"

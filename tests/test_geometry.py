@@ -221,6 +221,7 @@ def cube_point_sets(rng, d, count):
 
 
 class TestFacetsAgainstSubsetSearch:
+    @pytest.mark.slow
     def test_cube_point_sets_d5_to_d8(self):
         rng = random.Random(83)
         seen = set()
@@ -322,6 +323,7 @@ class TestHullPointsAgainstBoxWalk:
             points = build_vertex_set(p.hat()).vectors
             assert same_stream(points, enumerate_facets(points)), p
 
+    @pytest.mark.slow
     def test_random_point_sets(self):
         seen = set()
         for points, facets in random_point_sets_with_facets(3000):
@@ -374,6 +376,7 @@ class TestOwnHullVertexMasks:
     the d = 5 cube point sets.  On random_point_sets, is_fano(points)
     and is_terminal(points) meet the box walk in TestScansAgainstFullBox."""
 
+    @pytest.mark.slow
     def test_every_class_up_to_d6(self):
         for k, points in enumerate(class_vertex_sets(range(1, 7))):
             own, rank = own_and_rank(points)
@@ -381,6 +384,7 @@ class TestOwnHullVertexMasks:
             if len(points[0]) < 6 or k % 8 == 0:
                 assert own == box_flags(points, enumerate_facets(points)), points
 
+    @pytest.mark.slow
     def test_sampled_classes_d7_d8(self):
         rng = random.Random(101)
         sevens = rng.sample(smaller_key_quotient(poset_classes(7)), 60)
@@ -393,6 +397,7 @@ class TestOwnHullVertexMasks:
                 if k < boxed:
                     assert own == box_flags(points, enumerate_facets(points)), p
 
+    @pytest.mark.slow
     def test_cube_point_sets_d5_to_d8(self):
         rng = random.Random(83)
         seen = set()
@@ -633,6 +638,7 @@ class TestWitnessHyperplane:
         with pytest.raises(WalkNotEligible):
             witness_hyperplane(h, walk)
 
+    @pytest.mark.slow
     def test_plane_exactly_for_reference_walks(self):
         # every cycle and path of every class with d <= 7: a plane comes
         # back exactly when the whole-walk predicates accept the walk, and

@@ -35,6 +35,10 @@ class TestEdgeVector:
             edge_vector(h, (1, 3))
         with pytest.raises(NotAnEdge):
             edge_vector(h, (0, 2))  # y2 not minimal
+        # indices outside 0..d+1, including ones that would wrap or shift
+        for edge in [(-1, 1), (-1, 3), (1, 5), (3, 5), (5, 0), (4, -1)]:
+            with pytest.raises(NotAnEdge):
+                edge_vector(h, edge)
 
 
 class TestBuildVertexSet:

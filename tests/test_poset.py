@@ -166,6 +166,33 @@ class TestHat:
                         frozenset((x, z)) in und and frozenset((y, z)) in und
                     )
 
+    def test_less_is_the_bounded_order(self):
+        for d in range(1, 6):
+            for p in poset_classes(d):
+                h = p.hat()
+                n = h.d + 2
+                for x in range(n):
+                    for y in range(n):
+                        if x == y:
+                            want = False
+                        elif x == 0 or y == h.top:
+                            want = True
+                        elif y == 0 or x == h.top:
+                            want = False
+                        else:
+                            want = h.base.less(x, y)
+                        assert h.less(x, y) == want, (p, x, y)
+                        assert h.is_edge(x, y) == h.is_edge(y, x)
+                        assert h.is_edge(x, y) == ((x, y) in h.edges or (y, x) in h.edges)
+                    assert h.above[x] == sum(1 << y for y in range(n) if h.less(x, y))
+
+    def test_indices_outside_the_bounds(self, two_chain_plus_point):
+        h = two_chain_plus_point.hat()
+        for x, y in [(0, -1), (-1, 0), (-1, 2), (2, -1), (5, 1), (1, 5),
+                     (0, 5), (5, 4), (4, 5), (-2, -1)]:
+            assert not h.less(x, y)
+            assert not h.is_edge(x, y)
+
 
 class TestDist:
     def test_cover_edge_is_one(self, diamond):
@@ -193,6 +220,11 @@ class TestDist:
             h.dist(2, 1)
         with pytest.raises(NotComparable):
             h.dist(1, 1)
+        # indices outside 0..d+1: -1 must not wrap round to the top row,
+        # and d + 2 = 5 must not index past the table
+        for y, z in [(0, -1), (-1, 1), (-1, 4), (5, 1), (1, 5), (0, 5), (5, 4)]:
+            with pytest.raises(NotComparable):
+                h.dist(y, z)
 
     def test_matches_exhaustive_chain_search(self):
         import random
@@ -353,6 +385,17 @@ class TestFileFormats:
     ])
     def test_text_tokens_int_refuses(self, text, line):
         # each passed a digit pre-check and then failed int()
+        with pytest.raises(ParseError, match=line):
+            poset_from_text(text)
+
+    @pytest.mark.parametrize("text, line", [
+        ("+3\n", "line 1"),
+        ("3\n+1 2\n", "line 2"),
+        ("\u0663\n1 2\n", "line 1"),  # ARABIC-INDIC DIGIT THREE
+        ("3\n1_0 2\n", "line 2"),
+    ])
+    def test_text_tokens_ascii_digits_only(self, text, line):
+        # each one int() reads as a number
         with pytest.raises(ParseError, match=line):
             poset_from_text(text)
 
