@@ -201,9 +201,14 @@ def classify(p: Poset) -> ClassificationReport:
     iter_witnesses yields is the report's witness.  Every report comes
     from that search, so method is always "combinatorial".
     """
-    witness = next(iter_witnesses(p.hat()), None)
+    return _classify(p.hat())
+
+
+def _classify(h: HatPoset) -> ClassificationReport:
+    """``classify`` on the poset's bounded poset, built by the caller."""
+    witness = next(iter_witnesses(h), None)
     ok = witness is None
     return ClassificationReport(
-        d=p.d, fano=True, terminal=True, gorenstein=True,
+        d=h.d, fano=True, terminal=True, gorenstein=True,
         q_factorial=ok, smooth=ok, method="combinatorial", witness=witness,
     )

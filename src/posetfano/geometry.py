@@ -21,6 +21,7 @@ walk and checks that plane on every Hasse edge itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, compress, permutations, product
 from math import gcd, prod
 from operator import mul, not_
@@ -31,7 +32,7 @@ from .errors import (
     UnsupportedSize,
     WalkNotEligible,
 )
-from .poset import HatPoset, Walk
+from .poset import HatPoset, Walk, _bits
 
 Vector = tuple[int, ...]
 
@@ -202,9 +203,7 @@ def enumerate_facets(points) -> list[Facet]:
                         ray_new = [v_out * x - v * y for x, y in zip(ray, ray_out)]
                         cone.append((_primitive(ray_new), common | bit))
     facets = sorted(
-        (Facet(tuple(ray[:d]), ray[d],
-               tuple(k for k in range(len(points)) if zero >> k & 1))
-         for ray, zero in cone),
+        (Facet(tuple(ray[:d]), ray[d], tuple(_bits(zero))) for ray, zero in cone),
         key=lambda f: (f.normal, f.offset))
     for f in facets:
         if f.offset == 0:
@@ -217,14 +216,14 @@ def enumerate_facets(points) -> list[Facet]:
 MAX_BOX_POINTS = 3 ** 16
 
 
-def _lattice_box(points: list[Vector]) -> list[range]:
+def _lattice_box(points: list[Vector]) -> tuple[range, ...]:
     """The integer range of each coordinate over the points.
 
     Raises UnsupportedSize for a box of more than MAX_BOX_POINTS points
     (the {-1, 0, 1} cube of d = 16), which the lattice scan would take
     too long over.
     """
-    box = [range(min(column), max(column) + 1) for column in zip(*points)]
+    box = tuple(range(min(column), max(column) + 1) for column in zip(*points))
     size = prod(map(len, box))
     if size > MAX_BOX_POINTS:
         raise UnsupportedSize(
@@ -232,7 +231,7 @@ def _lattice_box(points: list[Vector]) -> list[range]:
     return box
 
 
-def _sums(normal: Vector, box: list[range]) -> list[int]:
+def _sums(normal: Vector, box: tuple[range, ...]) -> list[int]:
     """normal . q for each q of the product of the ranges, in product order."""
     sums = [0]
     for a, r in zip(normal, box):
@@ -240,49 +239,72 @@ def _sums(normal: Vector, box: list[range]) -> list[int]:
     return sums
 
 
-def _hull_points(box: list[range], facets: list[Facet]):
+HALF_TABLES = 2048  # tables each half cache keeps; see _hull_points
+
+
+@lru_cache(maxsize=HALF_TABLES)
+def _head_sums(normal: Vector, box: tuple[range, ...]) -> tuple[int, ...]:
+    """The head sums A: ``_sums`` as a tuple, built once per key."""
+    return tuple(_sums(normal, box))
+
+
+@lru_cache(maxsize=HALF_TABLES)
+def _tail_cuts(normal: Vector, box: tuple[range, ...]) -> tuple:
+    """(sums, low, span, fits) of a tail half, built once per key.
+
+    ``sums`` are the tail sums B, low = min B and span = max B - low;
+    fits[t - low] for low <= t < low + span is the bit set of the tails
+    w with B[w] <= t.
+    """
+    sums = _sums(normal, box)
+    low, high = min(sums), max(sums)
+    equal = [0] * (high - low)
+    for w, s in enumerate(sums):
+        if s < high:
+            equal[s - low] |= 1 << w
+    # runs of one mask share one int, so fits costs a pointer per value of t
+    fits, mask = [], 0
+    for bits in equal:
+        if bits:
+            mask |= bits
+        fits.append(mask)
+    return tuple(sums), low, high - low, tuple(fits)
+
+
+def _hull_points(box: tuple[range, ...], facets: list[Facet]):
     """(q, facet values - offsets) for each lattice point q of the hull.
 
     Meets in the middle of the integer bounding box ``box``.  A box
     point q is a head u (its first d // 2 coordinates) followed by a
     tail w, and a . q = A[u] + B[w], where the head sums A and the tail
-    sums B are computed once per distinct half of a normal.  The tails
-    of one head point are the bits of an integer, all set to begin
-    with; a facet with t = offset - A[u] keeps only the bits of
-    fits[t], the tails with B[w] <= t (none when t < min B, all when
-    t >= max B).  A head point is done when no bit is left, and the
-    bits left after the last facet are its hull points.  Points come in
-    product order.
+    sums B come from ``_head_sums`` and ``_tail_cuts``.  The tails of
+    one head point are the bits of an integer, all set to begin with; a
+    facet with t = offset - A[u] keeps only the bits of fits[t], the
+    tails with B[w] <= t (none when t < min B, all when t >= max B).  A
+    head point is done when no bit is left, and the bits left after the
+    last facet are its hull points.  Points come in product order.
+
+    The half tables are built once per process and kept, keyed by (half
+    normal, half box): poset polytopes share the {-1, 0, 1}^d box, and
+    their facet normals, integer potentials of a network matrix, repeat
+    from class to class.  Each cache keeps the HALF_TABLES tables used
+    last.  Every duality class with d <= 8 together needs 1439 head and
+    832 tail tables, 2.5 MB (tracemalloc).  At the MAX_BOX_POINTS
+    budget, the {-1, 0, 1}^16 cube with 3^8-point halves, a head table
+    of a d = 16 poset polytope's normal takes 72 KB and a tail table
+    96 KB, so full caches retain about 340 MB.
     """
     h = len(box) // 2
-    heads = list(product(*box[:h]))
-    tails = list(product(*box[h:]))
-    head_sums: dict[Vector, list[int]] = {}
-    tail_cuts: dict[Vector, tuple] = {}
+    head_box, tail_box = box[:h], box[h:]
+    heads = list(product(*head_box))
+    tails = list(product(*tail_box))
     planes, values = [], []
     for f in facets:
-        head, tail = f.normal[:h], f.normal[h:]
-        if head not in head_sums:
-            head_sums[head] = _sums(head, box[:h])
-        if tail not in tail_cuts:
-            sums = _sums(tail, box[h:])
-            low, high = min(sums), max(sums)
-            equal = [0] * (high - low)
-            for w, s in enumerate(sums):
-                if s < high:
-                    equal[s - low] |= 1 << w
-            # fits[t - low] for low <= t < high; runs of one mask share
-            # one int, so the list costs a pointer per value of t
-            fits, mask = [], 0
-            for bits in equal:
-                if bits:
-                    mask |= bits
-                fits.append(mask)
-            tail_cuts[tail] = sums, low, high - low, fits
-        sums, low, span, fits = tail_cuts[tail]
+        a = _head_sums(f.normal[:h], head_box)
+        sums, low, span, fits = _tail_cuts(f.normal[h:], tail_box)
         # a plane's fits index for head point i is offset - low - A[i]
-        planes.append((head_sums[head], f.offset - low, span, fits))
-        values.append((head_sums[head], sums, f.offset))
+        planes.append((a, f.offset - low, span, fits))
+        values.append((a, sums, f.offset))
     every_tail = (1 << len(tails)) - 1
     for i, u in enumerate(heads):
         alive = every_tail

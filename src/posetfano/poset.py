@@ -107,8 +107,8 @@ class Poset:
     # -- basic queries -------------------------------------------------
 
     def less(self, i: int, j: int) -> bool:
-        """True iff y_i < y_j."""
-        return (self._above[i] >> j) & 1 == 1
+        """True iff y_i < y_j; False unless both are in 1..d."""
+        return 1 <= i <= self.d and 1 <= j <= self.d and (self._above[i] >> j) & 1 == 1
 
     def above_mask(self, i: int) -> int:
         return self._above[i]

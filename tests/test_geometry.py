@@ -298,6 +298,11 @@ def random_point_sets_with_facets(count):
         yield points, facets
 
 
+def clear_half_tables():
+    geometry._head_sums.cache_clear()
+    geometry._tail_cuts.cache_clear()
+
+
 def scan(points, facets):
     return list(geometry._hull_points(geometry._lattice_box(points), facets))
 
@@ -333,7 +338,8 @@ class TestHullPointsAgainstBoxWalk:
 
     def test_sums_once_per_distinct_half(self, monkeypatch):
         # the box splits after d // 2 coordinates, and each distinct half
-        # of a normal has its sums computed once per scan
+        # of a normal has its sums computed once per process: on cleared
+        # caches a scan computes each once, and a repeat scan none
         calls = []
         sums = geometry._sums
         monkeypatch.setattr(geometry, "_sums",
@@ -342,12 +348,57 @@ class TestHullPointsAgainstBoxWalk:
         for points in class_vertex_sets([6]):
             h = len(points[0]) // 2
             facets = enumerate_facets(points)
+            clear_half_tables()
             del calls[:]
             scan(points, facets)
             assert sorted(calls) == sorted([*{f.normal[:h] for f in facets},
                                             *{f.normal[h:] for f in facets}])
             shared += len(calls) < 2 * len(facets)
+            del calls[:]
+            scan(points, facets)
+            assert calls == []
         assert shared
+
+    def test_shared_half_normal_other_box(self):
+        # doubling a point set keeps its facet normals and doubles its
+        # box, so a table keyed by the half normal alone would serve the
+        # other set's box; each set gives the box walk's stream in
+        # either order
+        for points in [CROSS2, *class_vertex_sets(range(2, 5))]:
+            doubled = [tuple(2 * x for x in p) for p in points]
+            assert ({f.normal for f in enumerate_facets(points)}
+                    == {f.normal for f in enumerate_facets(doubled)})
+            for first, second in ((points, doubled), (doubled, points)):
+                clear_half_tables()
+                for pts in (first, second):
+                    assert same_stream(pts, enumerate_facets(pts)), pts
+
+    @pytest.mark.slow
+    def test_warm_tables_d7(self):
+        # every d = 7 class gives the same stream and flags with cold
+        # tables and, classes in reverse order, with the tables they left
+        def digests(sample):
+            out = {}
+            for k, points in sample:
+                stream = scan(points, enumerate_facets(points))
+                flags = geometry.facets_and_flags(points)[1:]
+                out[k] = hashlib.sha256(repr((stream, flags)).encode()).hexdigest()
+            return out
+
+        classes = list(enumerate(class_vertex_sets([7])))
+        clear_half_tables()
+        cold = digests(classes)
+        built = geometry._head_sums.cache_info(), geometry._tail_cuts.cache_info()
+        assert digests(reversed(classes)) == cold
+        for was, cache in zip(built, (geometry._head_sums, geometry._tail_cuts)):
+            assert cache.cache_info().misses == was.misses
+            assert cache.cache_info().currsize == was.currsize <= geometry.HALF_TABLES
+        points = classes[-1][1]
+        box = geometry._lattice_box(points)
+        facet = enumerate_facets(points)[0]
+        head = geometry._head_sums(facet.normal[:3], box[:3])
+        sums, low, span, fits = tail = geometry._tail_cuts(facet.normal[3:], box[3:])
+        assert type(head) is type(tail) is type(sums) is type(fits) is tuple
 
     def test_cut_facet_lists(self):
         kinds = set()

@@ -194,6 +194,23 @@ class TestHat:
             assert not h.is_edge(x, y)
 
 
+class TestLess:
+    def test_indices_outside_1_to_d(self):
+        p = poset_from_text("3\n1 2\n2 3")
+        assert p.less(1, 3)
+        for i, j in [(-2, 3), (1, -1), (4, 1), (0, 1), (1, 0), (3, 4), (-1, -1)]:
+            assert p.less(i, j) is False, (i, j)
+
+    def test_agrees_with_the_masks(self):
+        for d in range(1, 6):
+            for p in poset_classes(d):
+                for i in p.elements:
+                    for j in p.elements:
+                        want = (p.above_mask(i) >> j) & 1 == 1
+                        assert p.less(i, j) is want, (p, i, j)
+                        assert want == ((p.below_mask(j) >> i) & 1 == 1)
+
+
 class TestDist:
     def test_cover_edge_is_one(self, diamond):
         h = diamond.hat()
