@@ -90,7 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "resume", False) and not args.out:
+        parser.error("table --resume needs --out, the CSV file to resume")
     try:
         return _COMMANDS[args.command](args)
     except (PosetfanoError, ValueError, OSError) as e:

@@ -3,7 +3,7 @@ the Fano / terminal / Gorenstein / simplicial / smooth tests.
 
 Everything runs on arbitrary-precision integers: facets come from the
 double description method (Motzkin et al. 1953; Fukuda and Prodon
-1996), whose seed cone is read off one fraction-free inverse, support
+1996), seeded by one fraction-free Gauss-Jordan pass, support
 tests are integer dot products, and the hull's lattice points come from
 a meet-in-the-middle scan of the integer bounding box (at most 3^16
 points): each normal's dot product splits into a sum over the first
@@ -88,46 +88,41 @@ def _primitive(v: list[int]) -> list[int]:
     return [x // g for x in v] if g > 1 else v
 
 
-def _extend(basis, row: list[int]):
-    """The echelon basis grown by one row, or None if dependent.
+def _seed_cone(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(seeds, rays): the first n linearly independent rows of length n,
+    and for each seed the primitive ray through the others.
 
-    ``basis`` holds (pivot column, row) pairs, each row zero in the
-    pivot columns of the rows before it and divided by its gcd, so
-    entries stay small.
+    One fraction-free Gauss-Jordan pass (Bareiss 1968) over the rows in
+    order that keeps only the row-operation matrix E, so E . row is the
+    row eliminated so far.  A row that is zero there off the k rows
+    pivoted so far depends on the seeds and is skipped; otherwise it is
+    seed k: a row with a nonzero entry swaps into place k, and every
+    other row of E becomes pivot * row - entry * E[k], divided exactly
+    by the previous pivot.  After n seeds E . S = delta * I for the
+    matrix S of seed columns, so row k of E is orthogonal to every seed
+    but k and takes delta on it; the sign of -delta makes it outward.
     """
-    for c, r in basis:
-        if row[c]:
-            a, b = r[c], row[c]
-            row = [a * x - b * y for x, y in zip(row, r)]
-    if not any(row):
-        return None
-    row = _primitive(row)
-    return basis + ((next(c for c, x in enumerate(row) if x), row),)
-
-
-def _inverse(matrix) -> tuple[int, list[list[int]]]:
-    """(delta, X) with matrix . X = delta * I for a nonsingular integer
-    matrix, where delta = +-det and X is the adjugate up to that sign.
-
-    Fraction-free Gauss-Jordan elimination of [matrix | I] (Bareiss
-    1968): step k replaces every row but the pivot row by pivot * row -
-    row[k] * pivot row, divided exactly by the previous pivot, so the
-    left half ends as delta * I and the right half as X.
-    """
-    n = len(matrix)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    n = len(rows[0])
+    e = [[int(i == j) for j in range(n)] for i in range(n)]
+    seeds: list[int] = []
     prev = 1
-    for k in range(n):
-        if m[k][k] == 0:
-            r = next(r for r in range(k + 1, n) if m[r][k])
-            m[k], m[r] = m[r], m[k]
-        pivot, top = m[k][k], m[k]
-        for r, row in enumerate(m):
-            if r != k:
-                f = row[k]
-                m[r] = [(pivot * x - f * y) // prev for x, y in zip(row, top)]
+    for i, row in enumerate(rows):
+        k = len(seeds)
+        v = [sum(map(mul, r, row)) for r in e]
+        p = next((p for p in range(k, n) if v[p]), None)
+        if p is None:
+            continue
+        e[k], e[p] = e[p], e[k]
+        v[k], v[p] = v[p], v[k]
+        pivot, top = v[k], e[k]
+        e = [top if r == k else [(pivot * x - f * y) // prev for x, y in zip(e[r], top)]
+             for r, f in enumerate(v)]
         prev = pivot
-    return prev, [row[n:] for row in m]
+        seeds.append(i)
+        if k + 1 == n:
+            sign = -1 if prev > 0 else 1
+            return seeds, [_primitive([sign * x for x in ray]) for ray in e]
+    raise DegenerateInput(f"points do not affinely span dimension {n - 1}")
 
 
 def _dimension(points: list[Vector]) -> int:
@@ -147,42 +142,27 @@ def enumerate_facets(points) -> list[Facet]:
     point form a cone in R^(d+1), pointed when the points affinely
     span, whose extreme rays (a, b) are the facets.  The cone starts
     as the simplicial cone of the first d + 1 affinely independent
-    points, one ray through each d of them (a column of the inverse of
-    their matrix), and takes the other points in input order.  A new point drops the rays it violates; a violated
-    ray and a satisfied one span a new ray on the point's hyperplane
-    when they are adjacent: their common zero set (the points tight on
-    both) lies in no other ray's zero set.  Counting its members first,
-    at least d - 1 for adjacent rays, only saves time.  Rays are kept
-    primitive, and a point of the set is tight on each, so a ray's
-    first d entries are the primitive outward normal and its last the
-    offset.  Raises DegenerateInput if the points do not span, and
-    OriginOnHyperplane if a facet passes through the origin (such a
-    hull cannot be Fano).
+    points, one ray through each d of them, both read off the one
+    elimination pass that picks them (``_seed_cone``), and takes the
+    other points in input order.  A new point drops the rays it
+    violates; a violated ray and a satisfied one span a new ray on the
+    point's hyperplane when they are adjacent: their common zero set
+    (the points tight on both) lies in no other ray's zero set.
+    Counting its members first, at least d - 1 for adjacent rays, only
+    saves time.  Rays are kept primitive, and a point of the set is
+    tight on each, so a ray's first d entries are the primitive outward
+    normal and its last the offset.  Raises DegenerateInput if the
+    points do not span, and OriginOnHyperplane if a facet passes through
+    the origin (such a hull cannot be Fano).
     """
     points = [tuple(p) for p in points]
     d = _dimension(points)
     # a ray (a, b) satisfies point p iff (p, -1) . (a, b) <= 0
     rows = [list(p) + [-1] for p in points]
-    seeds: list[int] = []
-    basis = ()
-    for i, row in enumerate(rows):
-        grown = _extend(basis, row)
-        if grown is not None:
-            basis = grown
-            seeds.append(i)
-            if len(seeds) == d + 1:
-                break
-    else:
-        raise DegenerateInput(f"points do not affinely span dimension {d}")
+    seeds, rays = _seed_cone(rows)
     spanned = sum(1 << i for i in seeds)
-    # column j of the seed rows' inverse is orthogonal to every seed row
-    # but j, and seed row j takes delta on it: the seed ray through the
-    # others, made outward by giving it the sign of -delta
-    delta, inverse = _inverse([rows[i] for i in seeds])
-    sign = -1 if delta > 0 else 1
-    cone = []  # (ray, zero set as a bit mask over the points added so far)
-    for j, column in zip(seeds, zip(*inverse)):
-        cone.append((_primitive([sign * x for x in column]), spanned & ~(1 << j)))
+    # zero set as a bit mask over the points added so far
+    cone = [(ray, spanned & ~(1 << j)) for j, ray in zip(seeds, rays)]
     for i, row in enumerate(rows):
         if spanned >> i & 1:
             continue

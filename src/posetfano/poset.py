@@ -214,8 +214,7 @@ class HatPoset:
     safe to share across workers.
     """
 
-    __slots__ = ("base", "d", "top", "above", "edges", "up",
-                 "neighbors", "_dist", "_chains")
+    __slots__ = ("base", "d", "top", "above", "edges", "up", "neighbors", "_dist")
 
     def __init__(self, base: Poset):
         d = base.d
@@ -238,7 +237,6 @@ class HatPoset:
         self.up = tuple(tuple(sorted(s)) for s in up)
         self.neighbors = tuple(tuple(sorted(s)) for s in neighbors)
         self._dist: tuple[tuple[int, ...], ...] | None = None
-        self._chains: tuple[tuple[int, ...], ...] | None = None
 
     def less(self, i: int, j: int) -> bool:
         """Strict order of the bounded poset; False unless both are in 0..d+1."""
@@ -283,22 +281,20 @@ class HatPoset:
 
     def maximal_chains(self) -> tuple[tuple[int, ...], ...]:
         """All saturated chains from 0 to d+1, in lexicographic order."""
-        if self._chains is None:
-            chains: list[tuple[int, ...]] = []
-            chain = [0]
-            branches = [iter(self.up[0])]  # untried covers of each chain element
-            while branches:
-                y = next(branches[-1], None)
-                if y is None:
-                    branches.pop()
-                    chain.pop()
-                elif y == self.top:
-                    chains.append((*chain, y))
-                else:
-                    chain.append(y)
-                    branches.append(iter(self.up[y]))
-            self._chains = tuple(chains)
-        return self._chains
+        chains: list[tuple[int, ...]] = []
+        chain = [0]
+        branches = [iter(self.up[0])]  # untried covers of each chain element
+        while branches:
+            y = next(branches[-1], None)
+            if y is None:
+                branches.pop()
+                chain.pop()
+            elif y == self.top:
+                chains.append((*chain, y))
+            else:
+                chain.append(y)
+                branches.append(iter(self.up[y]))
+        return tuple(chains)
 
     def __repr__(self) -> str:
         return f"HatPoset(d={self.d}, edges={list(self.edges)})"
@@ -329,11 +325,8 @@ class Walk:
             raise ValueError("cycles have at least 4 elements")
         if kind == "path" and len(elements) < 2:
             raise ValueError("paths have at least 2 elements")
-        pairs = list(zip(elements, elements[1:]))
-        if kind == "cycle":
-            pairs.append((elements[-1], elements[0]))
         steps = []
-        for x, y in pairs:
+        for x, y in _step_pairs(elements, kind):
             if not h.is_edge(x, y):
                 raise ValueError(f"{{{x},{y}}} is not a Hasse edge")
             steps.append(1 if h.less(x, y) else -1)
@@ -344,10 +337,13 @@ class Walk:
                 "steps": list(self.steps)}
 
     def edge_pairs(self) -> list[tuple[int, int]]:
-        pairs = list(zip(self.elements, self.elements[1:]))
-        if self.kind == "cycle":
-            pairs.append((self.elements[-1], self.elements[0]))
-        return pairs
+        return _step_pairs(self.elements, self.kind)
+
+
+def _step_pairs(elements: tuple[int, ...], kind: str) -> list[tuple[int, int]]:
+    """(x, y) for each step; a cycle's last step closes back to its first element."""
+    ends = elements[1:] + elements[:1] if kind == "cycle" else elements[1:]
+    return list(zip(elements, ends))
 
 
 # -- file formats -------------------------------------------------------

@@ -248,6 +248,13 @@ class TestTableCommand:
         assert str(out_file) in err and line in err
         assert out_file.read_text() == text
 
+    def test_resume_without_out_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", "--max-d", "2", "--jobs", "1", "--resume"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--out" in captured.err and captured.out == ""
+
     def test_resume_into_an_empty_csv_writes_the_header(self, tmp_path, capsys):
         out_file = tmp_path / "t.csv"
         out_file.write_text("")

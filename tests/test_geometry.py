@@ -237,6 +237,21 @@ class TestFacetsAgainstSubsetSearch:
                     seen.add("non-simplicial")
         assert {DegenerateInput, "repeated", "distinct", "non-simplicial"} <= seen
 
+    def test_dependent_leading_points(self):
+        # a repeated point, then one on the line through the first two:
+        # the first d + 1 points never span, so seeding skips some of them
+        rng = random.Random(19)
+        spanning = 0
+        for d in range(2, 6):
+            for _ in range(10):
+                p, q = (tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(2))
+                lead = [p, p, q, tuple(2 * b - a for a, b in zip(p, q))]
+                points = lead + [tuple(rng.randint(-2, 2) for _ in range(d)) for _ in range(d + 3)]
+                mine = outcome(enumerate_facets, points)
+                assert mine == outcome(subset_facets, points), points
+                spanning += not isinstance(mine, type)
+        assert spanning >= 25
+
 
 class TestScansAgainstFullBox:
     def test_every_class_up_to_d5(self):
