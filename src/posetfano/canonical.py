@@ -12,8 +12,8 @@ only its own cell and reaches one leaf whatever the twins' order, so
 the search branches only on the lowest-rank cell that is not all twins
 (once per twin group) and treats a partition whose other cells are
 all twins as a leaf; the minimum over leaves is unchanged.  Sizes here
-are tiny (d <= 64 by type, d <= 8 in all enumeration paths), so no
-external canonicalization dependency is used.
+are tiny (d <= 64 by type, d <= enumeration.CENSUS_MAX_D in all
+enumeration paths), so no external canonicalization dependency is used.
 """
 from __future__ import annotations
 

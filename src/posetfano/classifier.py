@@ -24,7 +24,7 @@ unpruned list of cycles and then paths would give them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, Optional
 
 from .errors import NotConsistent
 from .poset import HatPoset, Poset, Walk
@@ -164,22 +164,28 @@ def iter_witnesses(h: HatPoset) -> Iterator[Walk]:
 class ClassificationReport:
     """Outcome of classifying one poset's polytope.
 
-    fano, terminal and gorenstein hold unconditionally for these
-    polytopes; q_factorial and smooth coincide.  witness is present
-    exactly when the polytope is not Q-factorial.
+    The report is its witness: the polytope is Q-factorial and smooth
+    (the two coincide) exactly when no blocking walk was found.  fano,
+    terminal and gorenstein hold unconditionally for these polytopes,
+    and every report comes from the walk search.
     """
 
     d: int
-    fano: bool
-    terminal: bool
-    gorenstein: bool
-    q_factorial: bool
-    smooth: bool
-    method: str  # always "combinatorial"
     witness: Optional[Walk] = None
 
+    fano: ClassVar[bool] = True
+    terminal: ClassVar[bool] = True
+    gorenstein: ClassVar[bool] = True
+    method: ClassVar[str] = "combinatorial"
+
+    @property
+    def smooth(self) -> bool:
+        return self.witness is None
+
+    q_factorial = smooth
+
     def to_dict(self) -> dict:
-        out = {
+        return {
             "d": self.d,
             "fano": self.fano,
             "terminal": self.terminal,
@@ -187,11 +193,8 @@ class ClassificationReport:
             "q_factorial": self.q_factorial,
             "smooth": self.smooth,
             "method": self.method,
-            "witness": None,
+            "witness": None if self.witness is None else self.witness.to_dict(),
         }
-        if self.witness is not None:
-            out["witness"] = self.witness.to_dict()
-        return out
 
 
 def classify(p: Poset) -> ClassificationReport:
@@ -206,9 +209,4 @@ def classify(p: Poset) -> ClassificationReport:
 
 def _classify(h: HatPoset) -> ClassificationReport:
     """``classify`` on the poset's bounded poset, built by the caller."""
-    witness = next(iter_witnesses(h), None)
-    ok = witness is None
-    return ClassificationReport(
-        d=h.d, fano=True, terminal=True, gorenstein=True,
-        q_factorial=ok, smooth=ok, method="combinatorial", witness=witness,
-    )
+    return ClassificationReport(h.d, next(iter_witnesses(h), None))

@@ -76,13 +76,15 @@ def _keyed_children(parent: Poset) -> list[tuple[bytes, tuple[int, ...]]]:
     return [(child.canonical_key(), child._above) for child in _extensions(parent)]
 
 
+CENSUS_MAX_D = 8  # the largest poset size the census enumerates
 _LEVELS: dict[int, tuple[Poset, ...]] = {}
 
 
 def poset_classes(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
     """One representative per isomorphism class, deterministic order."""
-    if not 1 <= d <= 8:
-        raise UnsupportedSize(f"enumeration supports 1 <= d <= 8, got {d}")
+    if not 1 <= d <= CENSUS_MAX_D:
+        raise UnsupportedSize(
+            f"enumeration supports 1 <= d <= {CENSUS_MAX_D}, got {d}")
     if d not in _LEVELS:
         if d == 1:
             _LEVELS[1] = (Poset(1, (0, 0)),)
@@ -159,8 +161,9 @@ def build_table(
     finishes; with ``resume``, rows already present in that file are
     reused instead of recomputed, so long runs can be restarted.
     """
-    if not 1 <= d_max <= 8:
-        raise UnsupportedSize(f"table supports 1 <= max d <= 8, got {d_max}")
+    if not 1 <= d_max <= CENSUS_MAX_D:
+        raise UnsupportedSize(
+            f"table supports 1 <= max d <= {CENSUS_MAX_D}, got {d_max}")
     done: dict[int, TableRow] = {}
     if out:
         if resume and os.path.exists(out):

@@ -13,7 +13,7 @@ class NotComparable(PosetfanoError):
     """A distance query y < z was made for an incomparable (or equal) pair."""
 
 
-class NotAnEdge(PosetfanoError):
+class NotAnEdge(PosetfanoError, ValueError):
     """The given pair is not an edge of the bounded Hasse diagram."""
 
 

@@ -25,6 +25,7 @@ from functools import lru_cache
 from itertools import accumulate, compress, permutations, product
 from math import gcd, prod
 from operator import mul, not_
+from typing import ClassVar
 
 from .errors import (
     DegenerateInput,
@@ -77,10 +78,6 @@ class Facet:
     normal: Vector
     offset: int
     incident: tuple[int, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.normal)
 
 
 def _primitive(v: list[int]) -> list[int]:
@@ -380,7 +377,7 @@ def is_gorenstein(facets: list[Facet]) -> bool:
 
 def is_simplicial(facets: list[Facet]) -> bool:
     """True iff every facet has exactly d incident vertices."""
-    return all(len(f.incident) == f.d for f in facets)
+    return all(len(f.incident) == len(f.normal) for f in facets)
 
 
 def is_smooth_geometric(points, facets: list[Facet]) -> bool:
@@ -406,10 +403,11 @@ def is_smooth_geometric(points, facets: list[Facet]) -> bool:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    """normal . x = offset with normal integral; offset is always 1 here."""
+    """normal . x = 1 with normal integral."""
 
     normal: Vector
-    offset: int
+
+    offset: ClassVar[int] = 1
 
 
 def witness_hyperplane(h: HatPoset, walk: Walk) -> Hyperplane:
@@ -461,4 +459,4 @@ def witness_hyperplane(h: HatPoset, walk: Walk) -> Hyperplane:
     if (any(a[lo] - a[hi] > 1 for lo, hi in h.edges)
             or any(a[x] - a[y] != s for (x, y), s in zip(walk.edge_pairs(), walk.steps))):
         raise WalkNotEligible(f"{walk.kind} level gaps exceed distances")
-    return Hyperplane(tuple(a[1:top]), 1)
+    return Hyperplane(tuple(a[1:top]))

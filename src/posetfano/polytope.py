@@ -1,10 +1,10 @@
 """The lattice polytope spanned by the Hasse edges of a bounded poset.
 
-Every Hasse edge of the bounded poset maps to an integer vector: an
-edge into the top contributes a unit vector, an edge out of the bottom
-a negated unit vector, and an inner edge the difference of two unit
-vectors.  The polytope is the convex hull of these vectors; they are
-pairwise distinct and are exactly its vertices.
+Every Hasse edge lo < hi of the bounded poset maps to the integer
+vector e_lo - e_hi over 0..d+1 with the two bounds' coordinates
+dropped, a column of the network matrix of the Hasse diagram.  The
+polytope is the convex hull of these vectors; they are pairwise
+distinct and are exactly its vertices.
 """
 from __future__ import annotations
 
@@ -19,24 +19,19 @@ Vector = tuple[int, ...]
 def edge_vector(h: HatPoset, edge: tuple[int, int]) -> Vector:
     """Map a Hasse edge {i, j} with y_i < y_j to its lattice vector.
 
-    e_i if j is the top, -e_j if i is the bottom, e_i - e_j otherwise.
-    The edge may be given in either order; raises NotAnEdge if the pair
-    is not an edge of the bounded Hasse diagram.
+    e_i - e_j over the indices 0..d+1, without the coordinates of the
+    bottom 0 and the top d+1.  The edge may be given in either order;
+    raises NotAnEdge if the pair is not an edge of the bounded Hasse
+    diagram.
     """
     i, j = edge
     if not h.is_edge(i, j):
         raise NotAnEdge(f"{{{i},{j}}} is not a Hasse edge")
     lo, hi = (i, j) if h.less(i, j) else (j, i)
-    d = h.d
-    coords = [0] * d
-    if hi == h.top:
-        coords[lo - 1] = 1
-    elif lo == 0:
-        coords[hi - 1] = -1
-    else:
-        coords[lo - 1] = 1
-        coords[hi - 1] = -1
-    return tuple(coords)
+    coords = [0] * (h.top + 1)
+    coords[lo] = 1
+    coords[hi] = -1
+    return tuple(coords[1:h.top])
 
 
 @dataclass(frozen=True)
@@ -50,9 +45,6 @@ class PolytopeVertexSet:
     d: int
     vectors: tuple[Vector, ...]
     edges: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.vectors)
 
 
 def build_vertex_set(h: HatPoset) -> PolytopeVertexSet:

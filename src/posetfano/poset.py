@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CycleInInput, NotComparable, ParseError
+from .errors import CycleInInput, NotAnEdge, NotComparable, ParseError
 
 MAX_D = 64
 _INTEGER = re.compile("-?[0-9]+")  # a text-format token: ASCII digits only
@@ -328,7 +328,7 @@ class Walk:
         steps = []
         for x, y in _step_pairs(elements, kind):
             if not h.is_edge(x, y):
-                raise ValueError(f"{{{x},{y}}} is not a Hasse edge")
+                raise NotAnEdge(f"{{{x},{y}}} is not a Hasse edge")
             steps.append(1 if h.less(x, y) else -1)
         return cls(elements, kind, tuple(steps))
 

@@ -1,18 +1,21 @@
 import gc
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from posetfano import (
     CycleInInput,
+    NotAnEdge,
     NotComparable,
     ParseError,
     Poset,
     poset_from_text,
     poset_classes,
     poset_to_text,
+    Walk,
 )
 from conftest import antichain, chain, random_poset
 from oracles import eager_covers, maximal_chains_by_definition, saturated_chains
@@ -192,6 +195,20 @@ class TestHat:
                      (0, 5), (5, 4), (4, 5), (-2, -1)]:
             assert not h.less(x, y)
             assert not h.is_edge(x, y)
+
+
+class TestWalkFromElements:
+    @pytest.mark.parametrize("kind, elements, pair", [
+        ("path", (0, 1, 99), "{1,99}"),
+        ("path", (-1, 1), "{-1,1}"),
+        ("cycle", (0, 1, 99, 2), "{1,99}"),
+        ("cycle", (-1, 1, 2, 4), "{-1,1}"),
+    ])
+    def test_step_off_the_hasse_diagram(self, diamond, kind, elements, pair):
+        # a ValueError too, as it was before the typed error
+        assert issubclass(NotAnEdge, ValueError)
+        with pytest.raises(NotAnEdge, match=re.escape(pair)):
+            Walk.from_elements(diamond.hat(), elements, kind)
 
 
 class TestLess:

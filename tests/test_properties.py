@@ -1,7 +1,8 @@
 """Standalone property suites over fixtures and random posets.
 
-None of these groups depends on the enumeration pipeline; they draw
-from named fixtures and seeded random posets only.
+These groups draw from named fixtures and seeded random posets; only
+the witness-hyperplane group also takes every non-smooth duality class
+with d <= 5 from the enumeration pipeline.
 """
 import random
 from fractions import Fraction
@@ -15,6 +16,8 @@ from posetfano import (
     enumerate_facets,
     level_labels,
     maximal_chain_vector_sum,
+    poset_classes,
+    quotient_by_duality,
     witness_hyperplane,
 )
 from conftest import random_poset
@@ -102,7 +105,10 @@ class TestDualityInvariance:
 
 class TestWitnessHyperplaneSupport:
     def test_witness_certifies_nonsimplicial(self, v_poset, diamond, zigzag7):
-        posets = [v_poset, diamond, zigzag7] + _sample(73, 25, dmin=3, dmax=6)
+        classes = [p for d in range(1, 6) for p in quotient_by_duality(poset_classes(d))
+                   if not classify(p).smooth]
+        assert len(classes) == 34
+        posets = [v_poset, diamond, zigzag7] + _sample(73, 25, dmin=3, dmax=6) + classes
         checked = 0
         for p in posets:
             rep = classify(p)
@@ -121,6 +127,12 @@ class TestWitnessHyperplaneSupport:
                     incident.append(v)
             for v in walk_vecs:
                 assert sum(a * x for a, x in zip(hp.normal, v)) == 1
+            # the signed edge vectors sum to 0 with signs summing to 0: an
+            # affine dependence among the walk's vertices
+            steps = rep.witness.steps
+            assert sum(steps) == 0
+            assert [sum(s * v[t] for s, v in zip(steps, walk_vecs))
+                    for t in range(p.d)] == [0] * p.d
             # the vertices on the hyperplane are affinely dependent
             assert exact_affine_rank(incident) < len(incident)
             # and any facet over that face has more than d vertices
@@ -131,7 +143,7 @@ class TestWitnessHyperplaneSupport:
             ]
             assert containing
             assert all(len(f.incident) > p.d for f in containing)
-        assert checked >= 3
+        assert checked >= 3 + len(classes)
 
 
 class TestHullVertexIdentity:
