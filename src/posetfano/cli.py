@@ -169,7 +169,7 @@ def cmd_cross_check(args) -> int:
         if args.sample is not None and args.sample < len(classes):
             reps = random.Random(args.seed).sample(classes, args.sample)
             sample = {"of": len(classes), "seed": args.seed}
-        results = pool_map(find_disagreement, reps, pool)
+        results = list(pool_map(find_disagreement, reps, pool))
     bad = [(p, mm) for p, mm in zip(reps, results) if mm]
     if args.json:
         print(json.dumps({

@@ -15,7 +15,11 @@ Extension shards over parents: a worker returns the canonical key and
 strict-order masks of each child of one parent, and the results are
 merged in parent order, keeping the first child seen under each key.
 That is the representative the serial loop keeps, so representatives
-and their ``sorted(key)`` order do not depend on the pool.
+and their ``sorted(key)`` order do not depend on the pool.  The merge
+is streamed: ``pool_map`` yields each parent's children as they arrive,
+so a level's children are never all held at once.  A new
+representative's masks are stored through one dict per level, so equal
+mask values share one int object rather than one per unpickled child.
 """
 from __future__ import annotations
 
@@ -50,7 +54,7 @@ def _extensions(p: Poset) -> Iterator[Poset]:
     """
     d = p.d
     above = [p.above_mask(i) for i in range(d + 1)]
-    below = [p.below_mask(i) for i in range(d + 1)]
+    below = p.lower_masks()
     maxima = [(1 << m, below[m].bit_count()) for m in p.maximal_elements]
     new_bit = 1 << (d + 1)
     # closure[r] is the union of the down-sets of the elements of r << 1
@@ -90,10 +94,12 @@ def poset_classes(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
             _LEVELS[1] = (Poset(1, (0, 0)),)
         else:
             seen: dict[bytes, tuple[int, ...]] = {}
+            masks: dict[int, int] = {}  # one int object per mask value
             parents = poset_classes(d - 1, pool=pool)
             for children in pool_map(_keyed_children, parents, pool):
                 for key, above in children:
-                    seen.setdefault(key, above)
+                    if key not in seen:
+                        seen[key] = tuple(map(masks.setdefault, above, above))
             reps = []
             for key in sorted(seen):
                 p = Poset(d, seen[key])
@@ -114,7 +120,8 @@ def _represents_its_pair(p: Poset) -> bool:
     p and its dual, the one whose sorted pairs sort strictly lower is
     kept; only on a tie are the keys compared, keeping the smaller one.
     """
-    sizes = [(p.below_mask(i).bit_count(), p.above_mask(i).bit_count())
+    below = p.lower_masks()
+    sizes = [(below[i].bit_count(), p.above_mask(i).bit_count())
              for i in p.elements]
     own, swapped = sorted(sizes), sorted(pair[::-1] for pair in sizes)
     return own < swapped if own != swapped else p.canonical_key() <= _dual_key(p)
@@ -134,13 +141,17 @@ def worker_pool(jobs: int) -> ContextManager[Executor | None]:
     return ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext()
 
 
-def pool_map(fn: Callable, items: Sequence, pool: Executor | None = None) -> list:
-    """[fn(x) for x in items], over the pool's workers unless pool is None."""
+def pool_map(fn: Callable, items: Sequence, pool: Executor | None = None) -> Iterator:
+    """fn(x) for x in items, yielded in input order as the results arrive.
+
+    Runs over the pool's workers unless pool is None; the results must be
+    read before the pool shuts down.
+    """
     if pool is None or len(items) < 2:
-        return [fn(x) for x in items]
+        return map(fn, items)
     # _max_workers: ProcessPoolExecutor keeps no public worker count
     chunk = max(1, len(items) // (4 * pool._max_workers))
-    return list(pool.map(fn, items, chunksize=chunk))
+    return pool.map(fn, items, chunksize=chunk)
 
 
 def count_smooth(posets: Sequence[Poset], *, pool: Executor | None = None) -> int:

@@ -5,8 +5,10 @@ adjoins a bottom element (index 0) and a top element (index d+1); its
 Hasse diagram drives everything downstream.  The order is kept as bit
 masks: a Poset holds the strict order of 1..d, and HatPoset.above is
 the bounded order on 0..d+1, the one table that its order queries, its
-edges and the walk search read.  Covers are derived on first read.
-A Walk is a simple path or cycle in that diagram.
+edges and the walk search read.  A Poset stores only its upper masks:
+the lower masks are derived from them on demand, and the covers on
+first read, after which they are cached.  A Walk is a simple path or
+cycle in that diagram.
 """
 from __future__ import annotations
 
@@ -34,10 +36,12 @@ class Poset:
     """Immutable strict partial order on {1, .., d}.
 
     ``above[i]`` has bit j set iff y_i < y_j; the masks must be
-    transitively closed.  Covers are derived on first read and cached.
+    transitively closed.  They are the only stored order table: the
+    lower masks are derived from them on each call, and the covers on
+    first read, after which they are cached.
     """
 
-    __slots__ = ("d", "_above", "_below", "_covers", "_key")
+    __slots__ = ("d", "_above", "_covers", "_key")
 
     def __init__(self, d: int, above: Sequence[int]):
         if not 1 <= d <= MAX_D:
@@ -46,7 +50,6 @@ class Poset:
         if len(above) != d + 1 or above[0] != 0:
             raise ValueError("above must have d+1 entries with index 0 unused")
         valid = ((1 << (d + 1)) - 1) & ~1  # bits 1..d
-        below = [0] * (d + 1)
         for i in range(1, d + 1):
             up = above[i]
             if up & ~valid or (up >> i) & 1:
@@ -56,10 +59,8 @@ class Poset:
                     raise ValueError(f"antisymmetry violated at ({i},{j})")
                 if above[j] & ~up:
                     raise ValueError(f"transitivity violated at ({i},{j})")
-                below[j] |= 1 << i
         self.d = d
         self._above = above
-        self._below = tuple(below)
         self._covers: tuple[tuple[int, int], ...] | None = None
         self._key: bytes | None = None
 
@@ -114,7 +115,19 @@ class Poset:
         return self._above[i]
 
     def below_mask(self, i: int) -> int:
-        return self._below[i]
+        return self.lower_masks()[i]
+
+    def lower_masks(self) -> tuple[int, ...]:
+        """Entry i has bit j set iff y_j < y_i (entry 0 is 0); one pass
+        over the upper masks, which are the only stored table."""
+        below = [0] * (self.d + 1)
+        for i, up in enumerate(self._above):
+            bit = 1 << i
+            while up:  # _bits inlined: the quotient calls this per poset
+                low = up & -up
+                below[low.bit_length() - 1] |= bit
+                up ^= low
+        return tuple(below)
 
     @property
     def elements(self) -> range:
@@ -122,7 +135,10 @@ class Poset:
 
     @property
     def minimal_elements(self) -> tuple[int, ...]:
-        return tuple(i for i in self.elements if self._below[i] == 0)
+        covered = 0
+        for up in self._above:
+            covered |= up
+        return tuple(i for i in self.elements if not (covered >> i) & 1)
 
     @property
     def maximal_elements(self) -> tuple[int, ...]:
@@ -132,7 +148,7 @@ class Poset:
 
     def dual(self) -> "Poset":
         """The poset with the order relation reversed."""
-        return Poset(self.d, (0,) + self._below[1:])
+        return Poset(self.d, self.lower_masks())
 
     def relabel(self, perm: Sequence[int]) -> "Poset":
         """Apply a relabeling; perm[i] is the new label of old element i.

@@ -14,7 +14,7 @@ from posetfano import (
     quotient_by_duality,
 )
 from posetfano import canonical, enumeration
-from posetfano.enumeration import _extensions, count_smooth, read_table
+from posetfano.enumeration import _extensions, count_smooth, pool_map, read_table
 from oracles import brute_isomorphic, filtered_extensions, labeled_posets
 
 
@@ -372,3 +372,36 @@ class TestSharedPool:
         assert len(opened) == 1
         assert {name for _, name in used} == {"_keyed_children", "find_disagreement"}
         assert all(executor is opened[0] for executor, _ in used)
+
+
+class TestStreamedMerge:
+    @pytest.mark.parametrize("items, use_pool", [
+        ([3, 1, 2], False), ([5], False), ([5], True)])
+    def test_pool_map_calls_fn_only_as_results_are_read(self, items, use_pool, pool):
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return -x
+
+        results = pool_map(fn, items, pool if use_pool else None)
+        assert calls == []
+        assert next(results) == -items[0] and calls == items[:1]
+        assert list(results) == [-x for x in items[1:]] and calls == items
+
+    def test_pool_map_yields_in_input_order_over_a_pool(self, pool):
+        items = [-x for x in range(40)]
+        results = pool_map(abs, items, pool)
+        assert iter(results) is results  # an iterator, not a built list
+        assert next(results) == 0
+        assert list(results) == list(range(1, 40))
+
+    @pytest.mark.slow
+    def test_level_holds_one_int_per_mask_value(self, pool, monkeypatch):
+        # masks of d = 8 reach 510, past the interpreter's small-int cache,
+        # and each child's masks arrive as fresh ints from a worker
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        masks = [p.above_mask(i) for p in poset_classes(8, pool=pool)
+                 for i in range(9)]
+        assert max(masks) > 256
+        assert len({id(m) for m in masks}) == len(set(masks))

@@ -219,13 +219,24 @@ class TestLess:
             assert p.less(i, j) is False, (i, j)
 
     def test_agrees_with_the_masks(self):
-        for d in range(1, 6):
-            for p in poset_classes(d):
-                for i in p.elements:
-                    for j in p.elements:
-                        want = (p.above_mask(i) >> j) & 1 == 1
-                        assert p.less(i, j) is want, (p, i, j)
-                        assert want == ((p.below_mask(j) >> i) & 1 == 1)
+        # the derived queries (lower masks, minimal elements, dual) are
+        # checked against the transpose of the upper masks, built here
+        rng = random.Random(7)
+        cases = [p for d in range(1, 6) for p in poset_classes(d)]
+        cases += [random_poset(rng, d) for d in range(6, 16) for _ in range(5)]
+        for p in cases:
+            d = p.d
+            transpose = [0] * (d + 1)
+            for i in p.elements:
+                for j in p.elements:
+                    want = (p.above_mask(i) >> j) & 1 == 1
+                    assert p.less(i, j) is want, (p, i, j)
+                    assert want == ((p.below_mask(j) >> i) & 1 == 1)
+                    transpose[j] |= want << i
+            assert p.lower_masks() == tuple(transpose), p
+            assert p.minimal_elements == tuple(
+                i for i in p.elements if not transpose[i]), p
+            assert p.dual() == Poset(d, transpose), p
 
 
 class TestDist:
