@@ -36,18 +36,13 @@ def _rank(values: list) -> list[int]:
 
 def canonical_key(p: Poset) -> bytes:
     d = p.d
-    # element i + 1 of p is index i here; the down-sets are read off the
-    # up-set tuples, which costs less than Poset.lower_masks once per key
-    uppers = [p.above_mask(i) >> 1 for i in range(1, d + 1)]
-    ups = [_elements(above) for above in uppers]
-    lowers = [0] * d
-    for i, up in enumerate(ups):
-        bit = 1 << i
-        for j in up:
-            lowers[j] |= bit
-    downs = [_elements(below) for below in lowers]
+    # element i + 1 of p is index i here
+    masks = [(below >> 1, p.above_mask(i) >> 1)
+             for i, below in enumerate(p.lower_masks()) if i]
+    downs = [_elements(below) for below, _ in masks]
+    ups = [_elements(above) for _, above in masks]
     first: dict[tuple[int, int], int] = {}
-    twin = [first.setdefault(m, i) for i, m in enumerate(zip(lowers, uppers))]
+    twin = [first.setdefault(m, i) for i, m in enumerate(masks)]
 
     # longest-chain heights, bottom-up and top-down
     # (an element's down-set is smaller than that of every element above it)

@@ -16,8 +16,11 @@ strict-order masks of each child of one parent, and the results are
 merged in parent order, keeping the first child seen under each key.
 That is the representative the serial loop keeps, so representatives
 and their ``sorted(key)`` order do not depend on the pool.  The merge
-is streamed: ``pool_map`` yields each parent's children as they arrive,
-so a level's children are never all held at once.  A new
+is streamed: ``pool_map`` yields each parent's children in parent order,
+and the merge reads each batch as it arrives and drops it once read.
+With a pool, batches that finish before the merge reaches them wait in
+the pool, so how many are held at once depends on the merge keeping up
+with the workers; only a serial run holds one batch at a time.  A new
 representative's masks are stored through one dict per level, so equal
 mask values share one int object rather than one per unpickled child.
 """
@@ -144,8 +147,9 @@ def worker_pool(jobs: int) -> ContextManager[Executor | None]:
 def pool_map(fn: Callable, items: Sequence, pool: Executor | None = None) -> Iterator:
     """fn(x) for x in items, yielded in input order as the results arrive.
 
-    Runs over the pool's workers unless pool is None; the results must be
-    read before the pool shuts down.
+    Runs over the pool's workers unless pool is None.  A pool is handed
+    every chunk at once and keeps each finished result until it is read;
+    the results must be read before the pool shuts down.
     """
     if pool is None or len(items) < 2:
         return map(fn, items)

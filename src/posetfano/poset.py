@@ -114,19 +114,13 @@ class Poset:
     def above_mask(self, i: int) -> int:
         return self._above[i]
 
-    def below_mask(self, i: int) -> int:
-        return self.lower_masks()[i]
-
     def lower_masks(self) -> tuple[int, ...]:
         """Entry i has bit j set iff y_j < y_i (entry 0 is 0); one pass
         over the upper masks, which are the only stored table."""
         below = [0] * (self.d + 1)
         for i, up in enumerate(self._above):
-            bit = 1 << i
-            while up:  # _bits inlined: the quotient calls this per poset
-                low = up & -up
-                below[low.bit_length() - 1] |= bit
-                up ^= low
+            for j in _bits(up):
+                below[j] |= 1 << i
         return tuple(below)
 
     @property

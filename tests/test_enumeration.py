@@ -32,11 +32,12 @@ def _orbit_sum(d):
     acc = 0
     for p in poset_classes(d):
         masks = [p.above_mask(i) for i in range(d + 1)]
+        lower = p.lower_masks()
         # an automorphism maps each element to one with the same (down-set
         # size, up-set size), so only those permutations are tried
         blocks: dict[tuple[int, int], list[int]] = {}
         for i in p.elements:
-            blocks.setdefault((p.below_mask(i).bit_count(), masks[i].bit_count()), []).append(i)
+            blocks.setdefault((lower[i].bit_count(), masks[i].bit_count()), []).append(i)
         auts = 0
         for images in product(*(permutations(b) for b in blocks.values())):
             pm = [0] * (d + 1)
@@ -104,9 +105,10 @@ class TestMaximalElementExtension:
         for p in poset_classes(d):
             for child in _extensions(p):
                 assert child.above_mask(new) == 0
-                size = child.below_mask(new).bit_count()
+                lower = child.lower_masks()
+                size = lower[new].bit_count()
                 for m in child.maximal_elements:
-                    assert child.below_mask(m).bit_count() <= size
+                    assert lower[m].bit_count() <= size
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_deleting_a_largest_maximal_element_lands_in_the_level_below(self, d):
@@ -114,7 +116,8 @@ class TestMaximalElementExtension:
         # loses a maximal element with the largest down-set to a known class
         keys = {p.canonical_key() for p in poset_classes(d - 1)}
         for q in labeled_posets(d):
-            m = max(q.maximal_elements, key=lambda i: q.below_mask(i).bit_count())
+            lower = q.lower_masks()
+            m = max(q.maximal_elements, key=lambda i: lower[i].bit_count())
             rest = [i for i in q.elements if i != m]
             label = {old: new for new, old in enumerate(rest, start=1)}
             pairs = [(label[i], label[j]) for i in rest for j in rest if q.less(i, j)]
