@@ -53,14 +53,16 @@ def _gaps_fit(dist, d0, d1, path: list[int], levels: list[int],
 
     A gap levels[a] - levels[b] > 0 may not exceed dist(b, a) when b < a
     (``dist`` is HatPoset.distances) nor d0[a] + d1[b], the distances
-    from the bottom to a and from b to the top (for paths the caller
-    passes caps that never bind).  The second cap is what lets a
-    hyperplane through a cycle vanish on both bounds: each element x
-    allows the shifts from levels[x] - d0[x] to levels[x] + d1[x], and
-    these ranges meet iff every pair fits.  It is not implied by the
-    first: some smooth posets carry a balanced cycle that only it
-    rejects.  These are the gaps that geometry.witness_hyperplane checks
-    on its plane.
+    from the bottom to a and from b to the top.  The second cap is what
+    lets a hyperplane through a cycle vanish on both bounds: each
+    element x allows the shifts from levels[x] - d0[x] to levels[x] +
+    d1[x], and these ranges meet iff every pair fits.  It is not implied
+    by the first: some smooth posets carry a balanced cycle that only it
+    rejects.  A witness path holds both bounds at level 0, so there the
+    second cap follows from the first on the gaps from the bottom up to
+    a and from b up to the top: paths take it too, and it prunes only
+    prefixes that no witness completes.  These are the gaps that
+    geometry.witness_hyperplane checks on its plane.
     """
     from_y = dist[y]
     for x, lx in zip(path, levels):
@@ -82,19 +84,16 @@ def _walks(h: HatPoset, cycle: bool,
     kept when its second index is below its last, so each cycle appears
     once; a path runs from 0 to the top.  With ``witnesses``
     only blocking walks are yielded: the prefix rule (see the module
-    docstring) prunes, root 0 never steps into the top (a cycle through
-    both bounds is no witness; other roots never reach 0), and a walk
-    must close at level 0, i.e. be balanced.
+    docstring) prunes with the same caps for cycles and paths, root 0
+    never steps into the top (a cycle through both bounds is no
+    witness; other roots never reach 0), and a walk must close at level
+    0, i.e. be balanced.
     """
     top, above = h.top, h.above
-    n = top + 1
     if witnesses:
         dist = h.distances
-        if cycle:
-            d0, d1 = dist[0], [row[top] for row in dist]
-        else:
-            d0 = d1 = (n,) * n  # caps that never bind
-    for root in range(n) if cycle else (0,):
+        d0, d1 = dist[0], [row[top] for row in dist]
+    for root in range(top + 1) if cycle else (0,):
         # barred: elements on the walk, and for cycles those up to the root
         barred = (2 << root) - 1 if cycle else 1
         if cycle and witnesses and root == 0:
@@ -204,9 +203,4 @@ def classify(p: Poset) -> ClassificationReport:
     iter_witnesses yields is the report's witness.  Every report comes
     from that search, so method is always "combinatorial".
     """
-    return _classify(p.hat())
-
-
-def _classify(h: HatPoset) -> ClassificationReport:
-    """``classify`` on the poset's bounded poset, built by the caller."""
-    return ClassificationReport(h.d, next(iter_witnesses(h), None))
+    return ClassificationReport(p.d, next(iter_witnesses(p.hat()), None))

@@ -12,15 +12,20 @@ import json
 import os
 import random
 import sys
+from itertools import islice
 
 from .classifier import classify, iter_witnesses
 from .crosscheck import find_disagreement, oracle_report
 from .enumeration import (
     build_table, pool_map, poset_classes, quotient_by_duality, worker_pool,
 )
-from .errors import PosetfanoError
+from .errors import PosetfanoError, UnsupportedSize
 from .polytope import build_vertex_set
 from .poset import load_poset, save_poset
+
+# classify --all-witnesses lists at most this many walks; the most any
+# class has is 252 at d = 7 and 1116 at d = 8
+MAX_LISTED_WITNESSES = 10_000
 
 
 def _log(msg: str) -> None:
@@ -113,7 +118,12 @@ def cmd_classify(args) -> int:
     if args.verify:
         payload["verified"] = True
     if args.all_witnesses:
-        payload["witnesses"] = [w.to_dict() for w in iter_witnesses(p.hat())]
+        walks = list(islice(iter_witnesses(p.hat()), MAX_LISTED_WITNESSES + 1))
+        if len(walks) > MAX_LISTED_WITNESSES:
+            raise UnsupportedSize(
+                f"more than {MAX_LISTED_WITNESSES} blocking walks; "
+                "--all-witnesses lists at most that many")
+        payload["witnesses"] = [w.to_dict() for w in walks]
     if args.json:
         print(json.dumps(payload))
     else:

@@ -1,7 +1,7 @@
 """Glue between the combinatorial classifier and the geometric oracle."""
 from __future__ import annotations
 
-from .classifier import _classify
+from .classifier import classify
 from .geometry import (
     Facet,
     facets_and_flags,
@@ -10,7 +10,7 @@ from .geometry import (
     is_smooth_geometric,
 )
 from .polytope import PolytopeVertexSet, build_vertex_set
-from .poset import HatPoset, Poset
+from .poset import Poset
 
 
 def oracle_report(p: Poset) -> tuple[PolytopeVertexSet, list[Facet], dict]:
@@ -19,12 +19,7 @@ def oracle_report(p: Poset) -> tuple[PolytopeVertexSet, list[Facet], dict]:
     Raises UnsupportedSize when the vertices' lattice bounding box is
     too large to scan (``geometry.MAX_BOX_POINTS``).
     """
-    return _oracle_report(p.hat())
-
-
-def _oracle_report(h: HatPoset) -> tuple[PolytopeVertexSet, list[Facet], dict]:
-    """``oracle_report`` on the poset's bounded poset, built by the caller."""
-    vs = build_vertex_set(h)
+    vs = build_vertex_set(p.hat())
     facets, fano, terminal = facets_and_flags(vs.vectors)
     flags = {
         "fano": fano,
@@ -37,13 +32,9 @@ def _oracle_report(h: HatPoset) -> tuple[PolytopeVertexSet, list[Facet], dict]:
 
 
 def find_disagreement(p: Poset) -> dict | None:
-    """Compare classifier flags against the oracle; None when they agree.
-
-    Both sides read one bounded poset, built once per call.
-    """
-    h = p.hat()
-    report = _classify(h)
-    _, _, flags = _oracle_report(h)
+    """Compare classifier flags against the oracle; None when they agree."""
+    report = classify(p)
+    _, _, flags = oracle_report(p)
     mismatches = {}
     if report.q_factorial != flags["simplicial"]:
         mismatches["q_factorial"] = (report.q_factorial, flags["simplicial"])

@@ -416,11 +416,14 @@ def witness_hyperplane(h: HatPoset, walk: Walk) -> Hyperplane:
     Eligible walks are balanced cycles missing a bound and balanced
     bottom-to-top paths whose level gaps fit within distances.  The
     coefficient a[x] of each walk element is a fixed base minus its
-    level (a prefix sum of the steps); the base is pinned by a bound on
-    the walk and otherwise chosen at the lower end of its feasible
-    range.  Every other element gets the largest (or smallest) value
-    that keeps the edge inequalities to walk elements valid, clamped
-    toward zero, and both bounds get 0.
+    level (a prefix sum of the steps); the base is max(level[x] - D(x))
+    over the walk, the lower end of its feasible range, with D(x) =
+    dist(0, x) and D = 0 on both bounds.  A bound on an eligible walk
+    pins the base, since its gaps fit and make its term the maximum;
+    a walk whose gaps do not fit fails the plane check below.  Every
+    other element gets the largest (or smallest) value that keeps the
+    edge inequalities to walk elements valid, clamped toward zero, and
+    both bounds get 0.
 
     The plane a . x = 1 supports the polytope iff a[lo] - a[hi] <= 1 on
     every Hasse edge (Higashitani 2015, the edge vectors form a network
@@ -438,12 +441,8 @@ def witness_hyperplane(h: HatPoset, walk: Walk) -> Hyperplane:
         raise WalkNotEligible("cycle is unbalanced or joins both bounds")
 
     levels = dict(zip(els, accumulate(walk.steps, initial=0)))
-    if 0 in levels:
-        base = levels[0]
-    elif top in levels:
-        base = levels[top]
-    else:
-        base = max(levels[x] - h.dist(0, x) for x in els)
+    rank = h.distances[0]
+    base = max(lv - (rank[x] if 0 < x < top else 0) for x, lv in levels.items())
     a = [0] * (top + 1)
     for x in els:
         if 0 < x < top:

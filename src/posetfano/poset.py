@@ -5,10 +5,11 @@ adjoins a bottom element (index 0) and a top element (index d+1); its
 Hasse diagram drives everything downstream.  The order is kept as bit
 masks: a Poset holds the strict order of 1..d, and HatPoset.above is
 the bounded order on 0..d+1, the one table that its order queries, its
-edges and the walk search read.  A Poset stores only its upper masks:
-the lower masks are derived from them on demand, and the covers on
-first read, after which they are cached.  A Walk is a simple path or
-cycle in that diagram.
+edges and the walk search read.  One rule reads the covers off either
+table, so the bounds' edges need no case of their own.  A Poset stores
+only its upper masks: the lower masks are derived from them on demand,
+and the covers on first read, after which they are cached.  A Walk is
+a simple path or cycle in that diagram.
 """
 from __future__ import annotations
 
@@ -30,6 +31,20 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _cover_pairs(above: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """Cover pairs (i, j) of the strict order whose upper masks are
+    ``above``, in lexicographic order: j lies above i and above nothing
+    that lies above i."""
+    pairs = []
+    for i, up in enumerate(above):
+        skip = 0
+        for j in _bits(up):
+            skip |= above[j]
+        for j in _bits(up & ~skip):
+            pairs.append((i, j))
+    return tuple(pairs)
 
 
 class Poset:
@@ -68,14 +83,7 @@ class Poset:
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (i, j) with y_i < y_j, in lexicographic order."""
         if self._covers is None:
-            covers = []
-            for i in range(1, self.d + 1):
-                up = self._above[i]
-                skip = 0
-                for j in _bits(up):
-                    skip |= self._above[j]
-                covers.extend((i, j) for j in _bits(up & ~skip))
-            self._covers = tuple(covers)
+            self._covers = _cover_pairs(self._above)
         return self._covers
 
     @classmethod
@@ -218,10 +226,10 @@ class HatPoset:
 
     ``above[x]`` has bit y set iff x < y in the bounded order: the bottom
     lies below every other index, the top above every other index, and
-    between them the order is the base order.  Edges are stored as
-    (lower, upper) pairs sorted lexicographically; the distance table is
-    built whole on first use and only read afterwards, so instances are
-    safe to share across workers.
+    between them the order is the base order.  Edges are the cover pairs
+    (lower, upper) of that order, in lexicographic order; the distance
+    table is built whole on first use and only read afterwards, so
+    instances are safe to share across workers.
     """
 
     __slots__ = ("base", "d", "top", "above", "edges", "up", "neighbors", "_dist")
@@ -233,18 +241,14 @@ class HatPoset:
         self.top = top = d + 1
         self.above = ((2 << top) - 2,) + tuple(
             m | 1 << top for m in base._above[1:]) + (0,)
-        edges = [(0, m) for m in base.minimal_elements]
-        edges.extend(base.covers)
-        edges.extend((m, top) for m in base.maximal_elements)
-        edges.sort()
-        self.edges = tuple(edges)
+        self.edges = edges = _cover_pairs(self.above)
         up: list[list[int]] = [[] for _ in range(d + 2)]
         neighbors: list[list[int]] = [[] for _ in range(d + 2)]
         for lo, hi in edges:
             up[lo].append(hi)
             neighbors[lo].append(hi)
             neighbors[hi].append(lo)
-        self.up = tuple(tuple(sorted(s)) for s in up)
+        self.up = tuple(map(tuple, up))  # ascending, as edges are sorted
         self.neighbors = tuple(tuple(sorted(s)) for s in neighbors)
         self._dist: tuple[tuple[int, ...], ...] | None = None
 

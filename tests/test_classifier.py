@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import os
 import random
 
 import pytest
@@ -342,6 +343,23 @@ class TestWitnessSearch:
                 digest.update(b";")
         assert digest.hexdigest() == (
             "668893c7a9105ddfd4224df5f96f99c77a2714148289c344c2ee1d7c56482e14"
+        )
+
+    @pytest.mark.skipif(not os.environ.get("RUN_D8"),
+                        reason="every d = 8 witness, about 15 s; set RUN_D8=1 to run")
+    def test_witnesses_pinned_d8(self):
+        # digest computed with the search that gave paths no wrap cap
+        digest = hashlib.sha256()
+        count = 0
+        for p in poset_classes(8):
+            for w in iter_witnesses(p.hat()):
+                digest.update(json.dumps(
+                    [w.kind, list(w.elements), list(w.steps)]).encode())
+                count += 1
+            digest.update(b";")
+        assert count == 229813
+        assert digest.hexdigest() == (
+            "4b2fd5abb223cc83d9507b35d6571cf5f1673a89fd873839a7a016b4a5c9e600"
         )
 
     def test_reports_pinned_d7(self):

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from posetfano import poset_classes
+from posetfano import cli, poset_classes
 from posetfano.cli import main
 
 
@@ -66,6 +66,16 @@ class TestClassifyCommand:
         assert main(["classify", "--json", "--all-witnesses", example_file]) == 0
         assert capsys.readouterr().out.endswith(
             '"method": "combinatorial", "witness": null, "witnesses": []}\n')
+
+    def test_all_witnesses_budget(self, v_file, capsys, monkeypatch):
+        # v.poset has one blocking walk: a budget of 0 refuses it, 1 lists it
+        monkeypatch.setattr(cli, "MAX_LISTED_WITNESSES", 0)
+        assert main(["classify", "--json", "--all-witnesses", v_file]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "more than 0 blocking walks" in err
+        monkeypatch.setattr(cli, "MAX_LISTED_WITNESSES", 1)
+        assert main(["classify", "--json", "--all-witnesses", v_file]) == 0
+        assert len(json.loads(capsys.readouterr().out)["witnesses"]) == 1
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["classify", str(tmp_path / "nope.poset")]) == 1

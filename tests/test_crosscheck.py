@@ -6,15 +6,12 @@ import pytest
 
 import posetfano.geometry as geometry
 from posetfano import (
-    Poset,
     classify,
     find_disagreement,
     oracle_report,
     poset_classes,
     quotient_by_duality,
 )
-from posetfano.classifier import _classify
-from posetfano.crosscheck import _oracle_report
 from posetfano.cli import main
 from conftest import random_poset
 from oracles import box_is_fano, box_is_terminal, fraction_rank, qhull_exact_facets
@@ -127,23 +124,9 @@ class TestOracleReport:
 
 
 class TestOneHatPerCall:
-    def test_one_hat_per_find_disagreement(self, monkeypatch):
-        built = []
-        hat = Poset.hat
-        monkeypatch.setattr(Poset, "hat", lambda p: built.append(p) or hat(p))
-        for d in range(1, 6):
-            for p in poset_classes(d):
-                del built[:]
-                find_disagreement(p)
-                assert built == [p]
-
     def test_reports_equal_up_to_d6(self):
-        # the shared hat changes no report
         for d in range(1, 7):
             for p in quotient_by_duality(poset_classes(d)):
-                h = p.hat()
-                assert _classify(h) == classify(p)
-                assert _oracle_report(h) == oracle_report(p)
                 assert find_disagreement(p) is None
 
 

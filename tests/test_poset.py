@@ -127,6 +127,17 @@ class TestLazyCovers:
             fresh = Poset(p.d, [p.above_mask(i) for i in range(p.d + 1)])
             assert fresh.covers == eager_covers(p)
             assert Poset.from_cover_relations(p.d, fresh.covers) == p
+            # the hat's edges equal the bounds' edges spliced onto the covers
+            h = p.hat()
+            top = h.top
+            assert h.edges == tuple(sorted(
+                [(0, m) for m in p.minimal_elements] + list(eager_covers(p))
+                + [(m, top) for m in p.maximal_elements]))
+            for x in range(top + 1):
+                assert list(h.up[x]) == sorted(h.up[x]) == [
+                    hi for lo, hi in h.edges if lo == x]
+                assert list(h.neighbors[x]) == sorted(h.neighbors[x]) == sorted(
+                    y for e in h.edges if x in e for y in e if y != x)
 
     def test_cached_after_first_read(self):
         p = Poset.from_cover_relations(3, [(1, 2), (2, 3)])
