@@ -11,13 +11,21 @@ twins leaves the matrix unchanged.  Individualizing a twin thus splits
 only its own cell and reaches one leaf whatever the twins' order, so
 the search branches only on the lowest-rank cell that is not all twins
 (once per twin group) and treats a partition whose other cells are
-all twins as a leaf; the minimum over leaves is unchanged.  Sizes here
-are tiny (d <= 64 by type, d <= enumeration.CENSUS_MAX_D in all
-enumeration paths), so no external canonicalization dependency is used.
+all twins as a leaf; the minimum over leaves is unchanged.  For the
+same reason the first refinement stops as soon as its cells are as
+many as the twin groups: the cells are then exactly the twin groups,
+which no further round splits or reorders.  Inside a branch the
+individualized twin is split from its group, so there refinement runs
+to its fixpoint.  ``masks_key`` reads a poset's upper and lower masks
+alone, so the enumeration keys a child without building a Poset;
+``canonical_key`` is its wrapper for a Poset.  Sizes here are tiny
+(d <= 64 by type, d <= enumeration.CENSUS_MAX_D in all enumeration
+paths), so no external canonicalization dependency is used.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Sequence
 
 from .poset import Poset, _bits
 
@@ -35,12 +43,17 @@ def _rank(values: list) -> list[int]:
 
 
 def canonical_key(p: Poset) -> bytes:
-    d = p.d
-    # element i + 1 of p is index i here
-    masks = [(below >> 1, p.above_mask(i) >> 1)
-             for i, below in enumerate(p.lower_masks()) if i]
-    downs = [_elements(below) for below, _ in masks]
-    ups = [_elements(above) for _, above in masks]
+    return masks_key(p._above, p.lower_masks())
+
+
+def masks_key(above: Sequence[int], below: Sequence[int]) -> bytes:
+    """canonical_key of the poset on 1..d with these upper and lower
+    masks (index 0 unused); swapping the two gives the dual's key."""
+    d = len(above) - 1
+    # element i + 1 of the poset is index i here
+    masks = [(down >> 1, up >> 1) for down, up in zip(below[1:], above[1:])]
+    downs = [_elements(down) for down, _ in masks]
+    ups = [_elements(up) for _, up in masks]
     first: dict[tuple[int, int], int] = {}
     twin = [first.setdefault(m, i) for i, m in enumerate(masks)]
 
@@ -57,7 +70,8 @@ def canonical_key(p: Poset) -> bytes:
             depth[i] = max(map(depth.__getitem__, ups[i])) + 1
 
     init = [(len(downs[i]), len(ups[i]), height[i], depth[i]) for i in range(d)]
-    best = _search(_refine(_rank(init), downs, ups), downs, ups, twin)
+    # len(first) is the number of twin groups
+    best = _search(_refine(_rank(init), downs, ups, len(first)), downs, ups, twin)
     return bytes([d]) + best.to_bytes((d * d + 7) // 8, "big")
 
 
@@ -76,7 +90,7 @@ def _search(ranks: list[int], downs: list, ups: list, twin: list[int]) -> int:
                 return min(
                     _search(_refine(_rank([(r, 1 if i == rep else 2)
                                            for i, r in enumerate(ranks)]),
-                                    downs, ups), downs, ups, twin)
+                                    downs, ups, d), downs, ups, twin)
                     for rep in cell if twin[rep] == rep
                 )
     # a leaf: the relation matrix in rank order (twins in any), row by row
@@ -90,10 +104,10 @@ def _search(ranks: list[int], downs: list, ups: list, twin: list[int]) -> int:
     return bitstring
 
 
-def _refine(ranks: list[int], downs: list, ups: list) -> list[int]:
-    """Split cells by neighbor rank multisets until stable or discrete."""
+def _refine(ranks: list[int], downs: list, ups: list, cells: int) -> list[int]:
+    """Split cells by neighbor rank multisets until stable or ``cells`` cells."""
     n_classes = max(ranks) + 1
-    while n_classes < len(ranks):
+    while n_classes < cells:
         ranks = _rank([
             (r,
              tuple(sorted(map(ranks.__getitem__, down))),

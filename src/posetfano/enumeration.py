@@ -2,27 +2,35 @@
 
 Posets on d elements are generated by extending every representative
 on d-1 elements with one new maximal element whose down-set is an order
-ideal, kept only if no other maximal element has a larger down-set.
-Canonical keys deduplicate the results, giving exactly one
-representative per isomorphism class.  Counts are then quotiented by
-order-duality, one poset at a time, and each representative's polytope
-is classified for smoothness, which the dual's negated polytope shares.
+ideal, kept only if no other maximal element has a larger down-set and
+if the ideal meets each twin group of the parent (elements with the
+same down- and up-set) in a prefix of the group, in index order; a
+child that breaks the prefix rule repeats one that keeps it.  Children
+are bit masks: the child's upper masks, and its lower masks, which are
+the parent's plus the new element's ideal.  Canonical keys read the
+masks directly and deduplicate the results, giving exactly one
+representative per isomorphism class; only representatives become
+Posets.  Each child is also flagged, from its masks and key, as
+standing or not for its {class, dual class} pair, and each
+representative's polytope among those flagged is classified for
+smoothness, which the dual's negated polytope shares.
 
 Extension and classification take an optional process pool by keyword
 (``pool=None`` runs serially), and ``build_table`` opens one pool for
 both.
-Extension shards over parents: a worker returns the canonical key and
-strict-order masks of each child of one parent, and the results are
-merged in parent order, keeping the first child seen under each key.
-That is the representative the serial loop keeps, so representatives
-and their ``sorted(key)`` order do not depend on the pool.  The merge
-is streamed: ``pool_map`` yields each parent's children in parent order,
-and the merge reads each batch as it arrives and drops it once read.
-With a pool, batches that finish before the merge reaches them wait in
-the pool, so how many are held at once depends on the merge keeping up
-with the workers; only a serial run holds one batch at a time.  A new
-representative's masks are stored through one dict per level, so equal
-mask values share one int object rather than one per unpickled child.
+Extension shards over parents: a worker returns the canonical key,
+strict-order masks and duality flag of each child of one parent, and
+the results are merged in parent order, keeping the first child seen
+under each key, with its flag.  That is the representative the serial
+loop keeps, so representatives and their ``sorted(key)`` order do not
+depend on the pool.  The merge is streamed: ``pool_map`` yields each
+parent's children in parent order, and the merge reads each batch as
+it arrives and drops it once read.  With a pool, batches that finish
+before the merge reaches them wait in the pool, so how many are held
+at once depends on the merge keeping up with the workers; only a
+serial run holds one batch at a time.  A new representative's masks
+are stored through one dict per level, so equal mask values share one
+int object rather than one per unpickled child.
 """
 from __future__ import annotations
 
@@ -31,8 +39,11 @@ import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import Callable, ContextManager, Iterator, Sequence
 
+from .canonical import masks_key
 from .classifier import classify
 from .errors import ParseError, UnsupportedSize
 from .poset import Poset, _bits
@@ -45,8 +56,8 @@ class TableRow:
     smooth: int
 
 
-def _extensions(p: Poset) -> Iterator[Poset]:
-    """Posets on d+1 elements made by adding a new maximal element to p.
+def _extensions(p: Poset) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Upper and lower masks of p with a new maximal element added.
 
     The new element (index d+1) lies above an order ideal D of p and
     below nothing.  A child is kept only if |D| is at least the down-set
@@ -54,11 +65,22 @@ def _extensions(p: Poset) -> Iterator[Poset]:
     outside D.  Every class on d+1 elements arises this way from some
     class on d elements: delete a maximal element with the largest
     down-set, and extend what is left by that element's down-set.
+    A child is also kept only if D meets each twin group of p (elements
+    with the same down- and up-set) in a prefix, in index order: the
+    automorphism of p that swaps two twins maps any other D to one that
+    does, so the skipped children repeat kept ones.
     """
     d = p.d
-    above = [p.above_mask(i) for i in range(d + 1)]
+    above = p._above
     below = p.lower_masks()
     maxima = [(1 << m, below[m].bit_count()) for m in p.maximal_elements]
+    last: dict[tuple[int, int], int] = {}  # the latest element with these masks
+    twins = []  # (bit of a twin, bit of the twin before it in index order)
+    for i in p.elements:
+        masks = (below[i], above[i])
+        if masks in last:
+            twins.append((1 << i, 1 << last[masks]))
+        last[masks] = i
     new_bit = 1 << (d + 1)
     # closure[r] is the union of the down-sets of the elements of r << 1
     closure = [0] * (1 << d)
@@ -72,19 +94,27 @@ def _extensions(p: Poset) -> Iterator[Poset]:
         size = down.bit_count()
         if any(size < s for bit, s in maxima if not down & bit):
             continue  # another maximal element has a larger down-set
-        new_above = above + [0]
+        if any(down & bit and not down & prev for bit, prev in twins):
+            continue  # takes a twin without the twin before it
+        new_above = [*above, 0]
         for x in _bits(down):
             new_above[x] |= new_bit
-        yield Poset(d + 1, new_above)
+        yield tuple(new_above), below + (down,)
 
 
-def _keyed_children(parent: Poset) -> list[tuple[bytes, tuple[int, ...]]]:
-    """Canonical key and strict-order masks of every child of parent."""
-    return [(child.canonical_key(), child._above) for child in _extensions(parent)]
+def _keyed_children(parent: Poset) -> list[tuple[bytes, tuple[int, ...], bool]]:
+    """Canonical key, upper masks and duality flag of every child of parent."""
+    out = []
+    for above, below in _extensions(parent):
+        key = masks_key(above, below)
+        dual_key = partial(masks_key, below, above)
+        out.append((key, above, _represents_its_pair(above, below, key, dual_key)))
+    return out
 
 
 CENSUS_MAX_D = 8  # the largest poset size the census enumerates
-_LEVELS: dict[int, tuple[Poset, ...]] = {}
+# d -> (one representative per class, those that stand for their duality pair)
+_LEVELS: dict[int, tuple[tuple[Poset, ...], tuple[Poset, ...]]] = {}
 
 
 def poset_classes(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
@@ -94,45 +124,62 @@ def poset_classes(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
             f"enumeration supports 1 <= d <= {CENSUS_MAX_D}, got {d}")
     if d not in _LEVELS:
         if d == 1:
-            _LEVELS[1] = (Poset(1, (0, 0)),)
+            point = Poset(1, (0, 0))
+            _LEVELS[1] = ((point,), (point,))
         else:
-            seen: dict[bytes, tuple[int, ...]] = {}
+            # masks of the first child seen under each key, split by its duality flag
+            kept: dict[bytes, tuple[int, ...]] = {}
+            rest: dict[bytes, tuple[int, ...]] = {}
             masks: dict[int, int] = {}  # one int object per mask value
             parents = poset_classes(d - 1, pool=pool)
             for children in pool_map(_keyed_children, parents, pool):
-                for key, above in children:
-                    if key not in seen:
-                        seen[key] = tuple(map(masks.setdefault, above, above))
-            reps = []
-            for key in sorted(seen):
-                p = Poset(d, seen[key])
+                for key, above, represents in children:
+                    if key not in kept and key not in rest:
+                        (kept if represents else rest)[key] = tuple(
+                            map(masks.setdefault, above, above))
+            reps, pair_reps = [], []
+            for key in sorted(chain(kept, rest)):
+                p = Poset(d, kept.get(key) or rest[key])
                 p._key = key
                 reps.append(p)
-            _LEVELS[d] = tuple(reps)
-    return _LEVELS[d]
+                if key in kept:
+                    pair_reps.append(p)
+            _LEVELS[d] = (tuple(reps), tuple(pair_reps))
+    return _LEVELS[d][0]
+
+
+def pair_representatives(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
+    """The representatives of ``poset_classes(d)`` that stand for their
+    duality pair: ``quotient_by_duality`` of the level, decided as the
+    level was built."""
+    poset_classes(d, pool=pool)
+    return _LEVELS[d][1]
 
 
 def _dual_key(p: Poset) -> bytes:
     return p.dual().canonical_key()
 
 
-def _represents_its_pair(p: Poset) -> bool:
-    """True iff p stands for the pair {class of p, class of its dual}.
+def _represents_its_pair(above: Sequence[int], below: Sequence[int], key: bytes,
+                         dual_key: Callable[[], bytes]) -> bool:
+    """True iff the poset with these masks and key stands for the pair
+    {its class, its dual's class}.
 
     Duality swaps each element's (down-set size, up-set size) pair.  Of
-    p and its dual, the one whose sorted pairs sort strictly lower is
-    kept; only on a tie are the keys compared, keeping the smaller one.
+    the poset and its dual, the one whose sorted pairs sort strictly
+    lower is kept; only on a tie are the keys compared, keeping the
+    smaller one, and only then is ``dual_key()`` called.
     """
-    below = p.lower_masks()
-    sizes = [(below[i].bit_count(), p.above_mask(i).bit_count())
-             for i in p.elements]
+    sizes = [(down.bit_count(), up.bit_count()) for down, up in zip(below[1:], above[1:])]
     own, swapped = sorted(sizes), sorted(pair[::-1] for pair in sizes)
-    return own < swapped if own != swapped else p.canonical_key() <= _dual_key(p)
+    return own < swapped if own != swapped else key <= dual_key()
 
 
 def quotient_by_duality(posets: Sequence[Poset]) -> list[Poset]:
     """One poset per {class, dual class} pair, each decided on its own."""
-    return [p for p in posets if _represents_its_pair(p)]
+    return [p for p in posets
+            if _represents_its_pair(p._above, p.lower_masks(), p.canonical_key(),
+                                    partial(_dual_key, p))]
 
 
 def _smooth_flag(p: Poset) -> bool:
@@ -193,7 +240,7 @@ def build_table(
                 continue
             if log:
                 log(f"enumerating d={d}")
-            reps = quotient_by_duality(poset_classes(d, pool=pool))
+            reps = pair_representatives(d, pool=pool)
             if log:
                 log(f"classifying {len(reps)} representatives at d={d}")
             row = TableRow(d, len(reps), count_smooth(reps, pool=pool))

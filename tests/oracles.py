@@ -16,8 +16,11 @@ integer arithmetic, order ideals by filtering every subset, witness
 walks by a recursive search over every cycle and path that filters
 them afterwards (the filters are the whole-walk level-gap predicates
 the package kept before its pruned search and its self-checking
-witness plane, both of which are what is checked), and the duality
-quotient by comparing every poset's key with its dual's.
+witness plane, both of which are what is checked), the duality
+quotient by comparing every poset's key with its dual's, the twin skip
+by comparing each twin group's membership with its sorted membership,
+and canonical keys by the search the package used before its first
+refinement stopped at the twin partition (refined to the fixpoint).
 """
 from __future__ import annotations
 
@@ -632,3 +635,95 @@ def filtered_extensions(p: Poset) -> list[Poset]:
         pairs = [(i, j) for i in p.elements for j in p.elements if p.less(i, j)]
         out.append(Poset.from_cover_relations(d + 1, pairs + [(i, d + 1) for i in down]))
     return out
+
+
+def twin_prefix(p: Poset, children: list[Poset]) -> list[Poset]:
+    """The children of p whose new element's down-set meets each twin
+    group of p (elements with the same down- and up-set) in a prefix of
+    the group, taken in index order."""
+    groups: dict[tuple[frozenset, frozenset], list[int]] = {}
+    for i in p.elements:
+        down = frozenset(j for j in p.elements if p.less(j, i))
+        up = frozenset(j for j in p.elements if p.less(i, j))
+        groups.setdefault((down, up), []).append(i)
+    new = p.d + 1
+
+    def takes_prefixes(child: Poset) -> bool:
+        taken = [[child.less(i, new) for i in group] for group in groups.values()]
+        return all(row == sorted(row, reverse=True) for row in taken)
+
+    return [child for child in children if takes_prefixes(child)]
+
+
+# -- canonical keys refined to the fixpoint ------------------------------
+
+def _fixpoint_rank(values: list) -> list[int]:
+    index = {v: r for r, v in enumerate(sorted(set(values)))}
+    return [index[v] for v in values]
+
+
+def fixpoint_key(p: Poset) -> bytes:
+    """canonical_key as computed when the first refinement ran to its
+    fixpoint rather than stopping at the twin partition."""
+    d = p.d
+    masks = [(below >> 1, p.above_mask(i) >> 1)
+             for i, below in enumerate(p.lower_masks()) if i]
+    downs = [tuple(j for j in range(d) if (below >> j) & 1) for below, _ in masks]
+    ups = [tuple(j for j in range(d) if (above >> j) & 1) for _, above in masks]
+    first: dict[tuple[int, int], int] = {}
+    twin = [first.setdefault(m, i) for i, m in enumerate(masks)]
+    order = sorted(range(d), key=[len(down) for down in downs].__getitem__)
+    height = [0] * d
+    for i in order:
+        if downs[i]:
+            height[i] = max(map(height.__getitem__, downs[i])) + 1
+    depth = [0] * d
+    for i in reversed(order):
+        if ups[i]:
+            depth[i] = max(map(depth.__getitem__, ups[i])) + 1
+    init = [(len(downs[i]), len(ups[i]), height[i], depth[i]) for i in range(d)]
+    best = _fixpoint_search(_fixpoint_refine(_fixpoint_rank(init), downs, ups),
+                            downs, ups, twin)
+    return bytes([d]) + best.to_bytes((d * d + 7) // 8, "big")
+
+
+def _fixpoint_search(ranks: list[int], downs: list, ups: list, twin: list[int]) -> int:
+    d, n_cells = len(ranks), max(ranks) + 1
+    if n_cells < d:
+        cells: list[list[int]] = [[] for _ in range(n_cells)]
+        for i, r in enumerate(ranks):
+            cells[r].append(i)
+        for cell in cells:
+            if any(twin[i] != twin[cell[0]] for i in cell):
+                return min(
+                    _fixpoint_search(
+                        _fixpoint_refine(_fixpoint_rank(
+                            [(r, 1 if i == rep else 2) for i, r in enumerate(ranks)]),
+                            downs, ups),
+                        downs, ups, twin)
+                    for rep in cell if twin[rep] == rep
+                )
+    order = sorted(range(d), key=ranks.__getitem__)
+    column = [0] * d
+    for k, i in enumerate(order):
+        column[i] = 1 << (d - 1 - k)
+    bitstring = 0
+    for i in order:
+        bitstring = (bitstring << d) | sum(map(column.__getitem__, ups[i]))
+    return bitstring
+
+
+def _fixpoint_refine(ranks: list[int], downs: list, ups: list) -> list[int]:
+    n_classes = max(ranks) + 1
+    while n_classes < len(ranks):
+        ranks = _fixpoint_rank([
+            (r,
+             tuple(sorted(map(ranks.__getitem__, down))),
+             tuple(sorted(map(ranks.__getitem__, up))))
+            for r, down, up in zip(ranks, downs, ups)
+        ])
+        n = max(ranks) + 1
+        if n == n_classes:
+            break
+        n_classes = n
+    return ranks

@@ -4,9 +4,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posetfano import Poset, poset_classes
+from posetfano import Poset, canonical, poset_classes
 from conftest import antichain, chain, random_poset
-from oracles import brute_isomorphic, labeled_posets
+from oracles import brute_isomorphic, fixpoint_key, labeled_posets
 
 
 def test_v_poset_automorphic_labelings():
@@ -143,3 +143,37 @@ def test_branches_on_every_member_of_a_cell_that_is_not_an_orbit():
         perm = list(range(1, 15))
         rng.shuffle(perm)
         assert p.relabel([0] + perm).canonical_key() == p.canonical_key()
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_twin_stop_matches_the_fixpoint_key_on_every_class(d):
+    # the first refinement stops at the twin partition; refining on to
+    # the fixpoint gives the same bytes
+    rng = random.Random(70 + d)
+    for p in poset_classes(d):
+        perm = list(range(1, d + 1))
+        rng.shuffle(perm)
+        for q in (p, p.relabel([0] + perm), p.dual()):
+            assert canonical.canonical_key(q) == fixpoint_key(q)
+
+
+def _planted_twins(rng: random.Random, d: int) -> Poset:
+    """A random poset on d elements made of twin groups of 1 to 4
+    copies of the elements of a smaller random poset."""
+    sizes = []
+    while sum(sizes) < d:
+        sizes.append(rng.randint(1, 4))
+    sizes[-1] -= sum(sizes) - d
+    base = random_poset(rng, len(sizes))
+    labels = iter(rng.sample(range(1, d + 1), d))
+    copies = [[next(labels) for _ in range(n)] for n in sizes]
+    pairs = [(a, b) for i in base.elements for j in base.elements if base.less(i, j)
+             for a in copies[i - 1] for b in copies[j - 1]]
+    return Poset.from_cover_relations(d, pairs)
+
+
+def test_twin_stop_matches_the_fixpoint_key_on_planted_twins():
+    rng = random.Random(914)
+    for _ in range(300):
+        p = _planted_twins(rng, rng.randint(9, 14))
+        assert canonical.canonical_key(p) == fixpoint_key(p)

@@ -27,6 +27,11 @@ class TestOracleEquivalence:
         disagreements = [p for p in poset_classes(5) if find_disagreement(p)]
         assert disagreements == []
 
+    def test_reports_equal_up_to_d6(self):
+        for d in range(1, 7):
+            for p in quotient_by_duality(poset_classes(d)):
+                assert find_disagreement(p) is None
+
     def test_random_d6_sample(self):
         rng = random.Random(47)
         for _ in range(25):
@@ -121,13 +126,6 @@ class TestOracleReport:
         monkeypatch.undo()
         flags = oracle_report(Poset.from_cover_relations(16, [(i, i + 1) for i in range(1, 16)]))[2]
         assert all(flags.values())
-
-
-class TestOneHatPerCall:
-    def test_reports_equal_up_to_d6(self):
-        for d in range(1, 7):
-            for p in quotient_by_duality(poset_classes(d)):
-                assert find_disagreement(p) is None
 
 
 @pytest.mark.skipif(not os.environ.get("RUN_D8"),

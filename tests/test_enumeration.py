@@ -14,8 +14,9 @@ from posetfano import (
     quotient_by_duality,
 )
 from posetfano import canonical, enumeration
-from posetfano.enumeration import _extensions, count_smooth, pool_map, read_table
-from oracles import brute_isomorphic, filtered_extensions, labeled_posets
+from posetfano.enumeration import (
+    _extensions, count_smooth, pair_representatives, pool_map, read_table)
+from oracles import brute_isomorphic, filtered_extensions, labeled_posets, twin_prefix
 
 
 @pytest.fixture(scope="module")
@@ -98,14 +99,21 @@ class TestIsoClassCounts:
         assert _orbit_sum(8) == 431723379  # OEIS A001035
 
 
+def _children(p):
+    """The children _extensions yields, as Posets."""
+    return [Poset(p.d + 1, above) for above, _ in _extensions(p)]
+
+
 class TestMaximalElementExtension:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_new_element_is_maximal_with_largest_down_set(self, d):
         new = d + 1
         for p in poset_classes(d):
-            for child in _extensions(p):
+            for above, below in _extensions(p):
+                child = Poset(new, above)
                 assert child.above_mask(new) == 0
                 lower = child.lower_masks()
+                assert below == lower
                 size = lower[new].bit_count()
                 for m in child.maximal_elements:
                     assert lower[m].bit_count() <= size
@@ -126,7 +134,25 @@ class TestMaximalElementExtension:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_ideals_equal_the_subset_filter(self, d):
         for p in poset_classes(d):
-            assert list(_extensions(p)) == filtered_extensions(p)
+            assert _children(p) == twin_prefix(p, filtered_extensions(p))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+    def test_twin_skip_drops_only_repeats(self, d):
+        # a child whose ideal takes a twin without the twin before it has
+        # the key of a child that comes earlier among its parent's children,
+        # on every child with at most 7 elements
+        dropped = 0
+        for p in poset_classes(d):
+            children = filtered_extensions(p)
+            kept = set(twin_prefix(p, children))
+            earlier = set()
+            for child in children:
+                if child in kept:
+                    earlier.add(child.canonical_key())
+                else:
+                    dropped += 1
+                    assert child.canonical_key() in earlier
+        assert dropped == {1: 0, 2: 1, 3: 5, 4: 23, 5: 112, 6: 653}[d]
 
     @pytest.mark.slow
     def test_d8_class_count(self):
@@ -234,6 +260,23 @@ class TestLocalQuotient:
     def test_dual_keys_computed_d8(self, dual_key_calls):
         assert len(quotient_by_duality(poset_classes(8))) == 8746
         assert len(dual_key_calls) == 543
+
+
+class TestPairFlags:
+    @pytest.mark.parametrize("use_pool", [False, True])
+    def test_stored_flags_equal_the_quotient(self, use_pool, pool, monkeypatch):
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        for d in range(1, 8):
+            level = poset_classes(d, pool=pool if use_pool else None)
+            kept = pair_representatives(d)
+            assert list(kept) == quotient_by_duality(level)
+            assert {id(p) for p in kept} <= {id(q) for q in level}
+
+    @pytest.mark.slow
+    def test_stored_flags_equal_the_quotient_d8(self, pool, monkeypatch):
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        level = poset_classes(8, pool=pool)
+        assert list(pair_representatives(8)) == quotient_by_duality(level)
 
 
 class TestDeterminism:
