@@ -20,6 +20,16 @@ breaks a bound is abandoned, since no completion of it passes.  The
 rule skips only subtrees that hold no witness and leaves the visiting
 order alone, so witnesses come in the order in which filtering the
 unpruned list of cycles and then paths would give them.
+
+A square, a 4-cycle of the Hasse diagram that misses a bound, is
+always a blocking walk, so ``hasse_squares`` decides most non-smooth
+posets from bit masks without the search.  Hasse diagrams have no
+triangles, so a 4-cycle is a diamond x < a < y, x < b < y (levels
+0 1 2 1) or a crown x, y < a, b (levels 0 1 0 1), every step a cover.
+Either is balanced, and its only gap of 2 is x to y, where dist = 2
+and d0[y] + d1[x] >= 2, since y is not the bottom and x not the top.
+The search excludes only the diamond 0, a, top, b, which runs through
+both bounds.
 """
 from __future__ import annotations
 
@@ -27,7 +37,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterator, Optional
 
 from .errors import NotConsistent
-from .poset import HatPoset, Poset, Walk
+from .poset import HatPoset, Poset, Walk, _bits
 
 
 def level_labels(walk: Walk) -> dict[int, int]:
@@ -155,6 +165,42 @@ def iter_witnesses(h: HatPoset) -> Iterator[Walk]:
         yield Walk.from_elements(h, elements, "cycle")
     for elements in _walks(h, cycle=False, witnesses=True):
         yield Walk.from_elements(h, elements, "path")
+
+
+# -- squares ---------------------------------------------------------------
+
+def hasse_squares(p: Poset) -> Iterator[tuple[int, int, int, int]]:
+    """The 4-cycles of the Hasse diagram of P-hat that miss a bound, as
+    (a, x, b, y) in cycle order: a and b are elements of P, x and y
+    their common neighbors, a < b and x < y as indices.
+
+    Each is a blocking walk (see the module docstring).  A 4-cycle that
+    misses a bound has a diagonal {a, b} inside P: a crown lies in P,
+    and a diamond with a bound on one tip has its two middle elements
+    in P.  So the test reads only the neighbor masks of P's elements in
+    P-hat (bottom 0, top d+1), built from the upper masks, and yields
+    every pair of common neighbors of two of them but {0, d+1}, the
+    diamond of two isolated points.  A square with both diagonals in P
+    comes once per diagonal.
+    """
+    top = p.d + 1
+    nbrs = [0] * top
+    for i, j in p.covers:
+        nbrs[i] |= 1 << j
+        nbrs[j] |= 1 << i
+    for i in p.minimal_elements:
+        nbrs[i] |= 1
+    for i in p.maximal_elements:
+        nbrs[i] |= 1 << top
+    for a in range(1, top):
+        for b in range(a + 1, top):
+            common = nbrs[a] & nbrs[b]
+            if common & (common - 1):
+                shared = list(_bits(common))
+                for k, x in enumerate(shared):
+                    for y in shared[k + 1:]:
+                        if (x, y) != (0, top):
+                            yield a, x, b, y
 
 
 # -- classification -------------------------------------------------------

@@ -17,7 +17,7 @@ from itertools import islice
 from .classifier import classify, iter_witnesses
 from .crosscheck import find_disagreement, oracle_report
 from .enumeration import (
-    build_table, pool_map, poset_classes, quotient_by_duality, worker_pool,
+    build_table, pair_representatives, pool_map, poset_classes, worker_pool,
 )
 from .errors import PosetfanoError, UnsupportedSize
 from .polytope import build_vertex_set
@@ -219,8 +219,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    reps = poset_classes(args.d)
-    chosen = quotient_by_duality(reps) if args.up_to_duality else list(reps)
+    chosen = pair_representatives(args.d) if args.up_to_duality else poset_classes(args.d)
     if args.emit:
         os.makedirs(args.emit, exist_ok=True)
         for p in chosen:

@@ -15,6 +15,15 @@ standing or not for its {class, dual class} pair, and each
 representative's polytope among those flagged is classified for
 smoothness, which the dual's negated polytope shares.
 
+``build_table`` stores every level it extends, but not its last one:
+for the top row it extends the level below with ``_pair_children``,
+which skips a child whose sorted size pairs sort strictly above its
+dual's before keying it and returns only the children that stand for
+their pair, so only those pair representatives become Posets.  A
+representative whose bounded Hasse diagram has a 4-cycle missing a
+bound is counted as not smooth without the walk search: such a square
+is a blocking walk (see ``classifier``).
+
 Extension and classification take an optional process pool by keyword
 (``pool=None`` runs serially), and ``build_table`` opens one pool for
 both.
@@ -40,11 +49,10 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 from typing import Callable, ContextManager, Iterator, Sequence
 
 from .canonical import masks_key
-from .classifier import classify
+from .classifier import classify, hasse_squares
 from .errors import ParseError, UnsupportedSize
 from .poset import Poset, _bits
 
@@ -102,14 +110,56 @@ def _extensions(p: Poset) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         yield tuple(new_above), below + (down,)
 
 
-def _keyed_children(parent: Poset) -> list[tuple[bytes, tuple[int, ...], bool]]:
+# a child's canonical key, upper masks and duality flag
+_Child = tuple[bytes, tuple[int, ...], bool]
+
+
+def _keyed_children(parent: Poset) -> list[_Child]:
     """Canonical key, upper masks and duality flag of every child of parent."""
     out = []
     for above, below in _extensions(parent):
         key = masks_key(above, below)
-        dual_key = partial(masks_key, below, above)
-        out.append((key, above, _represents_its_pair(above, below, key, dual_key)))
+        represents = _represents_its_pair(
+            _sizes_order(above, below), key, partial(masks_key, below, above))
+        out.append((key, above, represents))
     return out
+
+
+def _pair_children(parent: Poset) -> list[_Child]:
+    """``_keyed_children`` of parent, restricted to the children that
+    stand for their duality pair.
+
+    A child whose size pairs sort strictly above its dual's is skipped
+    before it is keyed.
+    """
+    out = []
+    for above, below in _extensions(parent):
+        order = _sizes_order(above, below)
+        if order > 0:
+            continue  # its dual's class stands for the pair
+        key = masks_key(above, below)
+        if _represents_its_pair(order, key, partial(masks_key, below, above)):
+            out.append((key, above, True))
+    return out
+
+
+def _first_children(
+        batches: Iterator[list[_Child]]) -> dict[bytes, tuple[tuple[int, ...], bool]]:
+    """Upper masks and duality flag of the first child seen under each
+    key; equal mask values share one int object."""
+    first: dict[bytes, tuple[tuple[int, ...], bool]] = {}
+    masks: dict[int, int] = {}
+    for children in batches:
+        for key, above, represents in children:
+            if key not in first:
+                first[key] = tuple(map(masks.setdefault, above, above)), represents
+    return first
+
+
+def _representative(d: int, above: tuple[int, ...], key: bytes) -> Poset:
+    p = Poset(d, above)
+    p._key = key
+    return p
 
 
 CENSUS_MAX_D = 8  # the largest poset size the census enumerates
@@ -127,22 +177,14 @@ def poset_classes(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
             point = Poset(1, (0, 0))
             _LEVELS[1] = ((point,), (point,))
         else:
-            # masks of the first child seen under each key, split by its duality flag
-            kept: dict[bytes, tuple[int, ...]] = {}
-            rest: dict[bytes, tuple[int, ...]] = {}
-            masks: dict[int, int] = {}  # one int object per mask value
-            parents = poset_classes(d - 1, pool=pool)
-            for children in pool_map(_keyed_children, parents, pool):
-                for key, above, represents in children:
-                    if key not in kept and key not in rest:
-                        (kept if represents else rest)[key] = tuple(
-                            map(masks.setdefault, above, above))
+            first = _first_children(
+                pool_map(_keyed_children, poset_classes(d - 1, pool=pool), pool))
             reps, pair_reps = [], []
-            for key in sorted(chain(kept, rest)):
-                p = Poset(d, kept.get(key) or rest[key])
-                p._key = key
+            for key in sorted(first):
+                above, represents = first[key]
+                p = _representative(d, above, key)
                 reps.append(p)
-                if key in kept:
+                if represents:
                     pair_reps.append(p)
             _LEVELS[d] = (tuple(reps), tuple(pair_reps))
     return _LEVELS[d][0]
@@ -156,34 +198,59 @@ def pair_representatives(d: int, *, pool: Executor | None = None) -> tuple[Poset
     return _LEVELS[d][1]
 
 
+def _top_row(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
+    """``pair_representatives(d)`` without storing level d.
+
+    Unless level d is stored already, the level below is extended with
+    ``_pair_children`` and only the pair representatives become Posets,
+    in ``sorted(key)`` order: a class's flag does not depend on which
+    of its children is asked, so the first child seen under each kept
+    key is the one the stored level keeps.
+    """
+    if d == 1 or d in _LEVELS:
+        return pair_representatives(d, pool=pool)
+    first = _first_children(
+        pool_map(_pair_children, poset_classes(d - 1, pool=pool), pool))
+    return tuple(_representative(d, first[key][0], key) for key in sorted(first))
+
+
 def _dual_key(p: Poset) -> bytes:
     return p.dual().canonical_key()
 
 
-def _represents_its_pair(above: Sequence[int], below: Sequence[int], key: bytes,
-                         dual_key: Callable[[], bytes]) -> bool:
-    """True iff the poset with these masks and key stands for the pair
-    {its class, its dual's class}.
+def _sizes_order(above: Sequence[int], below: Sequence[int]) -> int:
+    """-1, 0 or 1 as the sorted (down-set size, up-set size) pairs of the
+    poset with these masks sort below, equal to or above its dual's.
 
-    Duality swaps each element's (down-set size, up-set size) pair.  Of
-    the poset and its dual, the one whose sorted pairs sort strictly
-    lower is kept; only on a tie are the keys compared, keeping the
-    smaller one, and only then is ``dual_key()`` called.
+    Duality swaps each element's pair, so the dual's sorted pairs are
+    the swapped ones.
     """
     sizes = [(down.bit_count(), up.bit_count()) for down, up in zip(below[1:], above[1:])]
     own, swapped = sorted(sizes), sorted(pair[::-1] for pair in sizes)
-    return own < swapped if own != swapped else key <= dual_key()
+    return (own > swapped) - (own < swapped)
+
+
+def _represents_its_pair(order: int, key: bytes, dual_key: Callable[[], bytes]) -> bool:
+    """True iff the poset with this ``_sizes_order`` and key stands for
+    the pair {its class, its dual's class}.
+
+    Of the poset and its dual, the one whose sorted size pairs sort
+    strictly lower is kept; only on a tie are the keys compared,
+    keeping the smaller one, and only then is ``dual_key()`` called.
+    """
+    return order < 0 if order else key <= dual_key()
 
 
 def quotient_by_duality(posets: Sequence[Poset]) -> list[Poset]:
     """One poset per {class, dual class} pair, each decided on its own."""
     return [p for p in posets
-            if _represents_its_pair(p._above, p.lower_masks(), p.canonical_key(),
-                                    partial(_dual_key, p))]
+            if _represents_its_pair(_sizes_order(p._above, p.lower_masks()),
+                                    p.canonical_key(), partial(_dual_key, p))]
 
 
 def _smooth_flag(p: Poset) -> bool:
-    return classify(p).smooth
+    """classify(p).smooth, False at once when P-hat has a Hasse square."""
+    return next(hasse_squares(p), None) is None and classify(p).smooth
 
 
 def worker_pool(jobs: int) -> ContextManager[Executor | None]:
@@ -240,7 +307,9 @@ def build_table(
                 continue
             if log:
                 log(f"enumerating d={d}")
-            reps = pair_representatives(d, pool=pool)
+            # levels below d_max are stored for the next one; the last is not
+            reps = (pair_representatives(d, pool=pool) if d < d_max
+                    else _top_row(d, pool=pool))
             if log:
                 log(f"classifying {len(reps)} representatives at d={d}")
             row = TableRow(d, len(reps), count_smooth(reps, pool=pool))

@@ -59,13 +59,14 @@ def zigzag7():
     )
 
 
-def random_poset(rng: random.Random, d: int) -> Poset:
-    """Random poset: random DAG relations under a random permutation."""
+def random_poset(rng: random.Random, d: int, density: float = 0.35) -> Poset:
+    """Random poset: random DAG relations under a random permutation,
+    each pair related with probability density."""
     perm = list(range(1, d + 1))
     rng.shuffle(perm)
     pairs = []
     for i in range(d):
         for j in range(i + 1, d):
-            if rng.random() < 0.35:
+            if rng.random() < density:
                 pairs.append((perm[i], perm[j]))
     return Poset.from_cover_relations(d, pairs)

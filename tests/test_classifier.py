@@ -16,7 +16,8 @@ from posetfano import (
     level_labels,
     poset_classes,
 )
-from posetfano.classifier import enumerate_paths
+from posetfano.classifier import enumerate_paths, hasse_squares
+from posetfano.enumeration import _smooth_flag
 from conftest import antichain, chain, random_poset
 from oracles import (
     cycle_levels_compatible,
@@ -402,6 +403,60 @@ class TestWitnessSearch:
             h = random_poset(rng, rng.randint(1, 10)).hat()
             assert [w.elements for w in enumerate_cycles(h)] == list(recursive_cycles(h))
             assert [w.elements for w in enumerate_paths(h)] == list(recursive_paths(h))
+
+
+class TestHasseSquares:
+    def test_every_square_is_a_witness_d6(self):
+        # the square rule is a case of the walk rule: each square found is
+        # a blocking cycle of the search, compared as a set of elements
+        found = 0
+        for d in range(1, 7):
+            for p in poset_classes(d):
+                squares = {frozenset(s) for s in hasse_squares(p)}
+                if squares:
+                    witnesses = {frozenset(w.elements) for w in iter_witnesses(p.hat())
+                                 if w.kind == "cycle"}
+                    assert squares <= witnesses, p
+                    found += len(squares)
+        assert found > 1000
+
+    def test_squares_are_4_cycles_missing_a_bound(self, diamond, lambda_poset):
+        # a square with both diagonals in P comes once per diagonal
+        assert set(hasse_squares(diamond)) == {(1, 2, 4, 3), (2, 1, 3, 4)}
+        assert set(hasse_squares(lambda_poset)) == {(2, 0, 3, 1)}
+        crown = Poset.from_cover_relations(4, [(1, 3), (1, 4), (2, 3), (2, 4)])
+        assert set(hasse_squares(crown)) == {
+            (1, 3, 2, 4), (3, 1, 4, 2),  # the crown itself
+            (1, 0, 2, 3), (1, 0, 2, 4), (3, 1, 4, 5), (3, 2, 4, 5)}  # diamonds
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_isolated_points_are_no_square(self, d):
+        # two isolated points a, b make the diamond 0 a top b, which runs
+        # through both bounds: the walk search skips it, and so do squares
+        p = antichain(d)
+        assert list(hasse_squares(p)) == []
+        assert _smooth_flag(p) and classify(p).smooth
+
+    def test_flag_equals_classify_d7(self):
+        for d in range(1, 8):
+            for p in poset_classes(d):
+                assert _smooth_flag(p) == classify(p).smooth, p
+
+    def test_flag_equals_classify_on_random_posets(self):
+        rng = random.Random(73)
+        squares = smooth = 0
+        for _ in range(400):
+            p = random_poset(rng, rng.randint(9, 14), rng.uniform(0.1, 0.4))
+            flag = _smooth_flag(p)
+            assert flag == classify(p).smooth, p
+            squares += next(hasse_squares(p), None) is not None
+            smooth += flag
+        assert 0 < squares < 400 - smooth and smooth > 0
+
+    @pytest.mark.slow
+    def test_flag_equals_classify_d8(self):
+        for p in poset_classes(8):
+            assert _smooth_flag(p) == classify(p).smooth, p
 
 
 def test_path_enumeration_matches_networkx(two_chain_plus_point, diamond):

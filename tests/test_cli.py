@@ -307,6 +307,16 @@ class TestEnumerateCommand:
         assert main(["enumerate", "--d", "3", "--up-to-duality"]) == 0
         assert "4 duality classes" in capsys.readouterr().out
 
+    def test_up_to_duality_emits_the_quotient_d6(self, tmp_path, capsys):
+        from posetfano import quotient_by_duality
+        target = tmp_path / "out"
+        assert main(["enumerate", "--d", "6", "--up-to-duality",
+                     "--emit", str(target)]) == 0
+        assert "184 duality classes" in capsys.readouterr().out
+        names = {f.name for f in target.glob("*.poset")}
+        assert names == {p.canonical_key().hex() + ".poset"
+                         for p in quotient_by_duality(poset_classes(6))}
+
 
 class TestUsageErrors:
     def test_no_command(self):

@@ -402,7 +402,7 @@ class TestSharedPool:
 
     @pytest.mark.parametrize("jobs,executors,mapped", [
         (1, 0, set()),
-        (2, 1, {"_keyed_children", "_smooth_flag"}),
+        (2, 1, {"_keyed_children", "_pair_children", "_smooth_flag"}),
     ])
     def test_one_executor_per_table(self, jobs, executors, mapped, counting):
         opened, used = counting
@@ -418,6 +418,39 @@ class TestSharedPool:
         assert len(opened) == 1
         assert {name for _, name in used} == {"_keyed_children", "find_disagreement"}
         assert all(executor is opened[0] for executor, _ in used)
+
+
+class TestTopRow:
+    @pytest.mark.parametrize("use_pool", [False, True])
+    def test_equals_the_stored_pair_representatives(self, use_pool, pool, monkeypatch):
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        executor = pool if use_pool else None
+        for d in range(2, 8):
+            top = enumeration._top_row(d, pool=executor)
+            assert d not in enumeration._LEVELS
+            stored = pair_representatives(d, pool=executor)
+            assert _masks(top) == _masks(stored)
+            assert [p._key for p in top] == [p._key for p in stored]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_table_leaves_its_last_level_unstored(self, jobs, monkeypatch):
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        rows = build_table(6, jobs=jobs)
+        assert [r.posets for r in rows] == [1, 2, 4, 12, 39, 184]
+        assert sorted(enumeration._LEVELS) == [1, 2, 3, 4, 5]
+        assert len(poset_classes(6)) == ISO_CLASSES[6]
+        assert len(pair_representatives(6)) == 184
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("done", [4, 6])
+    def test_resume_gives_the_same_rows(self, jobs, done, tmp_path, monkeypatch):
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        serial = build_table(7)
+        out = str(tmp_path / "rows.csv")
+        build_table(done, out=out)
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        assert build_table(7, jobs=jobs, out=out, resume=True) == serial
+        assert read_table(out) == serial
 
 
 class TestStreamedMerge:
