@@ -3,8 +3,12 @@
 A facet of the polytope can contain the edge vectors of a walk in the
 Hasse diagram only if the walk is balanced (equally many ascending and
 descending steps).  A balanced walk carries a unique nonnegative level
-labeling that changes by one per step; when every level gap fits within
-the corresponding saturated-chain distances, a supporting hyperplane
+labeling that changes by one per step.  Its gap rule: for any two
+elements a and b of the walk, levels[b] - levels[a] is at most the
+directed distance from a to b once the bottom and the top of P-hat are
+merged into one node (Higashitani 2015), the shorter of a saturated
+chain from a up to b and one from a up to the top followed by one from
+the bottom up to b.  When every gap fits, a supporting hyperplane
 through all of the walk's edge vectors exists, those vectors are
 affinely dependent, and the polytope fails to be simplicial.  The
 classifier searches all simple cycles (avoiding at least one of the two
@@ -26,8 +30,9 @@ always a blocking walk, so ``hasse_squares`` decides most non-smooth
 posets from bit masks without the search.  Hasse diagrams have no
 triangles, so a 4-cycle is a diamond x < a < y, x < b < y (levels
 0 1 2 1) or a crown x, y < a, b (levels 0 1 0 1), every step a cover.
-Either is balanced, and its only gap of 2 is x to y, where dist = 2
-and d0[y] + d1[x] >= 2, since y is not the bottom and x not the top.
+Either is balanced, and its only gap of 2 is x to y, whose distance is
+2: the chain x < a < y has length 2, and a way through the merged
+bounds at least 2, since y is not the bottom and x not the top.
 The search excludes only the diamond 0, a, top, b, which runs through
 both bounds.
 """
@@ -57,53 +62,45 @@ def level_labels(walk: Walk) -> dict[int, int]:
 
 # -- walk search ---------------------------------------------------------
 
-def _gaps_fit(dist, d0, d1, path: list[int], levels: list[int],
-              y: int, level: int) -> bool:
-    """True iff y at ``level`` fits every level gap to the walk so far.
+def _gaps_fit(reach, path: list[int], levels: list[int], y: int, level: int) -> bool:
+    """True iff y at ``level`` keeps the gap rule (see the module
+    docstring) with every element of the walk so far; reach[a][b] is
+    the rule's distance from a to b.
 
-    A gap levels[a] - levels[b] > 0 may not exceed dist(b, a) when b < a
-    (``dist`` is HatPoset.distances) nor d0[a] + d1[b], the distances
-    from the bottom to a and from b to the top.  The second cap is what
-    lets a hyperplane through a cycle vanish on both bounds: each
-    element x allows the shifts from levels[x] - d0[x] to levels[x] +
-    d1[x], and these ranges meet iff every pair fits.  It is not implied
-    by the first: some smooth posets carry a balanced cycle that only it
-    rejects.  A witness path holds both bounds at level 0, so there the
-    second cap follows from the first on the gaps from the bottom up to
-    a and from b up to the top: paths take it too, and it prunes only
-    prefixes that no witness completes.  These are the gaps that
-    geometry.witness_hyperplane checks on its plane.
+    The way through the merged bounds is what lets a hyperplane through
+    a cycle vanish on both bounds: x allows the shifts from levels[x] -
+    reach[0][x] to levels[x] + reach[x][top], and these ranges meet iff
+    every pair fits that way.  Some smooth posets carry a balanced cycle
+    that only this way rejects.  A witness path holds both bounds at
+    level 0, where that way follows from the chains, so paths take it
+    too and it prunes only prefixes that no witness completes.  These
+    are the gaps that geometry.witness_hyperplane checks on its plane.
     """
-    from_y = dist[y]
+    from_y = reach[y]
     for x, lx in zip(path, levels):
-        gap = level - lx
-        if gap > 0:
-            if 0 < dist[x][y] < gap or gap > d0[y] + d1[x]:
-                return False
-        elif gap < 0 and (0 < from_y[x] < -gap or -gap > d0[x] + d1[y]):
+        if not -from_y[x] <= level - lx <= reach[x][y]:
             return False
     return True
 
 
 def _walks(h: HatPoset, cycle: bool,
-           witnesses: bool = False) -> Iterator[tuple[int, ...]]:
+           reach: list[list[int]] | None = None) -> Iterator[tuple[int, ...]]:
     """Element tuples of simple cycles or bottom-to-top paths, in search order.
 
     Depth first with an explicit stack, neighbors in increasing order.
     A cycle is searched from its smallest index over larger indices and
     kept when its second index is below its last, so each cycle appears
-    once; a path runs from 0 to the top.  With ``witnesses``
-    only blocking walks are yielded: the prefix rule (see the module
-    docstring) prunes with the same caps for cycles and paths, root 0
-    never steps into the top (a cycle through both bounds is no
+    once; the top, the largest index, roots none, since it bars every
+    other element.  A path runs from 0 to the top.  Given ``reach``
+    (see _gaps_fit), only blocking walks are yielded: the prefix rule
+    (see the module docstring) prunes with it for cycles and paths, root
+    0 never steps into the top (a cycle through both bounds is no
     witness; other roots never reach 0), and a walk must close at level
     0, i.e. be balanced.
     """
     top, above = h.top, h.above
-    if witnesses:
-        dist = h.distances
-        d0, d1 = dist[0], [row[top] for row in dist]
-    for root in range(top + 1) if cycle else (0,):
+    witnesses = reach is not None
+    for root in range(top) if cycle else (0,):
         # barred: elements on the walk, and for cycles those up to the root
         barred = (2 << root) - 1 if cycle else 1
         if cycle and witnesses and root == 0:
@@ -119,7 +116,7 @@ def _walks(h: HatPoset, cycle: bool,
                             and not (witnesses and level)):
                         yield tuple(path)
                     continue
-                if witnesses and not _gaps_fit(dist, d0, d1, path, levels, y, level):
+                if witnesses and not _gaps_fit(reach, path, levels, y, level):
                     continue
                 if y == top and not cycle:
                     if not (witnesses and level):
@@ -161,9 +158,14 @@ def iter_witnesses(h: HatPoset) -> Iterator[Walk]:
     filtered to balanced walks (cycles missing a bound) whose level gaps
     fit (_gaps_fit); the search prunes instead of filtering (see _walks).
     """
-    for elements in _walks(h, cycle=True, witnesses=True):
+    dist = h.distances
+    # reach[a][b]: the gap rule's distance from a to b (module docstring)
+    ups = [row[-1] for row in dist]
+    reach = [[c if 0 < c < u + z else u + z for c, z in zip(row, dist[0])]
+             for row, u in zip(dist, ups)]
+    for elements in _walks(h, cycle=True, reach=reach):
         yield Walk.from_elements(h, elements, "cycle")
-    for elements in _walks(h, cycle=False, witnesses=True):
+    for elements in _walks(h, cycle=False, reach=reach):
         yield Walk.from_elements(h, elements, "path")
 
 

@@ -10,36 +10,36 @@ are bit masks: the child's upper masks, and its lower masks, which are
 the parent's plus the new element's ideal.  Canonical keys read the
 masks directly and deduplicate the results, giving exactly one
 representative per isomorphism class; only representatives become
-Posets.  Each child is also flagged, from its masks and key, as
-standing or not for its {class, dual class} pair, and each
-representative's polytope among those flagged is classified for
+Posets.  ``pair_representatives`` keeps one class per {class, dual
+class} pair, and each kept representative's polytope is classified for
 smoothness, which the dual's negated polytope shares.
 
-``build_table`` stores every level it extends, but not its last one:
-for the top row it extends the level below with ``_pair_children``,
-which skips a child whose sorted size pairs sort strictly above its
-dual's before keying it and returns only the children that stand for
-their pair, so only those pair representatives become Posets.  A
-representative whose bounded Hasse diagram has a 4-cycle missing a
-bound is counted as not smooth without the walk search: such a square
-is a blocking walk (see ``classifier``).
+``build_table`` stores every level it extends, but not its last one.
+For a stored level, ``pair_representatives`` applies
+``quotient_by_duality`` to it; for the top row it extends the level
+below with ``_pair_children``, which skips a child whose sorted size
+pairs sort strictly above its dual's before keying it and returns only
+the children that stand for their pair, so only those pair
+representatives become Posets.  A representative whose bounded Hasse
+diagram has a 4-cycle missing a bound is counted as not smooth without
+the walk search: such a square is a blocking walk (see
+``classifier``).
 
 Extension and classification take an optional process pool by keyword
 (``pool=None`` runs serially), and ``build_table`` opens one pool for
 both.
-Extension shards over parents: a worker returns the canonical key,
-strict-order masks and duality flag of each child of one parent, and
-the results are merged in parent order, keeping the first child seen
-under each key, with its flag.  That is the representative the serial
-loop keeps, so representatives and their ``sorted(key)`` order do not
-depend on the pool.  The merge is streamed: ``pool_map`` yields each
-parent's children in parent order, and the merge reads each batch as
-it arrives and drops it once read.  With a pool, batches that finish
-before the merge reaches them wait in the pool, so how many are held
-at once depends on the merge keeping up with the workers; only a
-serial run holds one batch at a time.  A new representative's masks
-are stored through one dict per level, so equal mask values share one
-int object rather than one per unpickled child.
+Extension shards over parents: a worker returns the canonical key and
+upper masks of each child of one parent, and the results are merged in
+parent order, keeping the first child seen under each key.  That is
+the representative the serial loop keeps, so representatives and
+their ``sorted(key)`` order do not depend on the pool.  The merge is
+streamed: ``pool_map`` yields each parent's children in parent order,
+and the merge reads each batch as it arrives and drops it once read.
+With a pool, batches that finish before the merge reaches them wait in
+the pool, so how many are held at once depends on the merge keeping up
+with the workers; only a serial run holds one batch at a time.  A
+representative's masks are stored through one dict per level, so equal
+mask values share one int object rather than one per unpickled child.
 """
 from __future__ import annotations
 
@@ -110,19 +110,13 @@ def _extensions(p: Poset) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         yield tuple(new_above), below + (down,)
 
 
-# a child's canonical key, upper masks and duality flag
-_Child = tuple[bytes, tuple[int, ...], bool]
+# a child's canonical key and upper masks
+_Child = tuple[bytes, tuple[int, ...]]
 
 
 def _keyed_children(parent: Poset) -> list[_Child]:
-    """Canonical key, upper masks and duality flag of every child of parent."""
-    out = []
-    for above, below in _extensions(parent):
-        key = masks_key(above, below)
-        represents = _represents_its_pair(
-            _sizes_order(above, below), key, partial(masks_key, below, above))
-        out.append((key, above, represents))
-    return out
+    """Canonical key and upper masks of every child of parent."""
+    return [(masks_key(above, below), above) for above, below in _extensions(parent)]
 
 
 def _pair_children(parent: Poset) -> list[_Child]:
@@ -139,32 +133,30 @@ def _pair_children(parent: Poset) -> list[_Child]:
             continue  # its dual's class stands for the pair
         key = masks_key(above, below)
         if _represents_its_pair(order, key, partial(masks_key, below, above)):
-            out.append((key, above, True))
+            out.append((key, above))
     return out
 
 
-def _first_children(
-        batches: Iterator[list[_Child]]) -> dict[bytes, tuple[tuple[int, ...], bool]]:
-    """Upper masks and duality flag of the first child seen under each
-    key; equal mask values share one int object."""
-    first: dict[bytes, tuple[tuple[int, ...], bool]] = {}
+def _representatives(d: int, batches: Iterator[list[_Child]]) -> tuple[Poset, ...]:
+    """A Poset, with its key set, for the first child seen under each
+    key, in ``sorted(key)`` order; equal mask values share one int
+    object."""
+    first: dict[bytes, tuple[int, ...]] = {}
     masks: dict[int, int] = {}
     for children in batches:
-        for key, above, represents in children:
+        for key, above in children:
             if key not in first:
-                first[key] = tuple(map(masks.setdefault, above, above)), represents
-    return first
-
-
-def _representative(d: int, above: tuple[int, ...], key: bytes) -> Poset:
-    p = Poset(d, above)
-    p._key = key
-    return p
+                first[key] = tuple(map(masks.setdefault, above, above))
+    reps = []
+    for key in sorted(first):
+        p = Poset(d, first[key])
+        p._key = key
+        reps.append(p)
+    return tuple(reps)
 
 
 CENSUS_MAX_D = 8  # the largest poset size the census enumerates
-# d -> (one representative per class, those that stand for their duality pair)
-_LEVELS: dict[int, tuple[tuple[Poset, ...], tuple[Poset, ...]]] = {}
+_LEVELS: dict[int, tuple[Poset, ...]] = {}  # d -> one representative per class
 
 
 def poset_classes(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
@@ -174,44 +166,27 @@ def poset_classes(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
             f"enumeration supports 1 <= d <= {CENSUS_MAX_D}, got {d}")
     if d not in _LEVELS:
         if d == 1:
-            point = Poset(1, (0, 0))
-            _LEVELS[1] = ((point,), (point,))
+            _LEVELS[1] = (Poset(1, (0, 0)),)
         else:
-            first = _first_children(
-                pool_map(_keyed_children, poset_classes(d - 1, pool=pool), pool))
-            reps, pair_reps = [], []
-            for key in sorted(first):
-                above, represents = first[key]
-                p = _representative(d, above, key)
-                reps.append(p)
-                if represents:
-                    pair_reps.append(p)
-            _LEVELS[d] = (tuple(reps), tuple(pair_reps))
-    return _LEVELS[d][0]
+            _LEVELS[d] = _representatives(
+                d, pool_map(_keyed_children, poset_classes(d - 1, pool=pool), pool))
+    return _LEVELS[d]
 
 
 def pair_representatives(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
-    """The representatives of ``poset_classes(d)`` that stand for their
-    duality pair: ``quotient_by_duality`` of the level, decided as the
-    level was built."""
-    poset_classes(d, pool=pool)
-    return _LEVELS[d][1]
+    """``quotient_by_duality(poset_classes(d))``, without storing level d.
 
-
-def _top_row(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
-    """``pair_representatives(d)`` without storing level d.
-
-    Unless level d is stored already, the level below is extended with
-    ``_pair_children`` and only the pair representatives become Posets,
-    in ``sorted(key)`` order: a class's flag does not depend on which
-    of its children is asked, so the first child seen under each kept
-    key is the one the stored level keeps.
+    A stored level is quotiented.  Otherwise the level below is
+    extended with ``_pair_children`` and only the pair representatives
+    become Posets, in ``sorted(key)`` order: whether a class stands for
+    its pair does not depend on which of its children is asked, so the
+    first child seen under each kept key is the one the stored level
+    would keep.
     """
-    if d == 1 or d in _LEVELS:
-        return pair_representatives(d, pool=pool)
-    first = _first_children(
-        pool_map(_pair_children, poset_classes(d - 1, pool=pool), pool))
-    return tuple(_representative(d, first[key][0], key) for key in sorted(first))
+    if d in _LEVELS or not 1 < d <= CENSUS_MAX_D:  # d = 1, or poset_classes raises
+        return tuple(quotient_by_duality(poset_classes(d)))
+    return _representatives(
+        d, pool_map(_pair_children, poset_classes(d - 1, pool=pool), pool))
 
 
 def _dual_key(p: Poset) -> bytes:
@@ -254,8 +229,12 @@ def _smooth_flag(p: Poset) -> bool:
 
 
 def worker_pool(jobs: int) -> ContextManager[Executor | None]:
-    """A pool of ``jobs`` worker processes, or a context giving None if jobs <= 1."""
-    return ProcessPoolExecutor(jobs) if jobs > 1 else nullcontext()
+    """A pool of ``jobs`` worker processes, at most one per CPU (a pool
+    starts them all on its first task), or a context giving None if
+    jobs <= 1."""
+    if jobs <= 1:
+        return nullcontext()
+    return ProcessPoolExecutor(min(jobs, os.cpu_count() or 1))
 
 
 def pool_map(fn: Callable, items: Sequence, pool: Executor | None = None) -> Iterator:
@@ -307,9 +286,9 @@ def build_table(
                 continue
             if log:
                 log(f"enumerating d={d}")
-            # levels below d_max are stored for the next one; the last is not
-            reps = (pair_representatives(d, pool=pool) if d < d_max
-                    else _top_row(d, pool=pool))
+            if d < d_max:
+                poset_classes(d, pool=pool)  # stored for the next level
+            reps = pair_representatives(d, pool=pool)
             if log:
                 log(f"classifying {len(reps)} representatives at d={d}")
             row = TableRow(d, len(reps), count_smooth(reps, pool=pool))

@@ -45,7 +45,6 @@ from posetfano import (
     enumerate_facets,
     level_labels,
 )
-from posetfano.classifier import enumerate_paths
 
 
 def saturated_chains(h: HatPoset, y: int, z: int) -> list[tuple[int, ...]]:
@@ -578,7 +577,8 @@ def path_levels_compatible(h: HatPoset, path: Walk,
 
 def enumerate_special_paths(h: HatPoset) -> Iterator[Walk]:
     """Balanced simple bottom-to-top paths."""
-    for walk in enumerate_paths(h):
+    for els in recursive_paths(h):
+        walk = Walk.from_elements(h, els, "path")
         if is_balanced(walk):
             yield walk
 

@@ -262,23 +262,6 @@ class TestLocalQuotient:
         assert len(dual_key_calls) == 543
 
 
-class TestPairFlags:
-    @pytest.mark.parametrize("use_pool", [False, True])
-    def test_stored_flags_equal_the_quotient(self, use_pool, pool, monkeypatch):
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
-        for d in range(1, 8):
-            level = poset_classes(d, pool=pool if use_pool else None)
-            kept = pair_representatives(d)
-            assert list(kept) == quotient_by_duality(level)
-            assert {id(p) for p in kept} <= {id(q) for q in level}
-
-    @pytest.mark.slow
-    def test_stored_flags_equal_the_quotient_d8(self, pool, monkeypatch):
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
-        level = poset_classes(8, pool=pool)
-        assert list(pair_representatives(8)) == quotient_by_duality(level)
-
-
 class TestDeterminism:
     def test_two_runs_identical(self):
         from posetfano import enumeration
@@ -399,6 +382,8 @@ class TestSharedPool:
         monkeypatch.setattr(enumeration, "_LEVELS", {})
         assert build_table(7, jobs=2) == serial
         assert [r.posets for r in serial] == [1, 2, 4, 12, 39, 184, 1082]
+        # this code's smooth row; acceptance 1-2 pin the reference's 31/83
+        assert [r.smooth for r in serial] == [1, 2, 3, 6, 12, 32, 88]
 
     @pytest.mark.parametrize("jobs,executors,mapped", [
         (1, 0, set()),
@@ -420,17 +405,41 @@ class TestSharedPool:
         assert all(executor is opened[0] for executor, _ in used)
 
 
+class TestWorkerPool:
+    @pytest.mark.parametrize("jobs,cpus,workers", [
+        (100000, 4, 4), (3, 4, 3), (2, None, 1)])
+    def test_at_most_one_worker_per_cpu(self, jobs, cpus, workers, monkeypatch):
+        # a recording fake: no process is started
+        opened = []
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", opened.append)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+        enumeration.worker_pool(jobs)
+        assert opened == [workers]
+
+
 class TestTopRow:
     @pytest.mark.parametrize("use_pool", [False, True])
     def test_equals_the_stored_pair_representatives(self, use_pool, pool, monkeypatch):
         monkeypatch.setattr(enumeration, "_LEVELS", {})
         executor = pool if use_pool else None
         for d in range(2, 8):
-            top = enumeration._top_row(d, pool=executor)
+            top = pair_representatives(d, pool=executor)
             assert d not in enumeration._LEVELS
+            level = poset_classes(d, pool=executor)
+            quotient = quotient_by_duality(level)
+            assert _masks(top) == _masks(quotient)
+            assert [p._key for p in top] == [p._key for p in quotient]
+            # a stored level is quotiented in place
             stored = pair_representatives(d, pool=executor)
-            assert _masks(top) == _masks(stored)
-            assert [p._key for p in top] == [p._key for p in stored]
+            assert [id(p) for p in stored] == [id(p) for p in quotient]
+
+    @pytest.mark.slow
+    def test_equals_the_quotient_d8(self, pool, monkeypatch):
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        top = pair_representatives(8, pool=pool)
+        quotient = quotient_by_duality(poset_classes(8, pool=pool))
+        assert _masks(top) == _masks(quotient)
+        assert [p._key for p in top] == [p._key for p in quotient]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_table_leaves_its_last_level_unstored(self, jobs, monkeypatch):
