@@ -417,6 +417,19 @@ class TestWorkerPool:
         assert opened == [workers]
 
 
+class TestPairFlags:
+    @pytest.mark.parametrize("use_pool", [False, True])
+    def test_stored_flags_equal_the_quotient(self, use_pool, pool, monkeypatch):
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        for d in range(1, 8):
+            level = poset_classes(d, pool=pool if use_pool else None)
+            kept = pair_representatives(d, pool=pool if use_pool else None)
+            quotient = quotient_by_duality(level)
+            assert list(kept) == quotient
+            assert [id(p) for p in kept] == [id(p) for p in quotient]
+            assert {id(p) for p in kept} <= {id(q) for q in level}
+
+
 class TestTopRow:
     @pytest.mark.parametrize("use_pool", [False, True])
     def test_equals_the_stored_pair_representatives(self, use_pool, pool, monkeypatch):
@@ -429,9 +442,6 @@ class TestTopRow:
             quotient = quotient_by_duality(level)
             assert _masks(top) == _masks(quotient)
             assert [p._key for p in top] == [p._key for p in quotient]
-            # a stored level is quotiented in place
-            stored = pair_representatives(d, pool=executor)
-            assert [id(p) for p in stored] == [id(p) for p in quotient]
 
     @pytest.mark.slow
     def test_equals_the_quotient_d8(self, pool, monkeypatch):
