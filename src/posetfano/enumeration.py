@@ -155,7 +155,7 @@ def _representatives(d: int, batches: Iterator[list[_Child]]) -> tuple[Poset, ..
     return tuple(reps)
 
 
-CENSUS_MAX_D = 8  # the largest poset size the census enumerates
+CENSUS_MAX_D = 9  # the largest poset size the census enumerates
 _LEVELS: dict[int, tuple[Poset, ...]] = {}  # d -> one representative per class
 
 
@@ -190,7 +190,8 @@ def pair_representatives(d: int, *, pool: Executor | None = None) -> tuple[Poset
 
 
 def _dual_key(p: Poset) -> bytes:
-    return p.dual().canonical_key()
+    """p.dual()'s canonical key, from p's swapped masks as in ``_pair_children``."""
+    return masks_key(p.lower_masks(), p._above)
 
 
 def _sizes_order(above: Sequence[int], below: Sequence[int]) -> int:
@@ -231,10 +232,11 @@ def _smooth_flag(p: Poset) -> bool:
 def worker_pool(jobs: int) -> ContextManager[Executor | None]:
     """A pool of ``jobs`` worker processes, at most one per CPU (a pool
     starts them all on its first task), or a context giving None if
-    jobs <= 1."""
-    if jobs <= 1:
+    that leaves at most one worker."""
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1:
         return nullcontext()
-    return ProcessPoolExecutor(min(jobs, os.cpu_count() or 1))
+    return ProcessPoolExecutor(workers)
 
 
 def pool_map(fn: Callable, items: Sequence, pool: Executor | None = None) -> Iterator:

@@ -419,26 +419,28 @@ def witness_hyperplane(h: HatPoset, walk: Walk) -> Hyperplane:
     level (a prefix sum of the steps); the base is max(level[x] - D(x))
     over the walk, the lower end of its feasible range, with D(x) =
     dist(0, x) and D = 0 on both bounds.  A bound on an eligible walk
-    pins the base, since its gaps fit and make its term the maximum;
-    a walk whose gaps do not fit fails the plane check below.  Every
-    other element gets the largest (or smallest) value that keeps the
-    edge inequalities to walk elements valid, clamped toward zero, and
-    both bounds get 0.
+    pins the base, since its gaps fit and make its term the maximum.
+    Every other element gets the largest (or smallest) value that keeps
+    the edge inequalities to walk elements valid, clamped toward zero,
+    and both bounds get 0.
 
     The plane a . x = 1 supports the polytope iff a[lo] - a[hi] <= 1 on
     every Hasse edge (Higashitani 2015, the edge vectors form a network
     matrix), and its face holds the walk iff equality holds on every
     walk edge.  Both are checked on the plane itself, so a walk whose
-    level gaps exceed the distances raises WalkNotEligible there.
+    level gaps exceed the distances raises WalkNotEligible there, and so
+    does an unbalanced walk.  Each step between inner walk elements but a
+    cycle's closing one is tight by construction, and a tight step at a
+    bound pins the base to that bound's level; so an unbalanced cycle
+    fails at its closing step or a bound on it, and an unbalanced path
+    at a bound, as its bounds sit at the levels 0 and sum(steps).
     """
     top = h.top
     els = walk.elements
     if walk.kind == "path" and (els[0] != 0 or els[-1] != top):
         raise WalkNotEligible("path must run from the bottom to the top")
-    if sum(walk.steps):
-        raise WalkNotEligible(f"{walk.kind} is not balanced")
     if walk.kind == "cycle" and 0 in els and top in els:
-        raise WalkNotEligible("cycle is unbalanced or joins both bounds")
+        raise WalkNotEligible("cycle joins both bounds")
 
     levels = dict(zip(els, accumulate(walk.steps, initial=0)))
     rank = h.distances[0]
@@ -457,5 +459,5 @@ def witness_hyperplane(h: HatPoset, walk: Walk) -> Hyperplane:
     # a walk step s from x to y is tight iff a[x] - a[y] == s
     if (any(a[lo] - a[hi] > 1 for lo, hi in h.edges)
             or any(a[x] - a[y] != s for (x, y), s in zip(walk.edge_pairs(), walk.steps))):
-        raise WalkNotEligible(f"{walk.kind} level gaps exceed distances")
+        raise WalkNotEligible(f"{walk.kind} level gaps exceed distances or do not sum to 0")
     return Hyperplane(tuple(a[1:top]))

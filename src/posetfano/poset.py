@@ -7,9 +7,8 @@ masks: a Poset holds the strict order of 1..d, and HatPoset.above is
 the bounded order on 0..d+1, the one table that its order queries, its
 edges and the walk search read.  One rule reads the covers off either
 table, so the bounds' edges need no case of their own.  A Poset stores
-only its upper masks: the lower masks are derived from them on demand,
-and the covers on first read, after which they are cached.  A Walk is
-a simple path or cycle in that diagram.
+only its upper masks: the lower masks and the covers are derived from
+them on each call.  A Walk is a simple path or cycle in that diagram.
 """
 from __future__ import annotations
 
@@ -52,11 +51,10 @@ class Poset:
 
     ``above[i]`` has bit j set iff y_i < y_j; the masks must be
     transitively closed.  They are the only stored order table: the
-    lower masks are derived from them on each call, and the covers on
-    first read, after which they are cached.
+    lower masks and the covers are derived from them on each call.
     """
 
-    __slots__ = ("d", "_above", "_covers", "_key")
+    __slots__ = ("d", "_above", "_key")
 
     def __init__(self, d: int, above: Sequence[int]):
         if not 1 <= d <= MAX_D:
@@ -76,15 +74,12 @@ class Poset:
                     raise ValueError(f"transitivity violated at ({i},{j})")
         self.d = d
         self._above = above
-        self._covers: tuple[tuple[int, int], ...] | None = None
         self._key: bytes | None = None
 
     @property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Cover pairs (i, j) with y_i < y_j, in lexicographic order."""
-        if self._covers is None:
-            self._covers = _cover_pairs(self._above)
-        return self._covers
+        return _cover_pairs(self._above)
 
     @classmethod
     def from_cover_relations(cls, d: int, pairs: Iterable[tuple[int, int]]) -> "Poset":
@@ -119,9 +114,6 @@ class Poset:
         """True iff y_i < y_j; False unless both are in 1..d."""
         return 1 <= i <= self.d and 1 <= j <= self.d and (self._above[i] >> j) & 1 == 1
 
-    def above_mask(self, i: int) -> int:
-        return self._above[i]
-
     def lower_masks(self) -> tuple[int, ...]:
         """Entry i has bit j set iff y_j < y_i (entry 0 is 0); one pass
         over the upper masks, which are the only stored table."""
@@ -151,23 +143,6 @@ class Poset:
     def dual(self) -> "Poset":
         """The poset with the order relation reversed."""
         return Poset(self.d, self.lower_masks())
-
-    def relabel(self, perm: Sequence[int]) -> "Poset":
-        """Apply a relabeling; perm[i] is the new label of old element i.
-
-        perm must be a permutation of 1..d presented with a dummy entry
-        at index 0 (so len(perm) == d+1).
-        """
-        d = self.d
-        if len(perm) != d + 1 or sorted(perm[1:]) != list(range(1, d + 1)):
-            raise ValueError("perm must map 1..d onto 1..d")
-        above = [0] * (d + 1)
-        for i in range(1, d + 1):
-            m = 0
-            for j in _bits(self._above[i]):
-                m |= 1 << perm[j]
-            above[perm[i]] = m
-        return Poset(d, above)
 
     def hat(self) -> "HatPoset":
         """Adjoin a fresh bottom (0) and top (d+1)."""
@@ -232,11 +207,10 @@ class HatPoset:
     instances are safe to share across workers.
     """
 
-    __slots__ = ("base", "d", "top", "above", "edges", "up", "neighbors", "_dist")
+    __slots__ = ("d", "top", "above", "edges", "up", "neighbors", "_dist")
 
     def __init__(self, base: Poset):
         d = base.d
-        self.base = base
         self.d = d
         self.top = top = d + 1
         self.above = ((2 << top) - 2,) + tuple(

@@ -88,11 +88,26 @@ def maximal_chains_by_definition(h: HatPoset) -> set[tuple[int, ...]]:
     return found
 
 
+def relabel(p: Poset, perm) -> Poset:
+    """Apply a relabeling; perm[i] is the new label of old element i.
+
+    perm must be a permutation of 1..d presented with a dummy entry
+    at index 0 (so len(perm) == d+1).
+    """
+    d = p.d
+    if len(perm) != d + 1 or sorted(perm[1:]) != list(range(1, d + 1)):
+        raise ValueError("perm must map 1..d onto 1..d")
+    above = [0] * (d + 1)
+    for i in range(1, d + 1):
+        above[perm[i]] = sum(1 << perm[j] for j in range(1, d + 1) if p.less(i, j))
+    return Poset(d, above)
+
+
 def brute_isomorphic(p: Poset, q: Poset) -> bool:
     if p.d != q.d or len(p.covers) != len(q.covers):
         return False
     for perm in permutations(range(1, p.d + 1)):
-        if p.relabel((0,) + perm) == q:
+        if relabel(p, (0,) + perm) == q:
             return True
     return False
 
@@ -104,11 +119,11 @@ def eager_covers(p: Poset) -> tuple[tuple[int, int], ...]:
     """
     covers = []
     for i in range(1, p.d + 1):
-        up = p.above_mask(i)
+        up = p._above[i]
         skip = 0
         for j in range(1, p.d + 1):
             if (up >> j) & 1:
-                skip |= p.above_mask(j)
+                skip |= p._above[j]
         covers.extend((i, j) for j in range(1, p.d + 1) if (up & ~skip) >> j & 1)
     covers.sort()
     return tuple(covers)
@@ -666,7 +681,7 @@ def fixpoint_key(p: Poset) -> bytes:
     """canonical_key as computed when the first refinement ran to its
     fixpoint rather than stopping at the twin partition."""
     d = p.d
-    masks = [(below >> 1, p.above_mask(i) >> 1)
+    masks = [(below >> 1, p._above[i] >> 1)
              for i, below in enumerate(p.lower_masks()) if i]
     downs = [tuple(j for j in range(d) if (below >> j) & 1) for below, _ in masks]
     ups = [tuple(j for j in range(d) if (above >> j) & 1) for _, above in masks]

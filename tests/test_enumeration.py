@@ -1,5 +1,7 @@
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from math import factorial
 from itertools import permutations, product
 
@@ -16,7 +18,8 @@ from posetfano import (
 from posetfano import canonical, enumeration
 from posetfano.enumeration import (
     _extensions, count_smooth, pair_representatives, pool_map, read_table)
-from oracles import brute_isomorphic, filtered_extensions, labeled_posets, twin_prefix
+from oracles import (
+    brute_isomorphic, filtered_extensions, labeled_posets, relabel, twin_prefix)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +35,7 @@ LABELED = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
 def _orbit_sum(d):
     acc = 0
     for p in poset_classes(d):
-        masks = [p.above_mask(i) for i in range(d + 1)]
+        masks = p._above
         lower = p.lower_masks()
         # an automorphism maps each element to one with the same (down-set
         # size, up-set size), so only those permutations are tried
@@ -111,7 +114,7 @@ class TestMaximalElementExtension:
         for p in poset_classes(d):
             for above, below in _extensions(p):
                 child = Poset(new, above)
-                assert child.above_mask(new) == 0
+                assert child._above[new] == 0
                 lower = child.lower_masks()
                 assert below == lower
                 size = lower[new].bit_count()
@@ -165,19 +168,19 @@ class TestMaximalElementExtension:
 
 
 class TestUnsupportedSize:
-    @pytest.mark.parametrize("d", [0, 9])
+    @pytest.mark.parametrize("d", [0, 10])
     def test_poset_classes(self, d):
         with pytest.raises(UnsupportedSize):
             poset_classes(d)
 
     def test_build_table_raises_a_value_error(self):
         with pytest.raises(UnsupportedSize) as info:
-            build_table(9)
+            build_table(10)
         assert isinstance(info.value, ValueError)
 
     def test_cli_exit_code(self):
         from posetfano.cli import main
-        assert main(["table", "--max-d", "9", "--jobs", "1"]) == 1
+        assert main(["table", "--max-d", "10", "--jobs", "1"]) == 1
 
 
 class TestDualityQuotient:
@@ -249,7 +252,7 @@ class TestLocalQuotient:
         for p in poset_classes(6):
             perm = list(range(1, 7))
             rng.shuffle(perm)
-            q = p.relabel([0] + perm)
+            q = relabel(p, [0] + perm)
             assert bool(quotient_by_duality([q])) == bool(quotient_by_duality([p]))
 
     def test_dual_keys_computed_d7(self, dual_key_calls):
@@ -260,6 +263,12 @@ class TestLocalQuotient:
     def test_dual_keys_computed_d8(self, dual_key_calls):
         assert len(quotient_by_duality(poset_classes(8))) == 8746
         assert len(dual_key_calls) == 543
+
+    def test_dual_key_is_the_key_of_the_dual(self):
+        # _dual_key swaps the masks instead of building p.dual()
+        for d in range(1, 8):
+            for p in poset_classes(d):
+                assert enumeration._dual_key(p) == p.dual().canonical_key(), p
 
 
 class TestDeterminism:
@@ -328,20 +337,19 @@ class TestBuildTable:
                     assert maximal_chain_vector_sum(h, c) == (0,) * d
 
 
-def _levels(d_max, pool, monkeypatch):
-    """Fresh levels 1..d_max and their quotients, bypassing the memo."""
-    monkeypatch.setattr(enumeration, "_LEVELS", {})
+def _levels(d_max, pool):
+    """Levels 1..d_max and their quotients; the caller empties the memo."""
     levels = [poset_classes(d, pool=pool) for d in range(1, d_max + 1)]
     quotients = [quotient_by_duality(level) for level in levels]
     return levels, quotients
 
 
 def _masks(posets):
-    return [p.above_mask(i) for p in posets for i in range(p.d + 1)]
+    return [m for p in posets for m in p._above]
 
 
 @pytest.fixture
-def counting(monkeypatch):
+def counting(monkeypatch, fresh_levels):
     """Executors enumeration opens, and (executor, function) per map call."""
     opened, used = [], []
 
@@ -355,14 +363,14 @@ def counting(monkeypatch):
             return super().map(fn, *iterables, **kwargs)
 
     monkeypatch.setattr(enumeration, "ProcessPoolExecutor", Counting)
-    monkeypatch.setattr(enumeration, "_LEVELS", {})
     return opened, used
 
 
 class TestSharedPool:
-    def test_levels_and_quotients_match_serial(self, pool, monkeypatch):
-        serial = _levels(7, None, monkeypatch)
-        parallel = _levels(7, pool, monkeypatch)
+    def test_levels_and_quotients_match_serial(self, pool, fresh_levels, monkeypatch):
+        serial = _levels(7, None)
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        parallel = _levels(7, pool)
         for got, want in zip(parallel[0], serial[0]):
             assert _masks(got) == _masks(want)
             assert [p._key for p in got] == [p._key for p in want]
@@ -370,14 +378,12 @@ class TestSharedPool:
             assert _masks(got) == _masks(want)
 
     @pytest.mark.parametrize("use_pool", [False, True])
-    def test_parent_sets_the_fresh_key(self, use_pool, pool, monkeypatch):
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
+    def test_parent_sets_the_fresh_key(self, use_pool, pool, fresh_levels):
         for d in range(2, 8):
             for p in poset_classes(d, pool=pool if use_pool else None):
                 assert p._key == canonical.canonical_key(p)
 
-    def test_table_rows_match_serial(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
+    def test_table_rows_match_serial(self, fresh_levels, monkeypatch):
         serial = build_table(7, jobs=1)
         monkeypatch.setattr(enumeration, "_LEVELS", {})
         assert build_table(7, jobs=2) == serial
@@ -407,20 +413,22 @@ class TestSharedPool:
 
 class TestWorkerPool:
     @pytest.mark.parametrize("jobs,cpus,workers", [
-        (100000, 4, 4), (3, 4, 3), (2, None, 1)])
+        (100000, 4, 4), (3, 4, 3), (2, None, 1), (4, 1, 1)])
     def test_at_most_one_worker_per_cpu(self, jobs, cpus, workers, monkeypatch):
         # a recording fake: no process is started
         opened = []
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", opened.append)
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
-        enumeration.worker_pool(jobs)
-        assert opened == [workers]
+        pool = enumeration.worker_pool(jobs)
+        if workers > 1:
+            assert opened == [workers]
+        else:  # a one-worker pool would only add pickling: run serially
+            assert opened == [] and isinstance(pool, nullcontext)
 
 
 class TestPairFlags:
     @pytest.mark.parametrize("use_pool", [False, True])
-    def test_stored_flags_equal_the_quotient(self, use_pool, pool, monkeypatch):
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
+    def test_stored_flags_equal_the_quotient(self, use_pool, pool, fresh_levels):
         for d in range(1, 8):
             level = poset_classes(d, pool=pool if use_pool else None)
             kept = pair_representatives(d, pool=pool if use_pool else None)
@@ -432,8 +440,7 @@ class TestPairFlags:
 
 class TestTopRow:
     @pytest.mark.parametrize("use_pool", [False, True])
-    def test_equals_the_stored_pair_representatives(self, use_pool, pool, monkeypatch):
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
+    def test_equals_the_stored_pair_representatives(self, use_pool, pool, fresh_levels):
         executor = pool if use_pool else None
         for d in range(2, 8):
             top = pair_representatives(d, pool=executor)
@@ -444,16 +451,21 @@ class TestTopRow:
             assert [p._key for p in top] == [p._key for p in quotient]
 
     @pytest.mark.slow
-    def test_equals_the_quotient_d8(self, pool, monkeypatch):
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
+    def test_equals_the_quotient_d8(self, pool, fresh_levels):
         top = pair_representatives(8, pool=pool)
         quotient = quotient_by_duality(poset_classes(8, pool=pool))
         assert _masks(top) == _masks(quotient)
         assert [p._key for p in top] == [p._key for p in quotient]
 
+    @pytest.mark.slow
+    @pytest.mark.skipif(not os.environ.get("RUN_D9"),
+                        reason="the d = 9 row, about 10 s; set RUN_D9=1 to run")
+    def test_d9_row(self, fresh_levels):
+        row = build_table(9, jobs=2)[-1]
+        assert (row.d, row.posets, row.smooth) == (9, 92376, 1138)
+
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_table_leaves_its_last_level_unstored(self, jobs, monkeypatch):
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
+    def test_table_leaves_its_last_level_unstored(self, jobs, fresh_levels):
         rows = build_table(6, jobs=jobs)
         assert [r.posets for r in rows] == [1, 2, 4, 12, 39, 184]
         assert sorted(enumeration._LEVELS) == [1, 2, 3, 4, 5]
@@ -462,8 +474,8 @@ class TestTopRow:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("done", [4, 6])
-    def test_resume_gives_the_same_rows(self, jobs, done, tmp_path, monkeypatch):
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
+    def test_resume_gives_the_same_rows(self, jobs, done, tmp_path, fresh_levels,
+                                        monkeypatch):
         serial = build_table(7)
         out = str(tmp_path / "rows.csv")
         build_table(done, out=out)
@@ -495,11 +507,9 @@ class TestStreamedMerge:
         assert list(results) == list(range(1, 40))
 
     @pytest.mark.slow
-    def test_level_holds_one_int_per_mask_value(self, pool, monkeypatch):
+    def test_level_holds_one_int_per_mask_value(self, pool, fresh_levels):
         # masks of d = 8 reach 510, past the interpreter's small-int cache,
         # and each child's masks arrive as fresh ints from a worker
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
-        masks = [p.above_mask(i) for p in poset_classes(8, pool=pool)
-                 for i in range(9)]
+        masks = [m for p in poset_classes(8, pool=pool) for m in p._above]
         assert max(masks) > 256
         assert len({id(m) for m in masks}) == len(set(masks))
