@@ -1,18 +1,18 @@
 """Isomorph-free poset generation and the classification table.
 
 Posets on d elements are generated by extending every representative
-on d-1 elements with one new maximal element whose down-set is an order
-ideal, kept only if no other maximal element has a larger down-set and
-if the ideal meets each twin group of the parent (elements with the
-same down- and up-set) in a prefix of the group, in index order; a
-child that breaks the prefix rule repeats one that keeps it.  Children
-are bit masks: the child's upper masks, and its lower masks, which are
-the parent's plus the new element's ideal.  Canonical keys read the
-masks directly and deduplicate the results, giving exactly one
-representative per isomorphism class; only representatives become
-Posets.  ``pair_representatives`` keeps one class per {class, dual
-class} pair, and each kept representative's polytope is classified for
-smoothness, which the dual's negated polytope shares.
+on d-1 elements with one new maximal element above an order ideal of
+the parent, grown over a linear extension: an element joins an ideal
+that holds its down-set and its twin before it (twins have the same
+down- and up-set; index order).  A child is kept if no other maximal
+element has a larger down-set.  Children are bit masks: the child's
+upper masks, and its lower masks, which are the parent's plus the new
+element's ideal.  Canonical keys read the masks directly and
+deduplicate the results, giving exactly one representative per
+isomorphism class; only representatives become Posets.
+``pair_representatives`` keeps one class per {class, dual class} pair,
+and each kept representative's polytope is classified for smoothness,
+which the dual's negated polytope shares.
 
 ``build_table`` stores every level it extends, but not its last one.
 For a stored level, ``pair_representatives`` applies
@@ -68,42 +68,32 @@ def _extensions(p: Poset) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Upper and lower masks of p with a new maximal element added.
 
     The new element (index d+1) lies above an order ideal D of p and
-    below nothing.  A child is kept only if |D| is at least the down-set
-    size of every other maximal element, i.e. of every maximum of p
-    outside D.  Every class on d+1 elements arises this way from some
-    class on d elements: delete a maximal element with the largest
-    down-set, and extend what is left by that element's down-set.
-    A child is also kept only if D meets each twin group of p (elements
-    with the same down- and up-set) in a prefix, in index order: the
-    automorphism of p that swaps two twins maps any other D to one that
-    does, so the skipped children repeat kept ones.
+    below nothing.  The ideals are grown over a linear extension of p,
+    elements sorted stably by down-set size: x joins an ideal that
+    holds x's down-set and the twin before x in index order (twins have
+    the same down- and up-set).  Permuting twins is an automorphism of
+    p, so the ideals skipped give repeats.  A child is kept only if |D|
+    is at least the down-set size of every maximum of p outside D.
+    Every class on d+1 elements arises this way from some class on d
+    elements: delete a maximal element with the largest down-set, and
+    extend what is left by that element's down-set.  Children come in
+    increasing mask order of D.
     """
-    d = p.d
     above = p._above
     below = p.lower_masks()
+    ideals = [0]
+    latest: dict[tuple[int, int], int] = {}  # bit of the latest element with these masks
+    for x in sorted(p.elements, key=lambda i: below[i].bit_count()):
+        masks = (below[x], above[x])
+        needed = below[x] | latest.get(masks, 0)
+        latest[masks] = 1 << x
+        ideals += [down | 1 << x for down in ideals if down & needed == needed]
     maxima = [(1 << m, below[m].bit_count()) for m in p.maximal_elements]
-    last: dict[tuple[int, int], int] = {}  # the latest element with these masks
-    twins = []  # (bit of a twin, bit of the twin before it in index order)
-    for i in p.elements:
-        masks = (below[i], above[i])
-        if masks in last:
-            twins.append((1 << i, 1 << last[masks]))
-        last[masks] = i
-    new_bit = 1 << (d + 1)
-    # closure[r] is the union of the down-sets of the elements of r << 1
-    closure = [0] * (1 << d)
-    for r in range(1, 1 << d):
-        low = r & -r
-        closure[r] = closure[r ^ low] | below[low.bit_length()]
-    for r, under in enumerate(closure):
-        down = r << 1
-        if under & ~down:
-            continue  # not an order ideal
+    new_bit = 1 << (p.d + 1)
+    for down in sorted(ideals):
         size = down.bit_count()
         if any(size < s for bit, s in maxima if not down & bit):
             continue  # another maximal element has a larger down-set
-        if any(down & bit and not down & prev for bit, prev in twins):
-            continue  # takes a twin without the twin before it
         new_above = [*above, 0]
         for x in _bits(down):
             new_above[x] |= new_bit
@@ -230,10 +220,12 @@ def _smooth_flag(p: Poset) -> bool:
 
 
 def worker_pool(jobs: int) -> ContextManager[Executor | None]:
-    """A pool of ``jobs`` worker processes, at most one per CPU (a pool
-    starts them all on its first task), or a context giving None if
-    that leaves at most one worker."""
-    workers = min(jobs, os.cpu_count() or 1)
+    """A pool of ``jobs`` worker processes, at most one per CPU this
+    process may run on (a pool starts them all on its first task), or a
+    context giving None if that leaves at most one worker."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(jobs, cpus)
     if workers <= 1:
         return nullcontext()
     return ProcessPoolExecutor(workers)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -107,6 +108,14 @@ def _children(p):
     return [Poset(p.d + 1, above) for above, _ in _extensions(p)]
 
 
+def _digest(rows):
+    """sha256 over the repr of each row, in order."""
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
 class TestMaximalElementExtension:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_new_element_is_maximal_with_largest_down_set(self, d):
@@ -136,8 +145,22 @@ class TestMaximalElementExtension:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_ideals_equal_the_subset_filter(self, d):
+        # each class as enumerated, whose index order is a linear
+        # extension, and under a random relabelling, which need not be one
+        rng = random.Random(d)
         for p in poset_classes(d):
-            assert _children(p) == twin_prefix(p, filtered_extensions(p))
+            q = relabel(p, [0, *rng.sample(range(1, d + 1), d)])
+            for parent in (p, q):
+                assert _children(parent) == twin_prefix(parent, filtered_extensions(parent))
+
+    def test_children_pinned_d7(self):
+        # digest computed with the extension that filtered a table of the
+        # down-set closures of all 2^d subsets
+        children = [child for p in poset_classes(7) for child in _extensions(p)]
+        assert len(children) == 19622
+        assert _digest(children) == (
+            "f2204e40aec66063abc26ad3ab2454651b609f74e76baa19a23180411266c461"
+        )
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_twin_skip_drops_only_repeats(self, d):
@@ -279,6 +302,27 @@ class TestDeterminism:
         second = [p.canonical_key() for p in poset_classes(5)]
         assert first == second
 
+    # digests of the key and upper masks of every stored representative,
+    # in order, computed with the extension that filtered a table of the
+    # down-set closures of all 2^d subsets
+    def test_stored_levels_pinned(self):
+        levels = [(p.canonical_key(), p._above)
+                  for d in range(1, 8) for p in poset_classes(d)]
+        assert len(levels) == 2450
+        assert _digest(levels) == (
+            "305e47ddcef1233fe1e515371aa1d77fb83cd2dee135b1cdb1c1ef4c9c303a4d"
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not os.environ.get("RUN_D8"),
+                        reason="the d = 8 level; set RUN_D8=1 to run")
+    def test_stored_level_pinned_d8(self):
+        level = [(p.canonical_key(), p._above) for p in poset_classes(8)]
+        assert len(level) == 16999
+        assert _digest(level) == (
+            "6b801bcf88f66135705ae3c66b41aec2f466bcfb986ee7e3118bf9e539699f60"
+        )
+
 
 class TestSmoothCounting:
     def test_smooth_is_duality_invariant_so_count_is_well_defined(self):
@@ -411,19 +455,40 @@ class TestSharedPool:
         assert all(executor is opened[0] for executor, _ in used)
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """The worker counts of the pools worker_pool opens, recorded by a
+    fake: no process is started."""
+    opened = []
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", opened.append)
+    return opened
+
+
 class TestWorkerPool:
     @pytest.mark.parametrize("jobs,cpus,workers", [
-        (100000, 4, 4), (3, 4, 3), (2, None, 1), (4, 1, 1)])
-    def test_at_most_one_worker_per_cpu(self, jobs, cpus, workers, monkeypatch):
-        # a recording fake: no process is started
-        opened = []
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", opened.append)
-        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: cpus)
+        (100000, 4, 4), (3, 4, 3), (2, None, 1), (4, 1, 1), (2, 1, 1)])
+    def test_at_most_one_worker_per_cpu(self, jobs, cpus, workers, opened, monkeypatch):
+        # cpus is the number of CPUs the process may run on, out of 64 on
+        # the machine; None stands for a platform without CPU affinity
+        # whose CPU count is unknown
+        if cpus is None:
+            monkeypatch.delattr(enumeration.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(enumeration.os, "cpu_count", lambda: None)
+        else:
+            monkeypatch.setattr(enumeration.os, "sched_getaffinity",
+                                lambda pid: set(range(cpus)), raising=False)
+            monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
         pool = enumeration.worker_pool(jobs)
         if workers > 1:
             assert opened == [workers]
         else:  # a one-worker pool would only add pickling: run serially
             assert opened == [] and isinstance(pool, nullcontext)
+
+    def test_without_cpu_affinity_the_cpu_count_caps(self, opened, monkeypatch):
+        monkeypatch.delattr(enumeration.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+        enumeration.worker_pool(4)
+        assert opened == [3]
 
 
 class TestPairFlags:
