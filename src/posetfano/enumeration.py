@@ -12,18 +12,17 @@ deduplicate the results, giving exactly one representative per
 isomorphism class; only representatives become Posets.
 ``pair_representatives`` keeps one class per {class, dual class} pair,
 and each kept representative's polytope is classified for smoothness,
-which the dual's negated polytope shares.
+which the dual's negated polytope shares.  ``_pair_key`` is the one
+rule that decides which member of a pair is kept.
 
 ``build_table`` stores every level it extends, but not its last one.
 For a stored level, ``pair_representatives`` applies
 ``quotient_by_duality`` to it; for the top row it extends the level
-below with ``_pair_children``, which skips a child whose sorted size
-pairs sort strictly above its dual's before keying it and returns only
-the children that stand for their pair, so only those pair
-representatives become Posets.  A representative whose bounded Hasse
-diagram has a 4-cycle missing a bound is counted as not smooth without
-the walk search: such a square is a blocking walk (see
-``classifier``).
+below with ``_pair_children``, which applies ``_pair_key`` to each
+child's masks, so only the pair representatives become Posets.  A
+representative whose bounded Hasse diagram has a 4-cycle missing a
+bound is counted as not smooth without the walk search: such a square
+is a blocking walk (see ``classifier``).
 
 Extension and classification take an optional process pool by keyword
 (``pool=None`` runs serially), and ``build_table`` opens one pool for
@@ -48,7 +47,6 @@ import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, ContextManager, Iterator, Sequence
 
 from .canonical import masks_key
@@ -111,20 +109,9 @@ def _keyed_children(parent: Poset) -> list[_Child]:
 
 def _pair_children(parent: Poset) -> list[_Child]:
     """``_keyed_children`` of parent, restricted to the children that
-    stand for their duality pair.
-
-    A child whose size pairs sort strictly above its dual's is skipped
-    before it is keyed.
-    """
-    out = []
-    for above, below in _extensions(parent):
-        order = _sizes_order(above, below)
-        if order > 0:
-            continue  # its dual's class stands for the pair
-        key = masks_key(above, below)
-        if _represents_its_pair(order, key, partial(masks_key, below, above)):
-            out.append((key, above))
-    return out
+    stand for their duality pair (see ``_pair_key``)."""
+    return [(key, above) for above, below in _extensions(parent)
+            if (key := _pair_key(above, below)) is not None]
 
 
 def _representatives(d: int, batches: Iterator[list[_Child]]) -> tuple[Poset, ...]:
@@ -179,39 +166,31 @@ def pair_representatives(d: int, *, pool: Executor | None = None) -> tuple[Poset
         d, pool_map(_pair_children, poset_classes(d - 1, pool=pool), pool))
 
 
-def _dual_key(p: Poset) -> bytes:
-    """p.dual()'s canonical key, from p's swapped masks as in ``_pair_children``."""
-    return masks_key(p.lower_masks(), p._above)
+def _pair_key(above: Sequence[int], below: Sequence[int],
+              key: bytes | None = None) -> bytes | None:
+    """The canonical key (``key``, if given) of the poset with these
+    masks if it stands for its {class, dual class} pair, else None.
 
-
-def _sizes_order(above: Sequence[int], below: Sequence[int]) -> int:
-    """-1, 0 or 1 as the sorted (down-set size, up-set size) pairs of the
-    poset with these masks sort below, equal to or above its dual's.
-
-    Duality swaps each element's pair, so the dual's sorted pairs are
-    the swapped ones.
+    Duality swaps each element's (down-set size, up-set size) pair, so
+    the dual's sorted pairs are the swapped ones.  The poset is kept if
+    its sorted pairs sort strictly below the swapped ones, and dropped
+    before any key is computed if they sort strictly above; on a tie it
+    is kept iff its key is not larger than the dual's, which is computed
+    from the swapped masks only then.
     """
     sizes = [(down.bit_count(), up.bit_count()) for down, up in zip(below[1:], above[1:])]
     own, swapped = sorted(sizes), sorted(pair[::-1] for pair in sizes)
-    return (own > swapped) - (own < swapped)
-
-
-def _represents_its_pair(order: int, key: bytes, dual_key: Callable[[], bytes]) -> bool:
-    """True iff the poset with this ``_sizes_order`` and key stands for
-    the pair {its class, its dual's class}.
-
-    Of the poset and its dual, the one whose sorted size pairs sort
-    strictly lower is kept; only on a tie are the keys compared,
-    keeping the smaller one, and only then is ``dual_key()`` called.
-    """
-    return order < 0 if order else key <= dual_key()
+    if own > swapped:
+        return None  # its dual's class stands for the pair
+    if key is None:
+        key = masks_key(above, below)
+    return key if own < swapped or key <= masks_key(below, above) else None
 
 
 def quotient_by_duality(posets: Sequence[Poset]) -> list[Poset]:
-    """One poset per {class, dual class} pair, each decided on its own."""
+    """One poset per {class, dual class} pair, each decided on its own by ``_pair_key``."""
     return [p for p in posets
-            if _represents_its_pair(_sizes_order(p._above, p.lower_masks()),
-                                    p.canonical_key(), partial(_dual_key, p))]
+            if _pair_key(p._above, p.lower_masks(), p.canonical_key()) is not None]
 
 
 def _smooth_flag(p: Poset) -> bool:

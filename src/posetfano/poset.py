@@ -47,7 +47,7 @@ def _cover_pairs(above: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 
 class Poset:
-    """Immutable strict partial order on {1, .., d}.
+    """Immutable strict order on {1, .., d}.
 
     ``above[i]`` has bit j set iff y_i < y_j; the masks must be
     transitively closed.  They are the only stored order table: the
@@ -401,7 +401,8 @@ def _build_checked(d: int, pairs: list[tuple[int, int]], what: str) -> Poset:
 
 
 def load_poset(path) -> Poset:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, as some editors write one
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return poset_from_text(fh.read())
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import time
@@ -76,6 +77,17 @@ class TestClassifyCommand:
         monkeypatch.setattr(cli, "MAX_LISTED_WITNESSES", 1)
         assert main(["classify", "--json", "--all-witnesses", v_file]) == 0
         assert len(json.loads(capsys.readouterr().out)["witnesses"]) == 1
+
+    @pytest.mark.parametrize("name,text", [
+        ("v.poset", "3\n1 2\n1 3\n"),
+        ("v.json", '{"d": 3, "relations": [[1, 2], [1, 3]]}'),
+    ], ids=["text", "json"])
+    def test_byte_order_mark(self, name, text, tmp_path, capsys):
+        # some editors save UTF-8 with a leading byte-order mark
+        f = tmp_path / name
+        f.write_text(text, encoding="utf-8-sig")
+        assert main(["classify", str(f)]) == 0
+        assert "witness cycle: 1 2 4 3" in capsys.readouterr().out
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["classify", str(tmp_path / "nope.poset")]) == 1
@@ -230,6 +242,15 @@ class TestTableCommand:
         assert [(int(r[0]), int(r[1]), int(r[2])) for r in rows] == [
             (1, 1, 1), (2, 2, 2), (3, 4, 3), (4, 12, 6)
         ]
+
+    def test_census_to_d8_pinned(self, fresh_levels, capsys):
+        # the whole census from empty levels, over a 2-worker pool
+        assert main(["table", "--max-d", "8", "--json", "--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)[-1] == {"d": 8, "posets": 8746, "smooth": 302}
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "15186b526ccc1e040dce113a648c5ee55430b1acbd84a8f3006b4cd1794aca99"
+        )
 
     def test_json_and_csv(self, tmp_path, capsys):
         out_file = tmp_path / "t.csv"

@@ -224,15 +224,18 @@ class TestDualityQuotient:
 
 @pytest.fixture
 def dual_key_calls(monkeypatch):
-    """Counts serial calls of enumeration._dual_key."""
+    """Counts serial calls of enumeration.masks_key.  Levels up to 8 are
+    stored first, and a stored level's keys are set, so over a stored
+    level every call counted is a dual key."""
+    poset_classes(8)
     calls = []
-    real = enumeration._dual_key
+    real = enumeration.masks_key
 
-    def counted(p):
-        calls.append(p)
-        return real(p)
+    def counted(above, below):
+        calls.append((above, below))
+        return real(above, below)
 
-    monkeypatch.setattr(enumeration, "_dual_key", counted)
+    monkeypatch.setattr(enumeration, "masks_key", counted)
     return calls
 
 
@@ -288,10 +291,33 @@ class TestLocalQuotient:
         assert len(dual_key_calls) == 543
 
     def test_dual_key_is_the_key_of_the_dual(self):
-        # _dual_key swaps the masks instead of building p.dual()
+        # _pair_key swaps the masks instead of building p.dual()
         for d in range(1, 8):
             for p in poset_classes(d):
-                assert enumeration._dual_key(p) == p.dual().canonical_key(), p
+                assert canonical.masks_key(p.lower_masks(), p._above) == (
+                    p.dual().canonical_key()), p
+
+    # digests of the keys of the kept members, in order, computed with
+    # the rule split over _sizes_order, _represents_its_pair and _dual_key;
+    # which member of a pair is kept decides the files
+    # `enumerate --up-to-duality --emit` writes
+    def test_kept_members_pinned(self):
+        kept = [p.canonical_key() for d in range(1, 8)
+                for p in quotient_by_duality(poset_classes(d))]
+        assert len(kept) == 1324
+        assert _digest(kept) == (
+            "f3eda5f332bddc420c6cb1a7f454851b3229a73d05c3982fea1b6cc15396e2a5"
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not os.environ.get("RUN_D8"),
+                        reason="the d = 8 level; set RUN_D8=1 to run")
+    def test_kept_members_pinned_d8(self):
+        kept = [p.canonical_key() for p in quotient_by_duality(poset_classes(8))]
+        assert len(kept) == 8746
+        assert _digest(kept) == (
+            "022cbab29268ddc83b18d2d4aed28621e56d3ca652eed049d96b79a22d856973"
+        )
 
 
 class TestDeterminism:
