@@ -16,14 +16,14 @@ adjoined bounds) and all bottom-to-top simple paths for such a walk;
 the polytope is smooth exactly when none exists, and smooth and
 simplicial coincide for these polytopes.
 
-The search is one depth-first search with an explicit stack.  Its
-prefix rule: each level gap bound concerns two walk elements, and a
-walk's prefix fixes the levels on it, so an element joins the walk only
-if its gaps to every element already there fit, and a prefix that
-breaks a bound is abandoned, since no completion of it passes.  The
-rule skips only subtrees that hold no witness and leaves the visiting
-order alone, so witnesses come in the order in which filtering the
-unpruned list of cycles and then paths would give them.
+One depth-first search with an explicit stack finds both: a path is
+root 0's step into the top, kept and yielded after the last cycle.  Its
+prefix rule: a gap bound concerns two walk elements and a prefix fixes
+their levels, so an element joins the walk only if its gaps to every
+element already there fit, and a prefix that breaks a bound is
+abandoned, since no completion of it passes.  So only subtrees without
+a witness are skipped, and witnesses come in the order in which
+filtering the unpruned list of cycles and then paths would give them.
 
 A square, a 4-cycle of the Hasse diagram that misses a bound, is
 always a blocking walk, so ``hasse_squares`` decides most non-smooth
@@ -83,28 +83,26 @@ def _gaps_fit(reach, path: list[int], levels: list[int], y: int, level: int) -> 
     return True
 
 
-def _walks(h: HatPoset, cycle: bool,
-           reach: list[list[int]] | None = None) -> Iterator[tuple[int, ...]]:
-    """Element tuples of simple cycles or bottom-to-top paths, in search order.
+def _walks(h: HatPoset, reach: list[list[int]] | None = None) -> Iterator[Walk]:
+    """Simple cycles, then bottom-to-top paths, each in search order.
 
-    Depth first with an explicit stack, neighbors in increasing order.
-    A cycle is searched from its smallest index over larger indices and
-    kept when its second index is below its last, so each cycle appears
-    once; the top, the largest index, roots none, since it bars every
-    other element.  A path runs from 0 to the top.  Given ``reach``
-    (see _gaps_fit), only blocking walks are yielded: the prefix rule
-    (see the module docstring) prunes with it for cycles and paths, root
-    0 never steps into the top (a cycle through both bounds is no
-    witness; other roots never reach 0), and a walk must close at level
-    0, i.e. be balanced.
+    Depth first, neighbors in increasing order.  A cycle is searched from
+    its smallest index over larger indices and kept when its second
+    index is below its last, so each cycle appears once; the top, the
+    largest index, roots none, since it bars every other element.  A
+    path is root 0's step into the top, buffered and yielded after the
+    last cycle.  Given ``reach`` (see _gaps_fit), only blocking walks
+    come: the prefix rule (module docstring) prunes with it, a walk must
+    close at level 0 (be balanced), and root 0 stops at the top, as a
+    cycle through both bounds is no witness (other roots never reach 0),
+    so the path buffer holds at most the witness paths of root 0's tree.
     """
     top, above = h.top, h.above
     witnesses = reach is not None
-    for root in range(top) if cycle else (0,):
-        # barred: elements on the walk, and for cycles those up to the root
-        barred = (2 << root) - 1 if cycle else 1
-        if cycle and witnesses and root == 0:
-            barred |= 1 << top
+    paths = []
+    for root in range(top):
+        # barred: elements on the walk and those up to the root
+        barred = (2 << root) - 1
         path, levels = [root], [0]
         stack = [iter(h.neighbors[root])]
         while stack:
@@ -112,16 +110,17 @@ def _walks(h: HatPoset, cycle: bool,
             for y in stack[-1]:
                 level = lx + 1 if (above[x] >> y) & 1 else lx - 1
                 if (barred >> y) & 1:
-                    if (cycle and y == root and len(path) >= 4 and path[1] < x
+                    if (y == root and len(path) >= 4 and path[1] < x
                             and not (witnesses and level)):
-                        yield tuple(path)
+                        yield Walk.from_elements(h, path, "cycle")
                     continue
                 if witnesses and not _gaps_fit(reach, path, levels, y, level):
                     continue
-                if y == top and not cycle:
+                if y == top and not root:
                     if not (witnesses and level):
-                        yield (*path, y)
-                    continue
+                        paths.append((*path, y))
+                    if witnesses:
+                        continue
                 path.append(y)
                 levels.append(level)
                 barred |= 1 << y
@@ -131,6 +130,8 @@ def _walks(h: HatPoset, cycle: bool,
                 stack.pop()
                 barred &= ~(1 << path.pop())
                 levels.pop()
+    for elements in paths:
+        yield Walk.from_elements(h, elements, "path")
 
 
 def enumerate_cycles(h: HatPoset) -> Iterator[Walk]:
@@ -141,14 +142,12 @@ def enumerate_cycles(h: HatPoset) -> Iterator[Walk]:
     toward the smaller of that element's two cycle neighbors; roots are
     scanned in increasing order, so output order is deterministic.
     """
-    for elements in _walks(h, cycle=True):
-        yield Walk.from_elements(h, elements, "cycle")
+    return (w for w in _walks(h) if w.kind == "cycle")
 
 
 def enumerate_paths(h: HatPoset) -> Iterator[Walk]:
     """All simple bottom-to-top paths of the Hasse graph (any step mix)."""
-    for elements in _walks(h, cycle=False):
-        yield Walk.from_elements(h, elements, "path")
+    return (w for w in _walks(h) if w.kind == "path")
 
 
 def iter_witnesses(h: HatPoset) -> Iterator[Walk]:
@@ -163,10 +162,7 @@ def iter_witnesses(h: HatPoset) -> Iterator[Walk]:
     ups = [row[-1] for row in dist]
     reach = [[c if 0 < c < u + z else u + z for c, z in zip(row, dist[0])]
              for row, u in zip(dist, ups)]
-    for elements in _walks(h, cycle=True, reach=reach):
-        yield Walk.from_elements(h, elements, "cycle")
-    for elements in _walks(h, cycle=False, reach=reach):
-        yield Walk.from_elements(h, elements, "path")
+    return _walks(h, reach)
 
 
 # -- squares ---------------------------------------------------------------

@@ -275,16 +275,20 @@ _HEADER = ["d", "posets", "smooth"]
 
 
 def _append_row(path: str, row: TableRow) -> None:
-    with open(path, "a", encoding="utf-8", newline="") as fh:
+    with open(path, "a+", encoding="utf-8", newline="") as fh:
+        fh.seek(0)
+        text = fh.read().removeprefix("\ufeff")
         writer = csv.writer(fh)
-        if fh.tell() == 0:  # a new or empty file
+        if not text:  # a new or empty file
             writer.writerow(_HEADER)
+        elif not text.endswith("\n"):  # an edited file may lack its last line break
+            fh.write("\r\n")
         writer.writerow([row.d, row.posets, row.smooth])
 
 
 def read_table(path: str) -> list[TableRow]:
     """Rows of a table CSV; ParseError names the file and the bad line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         records = list(csv.reader(fh))
     if records and records[0] != _HEADER:
         raise ParseError(f"{path}, line 1: expected the header {','.join(_HEADER)}")

@@ -397,6 +397,30 @@ class TestWitnessSearch:
         finally:
             gc.enable()
 
+    def test_abandoned_searches_leave_no_reference_cycles(self, zigzag7):
+        # a search stopped after each witness, or drained of its paths,
+        # drops the paths that root 0 buffered without a collection
+        rng = random.Random(7)
+        posets = [zigzag7, *(random_poset(rng, rng.randint(8, 11)) for _ in range(300))]
+        kinds = [[w.kind for w in iter_witnesses(p.hat())] for p in posets]
+        posets = [p for p, k in zip(posets, kinds) if "path" in k]
+        assert any(k[0] == "cycle" and k.count("path") >= 2 for k in kinds)
+        gc.collect()
+        gc.disable()
+        try:
+            for p in posets:
+                h = p.hat()
+                for stop in range(len(list(iter_witnesses(h)))):
+                    walks = iter_witnesses(h)
+                    for _ in range(stop + 1):
+                        next(walks)
+                    del walks
+                for _ in enumerate_paths(h):
+                    pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_walk_order_matches_recursive_search(self):
         rng = random.Random(59)
         for _ in range(100):

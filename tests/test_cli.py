@@ -7,6 +7,7 @@ import pytest
 
 from posetfano import cli, poset_classes
 from posetfano.cli import main
+from posetfano.enumeration import TableRow, read_table
 
 
 @pytest.fixture
@@ -292,6 +293,26 @@ class TestTableCommand:
         assert main(["table", "--max-d", "2", "--jobs", "1",
                      "--out", str(out_file), "--resume"]) == 0
         assert out_file.read_text().splitlines() == ["d,posets,smooth", "1,1,1", "2,2,2"]
+
+
+    @pytest.mark.parametrize("text", ["d,posets,smooth\n1,1,1\n", ""],
+                             ids=["rows", "empty"])
+    def test_resume_from_csv_with_byte_order_mark(self, text, tmp_path, capsys):
+        # some editors save UTF-8 with a leading byte-order mark
+        out_file = tmp_path / "b.csv"
+        out_file.write_text(text, encoding="utf-8-sig")
+        assert main(["table", "--max-d", "2", "--jobs", "1",
+                     "--out", str(out_file), "--resume"]) == 0
+        assert read_table(str(out_file)) == [TableRow(1, 1, 1), TableRow(2, 2, 2)]
+
+    def test_resume_after_a_row_without_line_break(self, tmp_path, capsys):
+        # each appended row starts on its own line
+        out_file = tmp_path / "t.csv"
+        out_file.write_text("d,posets,smooth\n1,1,1\n2,2,2")
+        assert main(["table", "--max-d", "4", "--jobs", "1",
+                     "--out", str(out_file), "--resume"]) == 0
+        assert read_table(str(out_file)) == [
+            TableRow(1, 1, 1), TableRow(2, 2, 2), TableRow(3, 4, 3), TableRow(4, 12, 6)]
 
 
 class TestJobs:
