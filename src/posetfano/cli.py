@@ -82,7 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "classification (default: all cores)")
     t.add_argument("--out", help="stream rows to this CSV file")
     t.add_argument("--resume", action="store_true",
-                   help="reuse rows already present in --out")
+                   help="reuse the rows of --out, which must be d = 1, 2, ... "
+                        "in order with 0 <= smooth <= posets")
     t.add_argument("--json", action="store_true")
 
     e = sub.add_parser("enumerate", help="emit isomorphism-class representatives")

@@ -46,7 +46,7 @@ import csv
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, ContextManager, Iterator, Sequence
 
 from .canonical import masks_key
@@ -238,25 +238,22 @@ def build_table(
 ) -> list[TableRow]:
     """Poset and smooth counts for every d up to d_max.
 
-    With ``out`` set, rows are appended to a CSV file as each size
-    finishes; with ``resume``, rows already present in that file are
-    reused instead of recomputed, so long runs can be restarted.
+    With ``out`` set, the CSV file is first replaced, all or nothing,
+    by the header and the reused rows, and each new row is appended as
+    its size finishes.  With ``resume``, the rows ``read_table`` accepts
+    from that file are reused, rows past d_max included, so a long run
+    can be restarted; without it no row is reused.
     """
     if not 1 <= d_max <= CENSUS_MAX_D:
         raise UnsupportedSize(
             f"table supports 1 <= max d <= {CENSUS_MAX_D}, got {d_max}")
-    done: dict[int, TableRow] = {}
+    rows = read_table(out) if out and resume and os.path.exists(out) else []
     if out:
-        if resume and os.path.exists(out):
-            done = {row.d: row for row in read_table(out)}
-        elif os.path.exists(out):
-            os.remove(out)
-    rows: list[TableRow] = []
+        with open(out + ".tmp", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows([_HEADER, *map(astuple, rows)])
+        os.replace(out + ".tmp", out)
     with worker_pool(jobs) as pool:
-        for d in range(1, d_max + 1):
-            if d in done:
-                rows.append(done[d])
-                continue
+        for d in range(len(rows) + 1, d_max + 1):
             if log:
                 log(f"enumerating d={d}")
             if d < d_max:
@@ -264,30 +261,19 @@ def build_table(
             reps = pair_representatives(d, pool=pool)
             if log:
                 log(f"classifying {len(reps)} representatives at d={d}")
-            row = TableRow(d, len(reps), count_smooth(reps, pool=pool))
-            rows.append(row)
+            rows.append(TableRow(d, len(reps), count_smooth(reps, pool=pool)))
             if out:
-                _append_row(out, row)
-    return rows
+                with open(out, "a", encoding="utf-8", newline="") as fh:
+                    csv.writer(fh).writerow(astuple(rows[-1]))
+    return rows[:d_max]
 
 
 _HEADER = ["d", "posets", "smooth"]
 
 
-def _append_row(path: str, row: TableRow) -> None:
-    with open(path, "a+", encoding="utf-8", newline="") as fh:
-        fh.seek(0)
-        text = fh.read().removeprefix("\ufeff")
-        writer = csv.writer(fh)
-        if not text:  # a new or empty file
-            writer.writerow(_HEADER)
-        elif not text.endswith("\n"):  # an edited file may lack its last line break
-            fh.write("\r\n")
-        writer.writerow([row.d, row.posets, row.smooth])
-
-
 def read_table(path: str) -> list[TableRow]:
-    """Rows of a table CSV; ParseError names the file and the bad line."""
+    """Rows of a table CSV: rows d = 1, 2, ... in order, each with
+    0 <= smooth <= posets.  ParseError names the file and the bad line."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         records = list(csv.reader(fh))
     if records and records[0] != _HEADER:
@@ -295,8 +281,12 @@ def read_table(path: str) -> list[TableRow]:
     rows = []
     for line, record in enumerate(records[1:], start=2):
         try:
-            rows.append(TableRow(*map(int, record)))
+            row = TableRow(*map(int, record))
         except (TypeError, ValueError):
             raise ParseError(f"{path}, line {line}: expected three integers, "
                              f"got {','.join(record)!r}") from None
+        if row.d != len(rows) + 1 or not 0 <= row.smooth <= row.posets:
+            raise ParseError(f"{path}, line {line}: expected the row d={len(rows) + 1} "
+                             f"with 0 <= smooth <= posets, got {','.join(record)!r}")
+        rows.append(row)
     return rows

@@ -314,6 +314,49 @@ class TestTableCommand:
         assert read_table(str(out_file)) == [
             TableRow(1, 1, 1), TableRow(2, 2, 2), TableRow(3, 4, 3), TableRow(4, 12, 6)]
 
+    @pytest.mark.parametrize("rows,line", [
+        ("1,1,1\n2,2,99\n", "line 3"),  # more smooth than posets
+        ("1,1,1\n2,2,2\n4,12,6\n", "line 4"),  # d = 3 missing
+        ("1,1,1\n1,1,1\n", "line 3"),  # d = 1 twice
+        ("2,2,2\n", "line 2"),  # does not start at d = 1
+        ("1,-1,0\n", "line 2"),  # negative posets
+    ], ids=["smooth_above_posets", "gap", "repeat", "late_start", "negative"])
+    def test_resume_rejects_inconsistent_rows(self, rows, line, tmp_path, capsys):
+        out_file = tmp_path / "t.csv"
+        text = "d,posets,smooth\n" + rows
+        out_file.write_text(text)
+        assert main(["table", "--max-d", "3", "--jobs", "1",
+                     "--out", str(out_file), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(out_file) in err and line in err
+        assert out_file.read_text() == text
+
+    def test_resume_keeps_rows_past_max_d(self, tmp_path, capsys):
+        out_file = tmp_path / "t.csv"
+        rows = [TableRow(1, 1, 1), TableRow(2, 2, 2), TableRow(3, 4, 3), TableRow(4, 12, 6)]
+        out_file.write_text("d,posets,smooth\n1,1,1\n2,2,2\n3,4,3\n4,12,6\n")
+        assert main(["table", "--max-d", "2", "--jobs", "1", "--json",
+                     "--out", str(out_file), "--resume"]) == 0
+        assert json.loads(capsys.readouterr().out) == [
+            {"d": 1, "posets": 1, "smooth": 1}, {"d": 2, "posets": 2, "smooth": 2}]
+        assert read_table(str(out_file)) == rows
+
+    @pytest.mark.parametrize("resume", [["--resume"], []], ids=["resume", "overwrite"])
+    def test_failed_rewrite_leaves_the_file(self, resume, tmp_path, capsys, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        out_file = tmp_path / "t.csv"
+        text = "d,posets,smooth\n1,1,1\n"
+        out_file.write_text(text)
+        monkeypatch.setattr("os.replace", refuse)
+        assert main(["table", "--max-d", "2", "--jobs", "1",
+                     "--out", str(out_file), *resume]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "replace refused" in err
+        assert out_file.read_text() == text
+
 
 class TestJobs:
     @pytest.mark.parametrize("command", [
