@@ -39,10 +39,10 @@ both bounds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, Optional
+from typing import ClassVar, Iterator, Optional, Sequence
 
 from .errors import NotConsistent
-from .poset import HatPoset, Poset, Walk, _bits
+from .poset import HatPoset, Poset, Walk, _bits, _cover_pairs
 
 
 def level_labels(walk: Walk) -> dict[int, int]:
@@ -167,10 +167,11 @@ def iter_witnesses(h: HatPoset) -> Iterator[Walk]:
 
 # -- squares ---------------------------------------------------------------
 
-def hasse_squares(p: Poset) -> Iterator[tuple[int, int, int, int]]:
-    """The 4-cycles of the Hasse diagram of P-hat that miss a bound, as
-    (a, x, b, y) in cycle order: a and b are elements of P, x and y
-    their common neighbors, a < b and x < y as indices.
+def hasse_squares(above: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
+    """The 4-cycles of the Hasse diagram of P-hat that miss a bound, for
+    the poset P whose upper masks are ``above``, as (a, x, b, y) in
+    cycle order: a and b are elements of P, x and y their common
+    neighbors, a < b and x < y as indices.
 
     Each is a blocking walk (see the module docstring).  A 4-cycle that
     misses a bound has a diagonal {a, b} inside P: a crown lies in P,
@@ -179,17 +180,16 @@ def hasse_squares(p: Poset) -> Iterator[tuple[int, int, int, int]]:
     P-hat (bottom 0, top d+1), built from the upper masks, and yields
     every pair of common neighbors of two of them but {0, d+1}, the
     diamond of two isolated points.  A square with both diagonals in P
-    comes once per diagonal.
+    comes once per diagonal.  A low square (y below the top) misses
+    1-hat, so every extension of P by a new maximal element, which keeps
+    P's covers and minimal elements, has it too.
     """
-    top = p.d + 1
-    nbrs = [0] * top
-    for i, j in p.covers:
+    top = len(above)
+    # each element starts next to the bottom, and a maximal one next to the top
+    nbrs = [1 | (not up) << top for up in above]
+    for i, j in _cover_pairs(above):
         nbrs[i] |= 1 << j
-        nbrs[j] |= 1 << i
-    for i in p.minimal_elements:
-        nbrs[i] |= 1
-    for i in p.maximal_elements:
-        nbrs[i] |= 1 << top
+        nbrs[j] = nbrs[j] & ~1 | 1 << i  # j covers i, so the bottom is not j's neighbor
     for a in range(1, top):
         for b in range(a + 1, top):
             common = nbrs[a] & nbrs[b]

@@ -16,36 +16,32 @@ which the dual's negated polytope shares.  ``_pair_key`` is the one
 rule that decides which member of a pair is kept.
 
 ``build_table`` stores every level it extends, but not its last one.
-For a stored level, ``pair_representatives`` applies
-``quotient_by_duality`` to it; for the top row it extends the level
-below with ``_pair_children``, which applies ``_pair_key`` to each
-child's masks, so only the pair representatives become Posets.  A
-representative whose bounded Hasse diagram has a 4-cycle missing a
-bound is counted as not smooth without the walk search: such a square
-is a blocking walk (see ``classifier``).
+A stored level's row quotients it with ``quotient_by_duality``.  The
+top row extends the level below with ``_pair_children``, whose workers
+also flag each pair representative with a square (a 4-cycle of the
+bounded Hasse diagram that misses a bound, a blocking walk: see
+``classifier.hasse_squares``); every pair class is counted by its key,
+and only the square-free ones become Posets and reach the walk search.
 
 Extension and classification take an optional process pool by keyword
-(``pool=None`` runs serially), and ``build_table`` opens one pool for
-both.
-Extension shards over parents: a worker returns the canonical key and
-upper masks of each child of one parent, and the results are merged in
-parent order, keeping the first child seen under each key.  That is
-the representative the serial loop keeps, so representatives and
-their ``sorted(key)`` order do not depend on the pool.  The merge is
-streamed: ``pool_map`` yields each parent's children in parent order,
-and the merge reads each batch as it arrives and drops it once read.
-With a pool, batches that finish before the merge reaches them wait in
-the pool, so how many are held at once depends on the merge keeping up
-with the workers; only a serial run holds one batch at a time.  A
-representative's masks are stored through one dict per level, so equal
-mask values share one int object rather than one per unpickled child.
+(``pool=None`` runs serially); ``build_table`` opens one pool for both.
+Extension shards over parents: a worker returns the key and masks of
+each child of one parent, and the results are merged in parent order,
+keeping the first child seen under each key, the one a serial loop
+keeps, so representatives and their ``sorted(key)`` order do not
+depend on the pool.  ``pool_map`` yields each parent's batch in parent
+order, and the merge drops it once read; with a pool, batches that
+finish early wait in the pool until the merge reaches them, so only a
+serial run holds one batch at a time.  A level's masks are stored
+through one dict, so equal mask values share one int object rather
+than one per unpickled child.
 """
 from __future__ import annotations
 
 import csv
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import astuple, dataclass
 from typing import Callable, ContextManager, Iterator, Sequence
 
@@ -98,8 +94,8 @@ def _extensions(p: Poset) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         yield tuple(new_above), below + (down,)
 
 
-# a child's canonical key and upper masks
-_Child = tuple[bytes, tuple[int, ...]]
+# a child's canonical key and upper masks (None for a flagged square)
+_Child = tuple[bytes, tuple[int, ...] | None]
 
 
 def _keyed_children(parent: Poset) -> list[_Child]:
@@ -107,29 +103,38 @@ def _keyed_children(parent: Poset) -> list[_Child]:
     return [(masks_key(above, below), above) for above, below in _extensions(parent)]
 
 
-def _pair_children(parent: Poset) -> list[_Child]:
-    """``_keyed_children`` of parent, restricted to the children that
-    stand for their duality pair (see ``_pair_key``)."""
-    return [(key, above) for above, below in _extensions(parent)
+def _pair_children(parent: Poset, squares: bool = True) -> list[_Child]:
+    """``_keyed_children`` of parent restricted to pair representatives
+    (``_pair_key``); with ``squares``, one with a Hasse square has None
+    for masks, and a parent's low square is every child's (``hasse_squares``)."""
+    low = squares and any(y <= parent.d for *_, y in hasse_squares(parent._above))
+    return [(key, None if squares and (low or next(hasse_squares(above), None)) else above)
+            for above, below in _extensions(parent)
             if (key := _pair_key(above, below)) is not None]
 
 
-def _representatives(d: int, batches: Iterator[list[_Child]]) -> tuple[Poset, ...]:
-    """A Poset, with its key set, for the first child seen under each
-    key, in ``sorted(key)`` order; equal mask values share one int
-    object."""
-    first: dict[bytes, tuple[int, ...]] = {}
+def _pair_classes(parent: Poset) -> list[_Child]:
+    """``_pair_children`` of parent, every child with its masks."""
+    return _pair_children(parent, squares=False)
+
+
+def _representatives(d: int, batches: Iterator[list[_Child]]
+                     ) -> tuple[int, tuple[Poset, ...]]:
+    """The number of keys, and a Poset, with its key set, for the first
+    child seen under each key that carries masks, in ``sorted(key)``
+    order; equal mask values share one int object."""
+    first: dict[bytes, tuple[int, ...] | None] = {}
     masks: dict[int, int] = {}
     for children in batches:
         for key, above in children:
             if key not in first:
-                first[key] = tuple(map(masks.setdefault, above, above))
+                first[key] = above and tuple(map(masks.setdefault, above, above))
     reps = []
-    for key in sorted(first):
+    for key in sorted(k for k, above in first.items() if above):
         p = Poset(d, first[key])
         p._key = key
         reps.append(p)
-    return tuple(reps)
+    return len(first), tuple(reps)
 
 
 CENSUS_MAX_D = 9  # the largest poset size the census enumerates
@@ -146,24 +151,29 @@ def poset_classes(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
             _LEVELS[1] = (Poset(1, (0, 0)),)
         else:
             _LEVELS[d] = _representatives(
-                d, pool_map(_keyed_children, poset_classes(d - 1, pool=pool), pool))
+                d, pool_map(_keyed_children, poset_classes(d - 1, pool=pool), pool))[1]
     return _LEVELS[d]
 
 
 def pair_representatives(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
     """``quotient_by_duality(poset_classes(d))``, without storing level d.
 
-    A stored level is quotiented.  Otherwise the level below is
-    extended with ``_pair_children`` and only the pair representatives
-    become Posets, in ``sorted(key)`` order: whether a class stands for
-    its pair does not depend on which of its children is asked, so the
-    first child seen under each kept key is the one the stored level
-    would keep.
+    A stored level is quotiented; otherwise the level below is extended
+    with ``_pair_classes``.  Whether a class stands for its pair does
+    not depend on which of its children is asked, so the first child
+    seen under each kept key is the one the stored level would keep.
     """
+    return _pair_row(d, _pair_classes, pool)[1]
+
+
+def _pair_row(d: int, worker: Callable, pool: Executor | None
+              ) -> tuple[int, tuple[Poset, ...]]:
+    """The number of pair classes on d elements, and the representatives
+    of those whose children from ``worker`` carry masks (all if stored)."""
     if d in _LEVELS or not 1 < d <= CENSUS_MAX_D:  # d = 1, or poset_classes raises
-        return tuple(quotient_by_duality(poset_classes(d)))
-    return _representatives(
-        d, pool_map(_pair_children, poset_classes(d - 1, pool=pool), pool))
+        reps = tuple(quotient_by_duality(poset_classes(d)))
+        return len(reps), reps
+    return _representatives(d, pool_map(worker, poset_classes(d - 1, pool=pool), pool))
 
 
 def _pair_key(above: Sequence[int], below: Sequence[int],
@@ -194,8 +204,8 @@ def quotient_by_duality(posets: Sequence[Poset]) -> list[Poset]:
 
 
 def _smooth_flag(p: Poset) -> bool:
-    """classify(p).smooth, False at once when P-hat has a Hasse square."""
-    return next(hasse_squares(p), None) is None and classify(p).smooth
+    """classify(p).smooth, False at once on a Hasse square, as in ``_pair_children``."""
+    return next(hasse_squares(p._above), None) is None and classify(p).smooth
 
 
 def worker_pool(jobs: int) -> ContextManager[Executor | None]:
@@ -249,19 +259,24 @@ def build_table(
             f"table supports 1 <= max d <= {CENSUS_MAX_D}, got {d_max}")
     rows = read_table(out) if out and resume and os.path.exists(out) else []
     if out:
-        with open(out + ".tmp", "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh).writerows([_HEADER, *map(astuple, rows)])
-        os.replace(out + ".tmp", out)
+        try:
+            with open(out + ".tmp", "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows([_HEADER, *map(astuple, rows)])
+            os.replace(out + ".tmp", out)
+        finally:  # the file is still there only if the write or replace failed
+            with suppress(OSError):
+                os.remove(out + ".tmp")
     with worker_pool(jobs) as pool:
         for d in range(len(rows) + 1, d_max + 1):
             if log:
                 log(f"enumerating d={d}")
             if d < d_max:
                 poset_classes(d, pool=pool)  # stored for the next level
-            reps = pair_representatives(d, pool=pool)
+            posets, reps = _pair_row(d, _pair_children, pool)
             if log:
-                log(f"classifying {len(reps)} representatives at d={d}")
-            rows.append(TableRow(d, len(reps), count_smooth(reps, pool=pool)))
+                shown = f"{len(reps)} square-free of {posets}" if len(reps) < posets else posets
+                log(f"classifying {shown} representatives at d={d}")
+            rows.append(TableRow(d, posets, count_smooth(reps, pool=pool)))
             if out:
                 with open(out, "a", encoding="utf-8", newline="") as fh:
                     csv.writer(fh).writerow(astuple(rows[-1]))

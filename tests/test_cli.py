@@ -357,6 +357,19 @@ class TestTableCommand:
         assert err.startswith("error: ") and "replace refused" in err
         assert out_file.read_text() == text
 
+    @pytest.mark.parametrize("fail", ["write", "replace"])
+    def test_failed_rewrite_removes_the_tmp_file(self, fail, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise OSError(f"{fail} refused")
+
+        out_file = tmp_path / "t.csv"
+        out_file.write_text("d,posets,smooth\n1,1,1\n")
+        monkeypatch.setattr("csv.writer" if fail == "write" else "os.replace", refuse)
+        assert main(["table", "--max-d", "2", "--jobs", "1",
+                     "--out", str(out_file), "--resume"]) == 1
+        assert f"{fail} refused" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["t.csv"]
+
 
 class TestJobs:
     @pytest.mark.parametrize("command", [

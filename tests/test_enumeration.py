@@ -17,6 +17,7 @@ from posetfano import (
     quotient_by_duality,
 )
 from posetfano import canonical, enumeration
+from posetfano.classifier import hasse_squares
 from posetfano.enumeration import (
     _extensions, count_smooth, pair_representatives, pool_map, read_table)
 from oracles import (
@@ -573,6 +574,64 @@ class TestTopRow:
         monkeypatch.setattr(enumeration, "_LEVELS", {})
         assert build_table(7, jobs=jobs, out=out, resume=True) == serial
         assert read_table(out) == serial
+
+
+class TestSquareFlag:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+    def test_a_low_square_passes_to_every_child(self, d):
+        # a low square misses the top: its edges are covers and edges from
+        # the bottom, which a new maximal element keeps
+        low_parents = 0
+        for parent in poset_classes(d - 1):
+            if any(y != d for *_, y in hasse_squares(parent._above)):
+                low_parents += 1
+                for above, _ in _extensions(parent):
+                    assert next(hasse_squares(above), None) is not None, parent
+        assert low_parents > 0 if d > 3 else low_parents == 0
+        if d == 8:
+            assert low_parents == 1637
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+    def test_worker_flags_exactly_the_squared_children(self, d):
+        pair_children = flagged = 0
+        for parent in poset_classes(d - 1):
+            children = enumeration._pair_children(parent)
+            kept = enumeration._pair_classes(parent)
+            assert [key for key, _ in children] == [key for key, _ in kept]
+            for (_, above), (_, masks) in zip(children, kept):
+                squared = next(hasse_squares(Poset(d, masks)._above), None) is not None
+                assert above == (None if squared else masks), parent
+                pair_children += 1
+                flagged += squared
+        assert 0 < pair_children and flagged < pair_children
+        if d == 8:
+            assert pair_children == 10044
+
+    @pytest.mark.parametrize("d,posets,smooth,square_free", [
+        (7, 1082, 88, 125),
+        pytest.param(8, 8746, 302, 547, marks=pytest.mark.slow),
+    ])
+    def test_top_row_classifies_only_the_square_free_classes(
+            self, d, posets, smooth, square_free, fresh_levels, monkeypatch):
+        handed, lines = [], []
+
+        def recording(reps, *, pool=None):
+            handed.append(reps)
+            return count_smooth(reps, pool=pool)
+
+        monkeypatch.setattr(enumeration, "count_smooth", recording)
+        row = build_table(d, log=lines.append)[-1]
+        assert (row.posets, row.smooth) == (posets, smooth)
+        assert d not in enumeration._LEVELS
+        want = [p for p in quotient_by_duality(poset_classes(d))
+                if next(hasse_squares(p._above), None) is None]
+        assert len(handed[-1]) == len(want) == square_free
+        assert _masks(handed[-1]) == _masks(want)
+        assert [p._key for p in handed[-1]] == [p._key for p in want]
+        assert f"classifying {square_free} square-free of {posets} representatives " \
+            f"at d={d}" in lines
+        # the rows below the top classify every pair class
+        assert [len(reps) for reps in handed[:-1]] == [1, 2, 4, 12, 39, 184, 1082][:d - 1]
 
 
 class TestStreamedMerge:
