@@ -18,7 +18,9 @@ which no further round splits or reorders.  Inside a branch the
 individualized twin is split from its group, so there refinement runs
 to its fixpoint.  ``masks_key`` reads a poset's upper and lower masks
 alone, so the enumeration keys a child without building a Poset;
-``canonical_key`` is its wrapper for a Poset.  Sizes here are tiny
+``canonical_key`` is its wrapper for a Poset.  ``twin_discrete`` tells
+whether the stable partition is the twin groups alone, so that every
+automorphism only swaps twins.  Sizes here are tiny
 (d <= 64 by type, d <= enumeration.CENSUS_MAX_D in all enumeration
 paths), so no external canonicalization dependency is used.
 """
@@ -50,6 +52,14 @@ def masks_key(above: Sequence[int], below: Sequence[int]) -> bytes:
     """canonical_key of the poset on 1..d with these upper and lower
     masks (index 0 unused); swapping the two gives the dual's key."""
     d = len(above) - 1
+    best = _search(*_partition(above, below))
+    return bytes([d]) + best.to_bytes((d * d + 7) // 8, "big")
+
+
+def _partition(above: Sequence[int], below: Sequence[int]) -> tuple[list[int], list, list, list]:
+    """The stable partition the search starts from, as ranks, with the
+    down- and up-sets of index i (element i + 1) and its first twin."""
+    d = len(above) - 1
     # element i + 1 of the poset is index i here
     masks = [(down >> 1, up >> 1) for down, up in zip(below[1:], above[1:])]
     downs = [_elements(down) for down, _ in masks]
@@ -71,8 +81,14 @@ def masks_key(above: Sequence[int], below: Sequence[int]) -> bytes:
 
     init = [(len(downs[i]), len(ups[i]), height[i], depth[i]) for i in range(d)]
     # len(first) is the number of twin groups
-    best = _search(_refine(_rank(init), downs, ups, len(first)), downs, ups, twin)
-    return bytes([d]) + best.to_bytes((d * d + 7) // 8, "big")
+    return _refine(_rank(init), downs, ups, len(first)), downs, ups, twin
+
+
+def twin_discrete(above: Sequence[int], below: Sequence[int]) -> bool:
+    """Whether refinement splits the poset with these masks into its twin
+    groups alone, so that every automorphism only permutes twins."""
+    ranks, _, _, twin = _partition(above, below)
+    return max(ranks) + 1 == len(set(twin))
 
 
 def _search(ranks: list[int], downs: list, ups: list, twin: list[int]) -> int:

@@ -7,34 +7,48 @@ that holds its down-set and its twin before it (twins have the same
 down- and up-set; index order).  A child is kept if no other maximal
 element has a larger down-set.  Children are bit masks: the child's
 upper masks, and its lower masks, which are the parent's plus the new
-element's ideal.  Canonical keys read the masks directly and
-deduplicate the results, giving exactly one representative per
-isomorphism class; only representatives become Posets.
-``pair_representatives`` keeps one class per {class, dual class} pair,
-and each kept representative's polytope is classified for smoothness,
-which the dual's negated polytope shares.  ``_pair_key`` is the one
-rule that decides which member of a pair is kept.
+element's ideal.  A stored level keys every child: canonical keys
+read the masks directly and deduplicate the results, giving exactly
+one representative per isomorphism class; only representatives become
+Posets.  ``pair_representatives`` keeps one class per {class, dual
+class} pair, and each kept representative's polytope is classified
+for smoothness, which the dual's negated polytope shares.
+``_pair_key`` is the one rule that decides which member of a pair is
+kept.
 
 ``build_table`` stores every level it extends, but not its last one.
 A stored level's row quotients it with ``quotient_by_duality``.  The
-top row extends the level below with ``_pair_children``, whose workers
-also flag each pair representative with a square (a 4-cycle of the
-bounded Hasse diagram that misses a bound, a blocking walk: see
-``classifier.hasse_squares``); every pair class is counted by its key,
-and only the square-free ones become Posets and reach the walk search.
+top row only counts its classes, so it accepts a child c = P + m by
+canonical deletion (McKay, "Isomorph-free exhaustive generation",
+1998): m must be a canonical element of c, one of the maximal elements
+with the largest down-set (a twin of m counts as m) whose
+``_invariant`` sorts highest and, among those, whose deletion has the
+smallest key (``_deletion``).  These elements are defined up to
+isomorphism, so a class is accepted only from the parent class they
+leave.  From that parent P it comes twice only if an isomorphism of two
+children maps m to a canonical element: to m or a twin, which gives an
+automorphism of P that maps one child's ideal to the other's, and the
+ideals are one per orbit of twin swaps, so P has other automorphisms;
+or to a rival whose deletion has P's key.  Only then does ``_accepted`` compare keys, so
+each pair class is counted once and few children are keyed.  The
+workers drop each class with a square (a 4-cycle of the bounded Hasse
+diagram that misses a bound, a blocking walk: see
+``classifier.hasse_squares``); only the square-free ones become Posets
+and reach the walk search.
 
 Extension and classification take an optional process pool by keyword
 (``pool=None`` runs serially); ``build_table`` opens one pool for both.
-Extension shards over parents: a worker returns the key and masks of
-each child of one parent, and the results are merged in parent order,
-keeping the first child seen under each key, the one a serial loop
-keeps, so representatives and their ``sorted(key)`` order do not
-depend on the pool.  ``pool_map`` yields each parent's batch in parent
-order, and the merge drops it once read; with a pool, batches that
-finish early wait in the pool until the merge reaches them, so only a
-serial run holds one batch at a time.  A level's masks are stored
-through one dict, so equal mask values share one int object rather
-than one per unpickled child.
+Extension shards over parents: for a stored level a worker returns the
+key and masks of each child of one parent, and the results are merged
+in parent order, keeping the first child seen under each key, the one
+a serial loop keeps, so representatives and their ``sorted(key)``
+order do not depend on the pool; for the top row a worker returns a
+count and the square-free masks.  ``pool_map`` yields each parent's
+batch in parent order, and the merge drops it once read; with a pool,
+batches that finish early wait in the pool until the merge reaches
+them, so only a serial run holds one batch at a time.  A level's masks
+are stored through one dict, so equal mask values share one int
+object rather than one per unpickled child.
 """
 from __future__ import annotations
 
@@ -42,10 +56,11 @@ import csv
 import os
 from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext, suppress
+from functools import cache
 from dataclasses import astuple, dataclass
 from typing import Callable, ContextManager, Iterator, Sequence
 
-from .canonical import masks_key
+from .canonical import masks_key, twin_discrete
 from .classifier import classify, hasse_squares
 from .errors import ParseError, UnsupportedSize
 from .poset import Poset, _bits
@@ -94,8 +109,8 @@ def _extensions(p: Poset) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         yield tuple(new_above), below + (down,)
 
 
-# a child's canonical key and upper masks (None for a flagged square)
-_Child = tuple[bytes, tuple[int, ...] | None]
+# a child's canonical key and upper masks
+_Child = tuple[bytes, tuple[int, ...]]
 
 
 def _keyed_children(parent: Poset) -> list[_Child]:
@@ -103,38 +118,139 @@ def _keyed_children(parent: Poset) -> list[_Child]:
     return [(masks_key(above, below), above) for above, below in _extensions(parent)]
 
 
-def _pair_children(parent: Poset, squares: bool = True) -> list[_Child]:
-    """``_keyed_children`` of parent restricted to pair representatives
-    (``_pair_key``); with ``squares``, one with a Hasse square has None
-    for masks, and a parent's low square is every child's (``hasse_squares``)."""
-    low = squares and any(y <= parent.d for *_, y in hasse_squares(parent._above))
-    return [(key, None if squares and (low or next(hasse_squares(above), None)) else above)
-            for above, below in _extensions(parent)
+def _pair_classes(parent: Poset) -> list[_Child]:
+    """``_keyed_children`` of parent restricted to pair representatives (``_pair_key``)."""
+    return [(key, above) for above, below in _extensions(parent)
             if (key := _pair_key(above, below)) is not None]
 
 
-def _pair_classes(parent: Poset) -> list[_Child]:
-    """``_pair_children`` of parent, every child with its masks."""
-    return _pair_children(parent, squares=False)
-
-
-def _representatives(d: int, batches: Iterator[list[_Child]]
-                     ) -> tuple[int, tuple[Poset, ...]]:
-    """The number of keys, and a Poset, with its key set, for the first
-    child seen under each key that carries masks, in ``sorted(key)``
-    order; equal mask values share one int object."""
-    first: dict[bytes, tuple[int, ...] | None] = {}
+def _representatives(d: int, batches: Iterator[list[_Child]]) -> tuple[Poset, ...]:
+    """A Poset, with its key set, for the first child seen under each
+    key, in ``sorted(key)`` order; equal mask values share one int object."""
+    first: dict[bytes, tuple[int, ...]] = {}
     masks: dict[int, int] = {}
     for children in batches:
         for key, above in children:
             if key not in first:
-                first[key] = above and tuple(map(masks.setdefault, above, above))
+                first[key] = tuple(map(masks.setdefault, above, above))
     reps = []
-    for key in sorted(k for k, above in first.items() if above):
+    for key in sorted(first):
         p = Poset(d, first[key])
         p._key = key
         reps.append(p)
-    return len(first), tuple(reps)
+    return tuple(reps)
+
+
+def _deleted(masks: Sequence[int], x: int) -> tuple[int, ...]:
+    """The masks with element x removed and the elements above it renumbered."""
+    low = (1 << x) - 1
+    return tuple(m & low | m >> (x + 1) << x for i, m in enumerate(masks) if i != x)
+
+
+def _invariant(above: Sequence[int], below: Sequence[int], x: int) -> list[tuple[int, int]]:
+    """The sorted (down-set size, up-set size) pairs of the elements below x."""
+    return sorted((below[y].bit_count(), above[y].bit_count()) for y in _bits(below[x]))
+
+
+def _deletion(above: Sequence[int], below: Sequence[int], key: bytes) -> str | None:
+    """How the child with these masks is accepted from its parent, whose
+    key is ``key``, as the canonical deletion of its last element m; None
+    if another deletion is canonical.
+
+    The rivals of m are the other maximal elements with m's down-set
+    size but not m's down-set (a twin of m counts as m).  m wins with no
+    rival ("unique"), or if its ``_invariant`` sorts above every rival's
+    ("invariant"); it loses to a rival whose invariant sorts above its
+    own, and against the tied rivals x it needs ``masks_key(c - x) >=
+    key``.  It is "tied" if some such key equals ``key``, since then
+    another deletion gives the same parent and the class may come twice.
+    """
+    m = len(above) - 1
+    down = below[m]
+    size = down.bit_count()
+    rivals = [x for x in range(1, m)
+              if not above[x] and below[x] != down and below[x].bit_count() == size]
+    if not rivals:
+        return "unique"
+    own = _invariant(above, below, m)
+    tied = []
+    for x in rivals:
+        invariant = _invariant(above, below, x)
+        if invariant > own:
+            return None
+        if invariant == own:
+            tied.append(x)
+    if not tied:
+        return "invariant"
+    path = "keys"
+    for x in tied:
+        deleted = masks_key(_deleted(above, x), _deleted(below, x))
+        if deleted < key:
+            return None
+        if deleted == key:
+            path = "tied"
+    return path
+
+
+def _accepted(parent: tuple[bytes, tuple[int, ...]]
+              ) -> Iterator[tuple[tuple[int, ...], str]]:
+    """Upper masks of the children of the parent with this key and these
+    upper masks that stand for their pair class (``_pair_key``) and
+    whose new element m is canonical (``_deletion``), one per class,
+    each with its path: ``_deletion``'s, then " pair" if the pair rule
+    needed keys and " dedup" if the child's key was compared with those
+    of the parent's earlier children.
+
+    Isomorphic children give m the same ``_invariant``, so a child is
+    compared only with the earlier ones that share it, and only if it
+    is "tied" or the parent's refinement is not ``twin_discrete``.
+    """
+    key, above = parent
+    p = Poset(len(above) - 1, above)
+    twins_only = cache(lambda: twin_discrete(above, p.lower_masks()))  # asked once, if ever
+    earlier: dict[tuple, list[list]] = {}  # m's invariant -> [key or None, masks] yielded
+    for child, below in _extensions(p):
+        order = _size_order(child, below)
+        if order > 0 or (path := _deletion(child, below, key)) is None:
+            continue
+        child_key = None
+        if order == 0:
+            if (child_key := _pair_key(child, below)) is None:
+                continue
+            path += " pair"
+        same = earlier.setdefault(tuple(_invariant(child, below, p.d + 1)), [])
+        if same and (path.startswith("tied") or not twins_only()):
+            child_key = child_key or masks_key(child, below)
+            for entry in same:
+                entry[0] = entry[0] or masks_key(*entry[1])
+            if any(entry[0] == child_key for entry in same):
+                continue
+            path += " dedup"
+        same.append([child_key, (child, below)])
+        yield child, path
+
+
+def _top_children(parent: tuple[bytes, tuple[int, ...]]
+                  ) -> tuple[int, list[tuple[int, ...]]]:
+    """The number of children ``_accepted`` gives, and the upper masks of
+    those with no Hasse square; a parent's low square is every child's
+    (``hasse_squares``)."""
+    children = [above for above, _ in _accepted(parent)]
+    if any(y < len(parent[1]) for *_, y in hasse_squares(parent[1])):
+        return len(children), []
+    return len(children), [
+        above for above in children if next(hasse_squares(above), None) is None]
+
+
+def _top_row(d: int, pool: Executor | None) -> tuple[int, list[Poset]]:
+    """The number of pair classes on d elements, from the level below by
+    ``_top_children``, and a Poset for each one without a Hasse square."""
+    parents = [(p.canonical_key(), p._above) for p in poset_classes(d - 1, pool=pool)]
+    count, reps = 0, []
+    for n, free in pool_map(_top_children, parents, pool):
+        count += n
+        reps += [Poset(d, above) for above in free]
+    return count, reps
 
 
 CENSUS_MAX_D = 9  # the largest poset size the census enumerates
@@ -151,7 +267,7 @@ def poset_classes(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
             _LEVELS[1] = (Poset(1, (0, 0)),)
         else:
             _LEVELS[d] = _representatives(
-                d, pool_map(_keyed_children, poset_classes(d - 1, pool=pool), pool))[1]
+                d, pool_map(_keyed_children, poset_classes(d - 1, pool=pool), pool))
     return _LEVELS[d]
 
 
@@ -163,17 +279,24 @@ def pair_representatives(d: int, *, pool: Executor | None = None) -> tuple[Poset
     not depend on which of its children is asked, so the first child
     seen under each kept key is the one the stored level would keep.
     """
-    return _pair_row(d, _pair_classes, pool)[1]
-
-
-def _pair_row(d: int, worker: Callable, pool: Executor | None
-              ) -> tuple[int, tuple[Poset, ...]]:
-    """The number of pair classes on d elements, and the representatives
-    of those whose children from ``worker`` carry masks (all if stored)."""
     if d in _LEVELS or not 1 < d <= CENSUS_MAX_D:  # d = 1, or poset_classes raises
-        reps = tuple(quotient_by_duality(poset_classes(d)))
-        return len(reps), reps
-    return _representatives(d, pool_map(worker, poset_classes(d - 1, pool=pool), pool))
+        return tuple(quotient_by_duality(poset_classes(d)))
+    return _representatives(d, pool_map(_pair_classes, poset_classes(d - 1, pool=pool), pool))
+
+
+def _size_order(above: Sequence[int], below: Sequence[int]) -> int:
+    """-1, 0 or 1 as the sorted (down-set size, up-set size) pairs of the
+    poset with these masks sort below, equal to or above the swapped
+    pairs, which are its dual's.  A pair (a, b) is read as a * n + b,
+    with n above every size, and index 0 adds (0, 0) to both lists."""
+    n, own, swapped = len(above), [], []
+    for down, up in zip(below, above):
+        a, b = down.bit_count(), up.bit_count()
+        own.append(a * n + b)
+        swapped.append(b * n + a)
+    own.sort()
+    swapped.sort()
+    return (own > swapped) - (own < swapped)
 
 
 def _pair_key(above: Sequence[int], below: Sequence[int],
@@ -182,19 +305,18 @@ def _pair_key(above: Sequence[int], below: Sequence[int],
     masks if it stands for its {class, dual class} pair, else None.
 
     Duality swaps each element's (down-set size, up-set size) pair, so
-    the dual's sorted pairs are the swapped ones.  The poset is kept if
-    its sorted pairs sort strictly below the swapped ones, and dropped
-    before any key is computed if they sort strictly above; on a tie it
-    is kept iff its key is not larger than the dual's, which is computed
-    from the swapped masks only then.
+    the dual's sorted pairs are the swapped ones (``_size_order``).  The
+    poset is kept if its sorted pairs sort strictly below the swapped
+    ones, and dropped before any key is computed if they sort strictly
+    above; on a tie it is kept iff its key is not larger than the
+    dual's, which is computed from the swapped masks only then.
     """
-    sizes = [(down.bit_count(), up.bit_count()) for down, up in zip(below[1:], above[1:])]
-    own, swapped = sorted(sizes), sorted(pair[::-1] for pair in sizes)
-    if own > swapped:
+    order = _size_order(above, below)
+    if order > 0:
         return None  # its dual's class stands for the pair
     if key is None:
         key = masks_key(above, below)
-    return key if own < swapped or key <= masks_key(below, above) else None
+    return key if order < 0 or key <= masks_key(below, above) else None
 
 
 def quotient_by_duality(posets: Sequence[Poset]) -> list[Poset]:
@@ -204,7 +326,7 @@ def quotient_by_duality(posets: Sequence[Poset]) -> list[Poset]:
 
 
 def _smooth_flag(p: Poset) -> bool:
-    """classify(p).smooth, False at once on a Hasse square, as in ``_pair_children``."""
+    """classify(p).smooth, False at once on a Hasse square, as in ``_top_children``."""
     return next(hasse_squares(p._above), None) is None and classify(p).smooth
 
 
@@ -272,7 +394,11 @@ def build_table(
                 log(f"enumerating d={d}")
             if d < d_max:
                 poset_classes(d, pool=pool)  # stored for the next level
-            posets, reps = _pair_row(d, _pair_children, pool)
+            if d in _LEVELS or d == 1:
+                reps = quotient_by_duality(poset_classes(d))
+                posets = len(reps)
+            else:
+                posets, reps = _top_row(d, pool)
             if log:
                 shown = f"{len(reps)} square-free of {posets}" if len(reps) < posets else posets
                 log(f"classifying {shown} representatives at d={d}")

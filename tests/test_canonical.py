@@ -1,5 +1,8 @@
 import hashlib
 import random
+from collections import Counter
+from itertools import permutations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,6 +146,25 @@ def test_branches_on_every_member_of_a_cell_that_is_not_an_orbit():
         perm = list(range(1, 15))
         rng.shuffle(perm)
         assert relabel(p, [0] + perm).canonical_key() == p.canonical_key()
+
+
+def test_twin_discrete_posets_have_only_twin_swaps():
+    # every relabeling of every class with d <= 5; a poset that is not
+    # twin_discrete may still have only twin swaps, so only one way is checked
+    seen = Counter()
+    for d in range(1, 6):
+        for p in poset_classes(d):
+            below = p.lower_masks()
+            discrete = canonical.twin_discrete(p._above, below)
+            seen[discrete] += 1
+            automorphisms = sum(relabel(p, (0,) + perm) == p
+                                for perm in permutations(range(1, d + 1)))
+            twin_groups = Counter(zip(below[1:], p._above[1:])).values()
+            if discrete:
+                assert automorphisms == prod(map(factorial, twin_groups)), p
+    assert seen[True] > 0 and seen[False] > 0
+    two_chains = Poset.from_cover_relations(4, [(1, 2), (3, 4)])
+    assert not canonical.twin_discrete(two_chains._above, two_chains.lower_masks())
 
 
 @pytest.mark.parametrize("d", range(1, 8))

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from math import factorial
@@ -464,7 +465,7 @@ class TestSharedPool:
 
     @pytest.mark.parametrize("jobs,executors,mapped", [
         (1, 0, set()),
-        (2, 1, {"_keyed_children", "_pair_children", "_smooth_flag"}),
+        (2, 1, {"_keyed_children", "_top_children", "_smooth_flag"}),
     ])
     def test_one_executor_per_table(self, jobs, executors, mapped, counting):
         opened, used = counting
@@ -593,19 +594,20 @@ class TestSquareFlag:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
     def test_worker_flags_exactly_the_squared_children(self, d):
-        pair_children = flagged = 0
+        classes = flagged = 0
         for parent in poset_classes(d - 1):
-            children = enumeration._pair_children(parent)
-            kept = enumeration._pair_classes(parent)
-            assert [key for key, _ in children] == [key for key, _ in kept]
-            for (_, above), (_, masks) in zip(children, kept):
-                squared = next(hasse_squares(Poset(d, masks)._above), None) is not None
-                assert above == (None if squared else masks), parent
-                pair_children += 1
-                flagged += squared
-        assert 0 < pair_children and flagged < pair_children
+            masks = (parent.canonical_key(), parent._above)
+            accepted = [above for above, _ in enumeration._accepted(masks)]
+            squared = [next(hasse_squares(Poset(d, above)._above), None) is not None
+                       for above in accepted]
+            count, free = enumeration._top_children(masks)
+            assert count == len(accepted), parent
+            assert free == [above for above, sq in zip(accepted, squared) if not sq], parent
+            classes += count
+            flagged += sum(squared)
+        assert 0 < classes and flagged < classes
         if d == 8:
-            assert pair_children == 10044
+            assert classes == 8746
 
     @pytest.mark.parametrize("d,posets,smooth,square_free", [
         (7, 1082, 88, 125),
@@ -626,12 +628,75 @@ class TestSquareFlag:
         want = [p for p in quotient_by_duality(poset_classes(d))
                 if next(hasse_squares(p._above), None) is None]
         assert len(handed[-1]) == len(want) == square_free
-        assert _masks(handed[-1]) == _masks(want)
-        assert [p._key for p in handed[-1]] == [p._key for p in want]
+        assert sorted(p.canonical_key() for p in handed[-1]) == sorted(p._key for p in want)
         assert f"classifying {square_free} square-free of {posets} representatives " \
             f"at d={d}" in lines
         # the rows below the top classify every pair class
         assert [len(reps) for reps in handed[:-1]] == [1, 2, 4, 12, 39, 184, 1082][:d - 1]
+
+
+def _accepted_keys(parent):
+    """Canonical keys, computed here, of the children _accepted gives for
+    parent; module level, so a pool worker can run it."""
+    masks = (parent.canonical_key(), parent._above)
+    return [canonical.masks_key(above, Poset(parent.d + 1, above).lower_masks())
+            for above, _ in enumeration._accepted(masks)]
+
+
+class TestCanonicalDeletion:
+    @pytest.mark.parametrize("use_pool", [False, True])
+    @pytest.mark.parametrize("d", [
+        2, 3, 4, 5, 6, 7,
+        pytest.param(8, marks=[pytest.mark.slow, pytest.mark.skipif(
+            not os.environ.get("RUN_D8"), reason="the d = 8 row; set RUN_D8=1 to run")])])
+    def test_each_pair_class_is_accepted_once(self, d, use_pool, pool):
+        parents = poset_classes(d - 1)
+        keys = [key for batch in pool_map(_accepted_keys, parents, pool if use_pool else None)
+                for key in batch]
+        want = [p.canonical_key() for p in quotient_by_duality(poset_classes(d))]
+        assert len(keys) == len(set(keys)) == len(want)
+        assert sorted(keys) == sorted(want)
+
+    def test_every_decision_path_is_taken(self):
+        # unique deletable, invariant win, rival-key tie ("keys", or
+        # "tied" when a rival's deletion has the parent's key), pair tie,
+        # and the per-parent comparison, which drops repeats
+        paths, dropped = Counter(), 0
+        for d in range(2, 8):
+            for parent in poset_classes(d - 1):
+                masks = (parent.canonical_key(), parent._above)
+                got = [path for _, path in enumeration._accepted(masks)]
+                paths.update(word for path in got for word in path.split())
+                passed = sum(
+                    enumeration._deletion(above, below, masks[0]) is not None
+                    for above, below in _extensions(parent)
+                    if enumeration._pair_key(above, below) is not None)
+                dropped += passed - len(got)
+        assert all(paths[word] > 0 for word in (
+            "unique", "invariant", "keys", "tied", "pair", "dedup")), paths
+        assert dropped == 40 + 7 + 1, dropped  # at d = 7, 6, 5; none at d <= 4
+
+    def test_a_tied_child_is_compared_though_the_parent_has_only_twin_swaps(self):
+        # the one d = 8 class whose children repeat a d = 9 class through a
+        # rival deletion with the parent's key, though its refinement is
+        # the twin groups
+        parent = Poset.from_cover_relations(8, [
+            (1, 5), (1, 6), (1, 7), (2, 5), (3, 6), (3, 8), (4, 7), (5, 8)])
+        assert canonical.twin_discrete(parent._above, parent.lower_masks())
+        paths = [path for _, path in enumeration._accepted(
+            (parent.canonical_key(), parent._above))]
+        assert "tied dedup" in paths
+        keys = _accepted_keys(parent)
+        assert len(keys) == len(set(keys)) == 19
+
+    def test_deleting_an_element_renumbers_the_rest(self):
+        p = Poset.from_cover_relations(4, [(1, 3), (2, 3), (3, 4)])
+        for x in p.elements:
+            q = Poset(3, enumeration._deleted(p._above, x))
+            assert q.lower_masks() == enumeration._deleted(p.lower_masks(), x)
+            rest = [i for i in p.elements if i != x]
+            assert all(q.less(a + 1, b + 1) == p.less(rest[a], rest[b])
+                       for a in range(3) for b in range(3))
 
 
 class TestStreamedMerge:
