@@ -16,39 +16,46 @@ for smoothness, which the dual's negated polytope shares.
 ``_pair_key`` is the one rule that decides which member of a pair is
 kept.
 
-``build_table`` stores every level it extends, but not its last one.
-A stored level's row quotients it with ``quotient_by_duality``.  The
-top row only counts its classes, so it accepts a child c = P + m by
-canonical deletion (McKay, "Isomorph-free exhaustive generation",
-1998): m must be a canonical element of c, one of the maximal elements
-with the largest down-set (a twin of m counts as m) whose
-``_invariant`` sorts highest and, among those, whose deletion has the
-smallest key (``_deletion``).  These elements are defined up to
-isomorphism, so a class is accepted only from the parent class they
-leave.  From that parent P it comes twice only if an isomorphism of two
-children maps m to a canonical element: to m or a twin, which gives an
-automorphism of P that maps one child's ideal to the other's, and the
-ideals are one per orbit of twin swaps, so P has other automorphisms;
-or to a rival whose deletion has P's key.  Only then does ``_accepted`` compare keys, so
-each pair class is counted once and few children are keyed.  The
-workers drop each class with a square (a 4-cycle of the bounded Hasse
-diagram that misses a bound, a blocking walk: see
-``classifier.hasse_squares``); only the square-free ones become Posets
-and reach the walk search.
+``build_table`` stores no level: it counts every row in one depth-first
+walk of the canonical-deletion tree (McKay, "Isomorph-free exhaustive
+generation", 1998).  The root is the one-element poset, and a node's
+children are its extensions c = P + m in which m is a canonical element
+of c (``_deletion``): one of the maximal elements with the largest
+down-set (a twin of m counts as m) whose ``_invariant`` sorts highest
+and, among those, whose deletion has the smallest key.  These elements
+are defined up to isomorphism, so by induction on d every class on d
+elements is one node: its canonical deletions leave one class, which is
+one node P, whose extensions reach every orbit of twin swaps of ideals.
+From P it comes twice only if an isomorphism of two children maps m to
+m or a twin, an automorphism of P beyond twin swaps, or to a rival
+whose deletion has P's key; only then does ``_accepted`` compare keys.
+The rule reads only P's masks and key, so P may be any member of its
+class.  Below the top a row counts the nodes ``_pair_key`` keeps; at
+the top the size rule drops the others before ``_deletion``.  A node's
+key is computed only when a child's deletion meets tied rivals, the
+node's pair decision is a size tie, or its siblings are compared, and
+is kept in the node.  A square (a 4-cycle of the bounded Hasse diagram
+that misses a bound, a blocking walk: ``classifier.hasse_squares``)
+that misses 1-hat is every descendant's, so they skip the test.  Only
+square-free pair classes become Posets and reach the walk search.  The
+parent walks sizes up to k = d_max - 3 and the pool the subtrees below
+the nodes of size k, each returning its pair counts and square-free
+masks per size.
 
+The stored levels of ``poset_classes`` key every child instead, for
+``enumerate``, ``cross-check`` and ``pair_representatives``.
 Extension and classification take an optional process pool by keyword
 (``pool=None`` runs serially); ``build_table`` opens one pool for both.
-Extension shards over parents: for a stored level a worker returns the
-key and masks of each child of one parent, and the results are merged
-in parent order, keeping the first child seen under each key, the one
-a serial loop keeps, so representatives and their ``sorted(key)``
-order do not depend on the pool; for the top row a worker returns a
-count and the square-free masks.  ``pool_map`` yields each parent's
-batch in parent order, and the merge drops it once read; with a pool,
-batches that finish early wait in the pool until the merge reaches
-them, so only a serial run holds one batch at a time.  A level's masks
-are stored through one dict, so equal mask values share one int
-object rather than one per unpickled child.
+A stored level shards over parents: a worker returns the key and
+masks of each child of one parent, and the results are merged in
+parent order, keeping the first child seen under each key, the one a
+serial loop keeps, so representatives and their ``sorted(key)`` order
+do not depend on the pool.  ``pool_map`` yields each parent's batch in
+parent order, and the merge drops it once read; with a pool, batches
+that finish early wait in the pool until the merge reaches them, so
+only a serial run holds one batch at a time.  A level's masks are
+stored through one dict, so equal mask values share one int object
+rather than one per unpickled child.
 """
 from __future__ import annotations
 
@@ -58,7 +65,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext, suppress
 from functools import cache
 from dataclasses import astuple, dataclass
-from typing import Callable, ContextManager, Iterator, Sequence
+from typing import Callable, ContextManager, Iterable, Iterator, Sequence
 
 from .canonical import masks_key, twin_discrete
 from .classifier import classify, hasse_squares
@@ -152,18 +159,27 @@ def _invariant(above: Sequence[int], below: Sequence[int], x: int) -> list[tuple
     return sorted((below[y].bit_count(), above[y].bit_count()) for y in _bits(below[x]))
 
 
-def _deletion(above: Sequence[int], below: Sequence[int], key: bytes) -> str | None:
-    """How the child with these masks is accepted from its parent, whose
-    key is ``key``, as the canonical deletion of its last element m; None
-    if another deletion is canonical.
+def _key(node: list) -> bytes:
+    """The canonical key of a deletion-tree node [key, or None until one
+    is needed, upper masks, lower masks], computed on first use and kept."""
+    if node[0] is None:
+        node[0] = masks_key(node[1], node[2])
+    return node[0]
+
+
+def _deletion(above: Sequence[int], below: Sequence[int], parent: list) -> str | None:
+    """How the child with these masks is accepted from the parent node as
+    the canonical deletion of its last element m; None if another
+    deletion is canonical.
 
     The rivals of m are the other maximal elements with m's down-set
     size but not m's down-set (a twin of m counts as m).  m wins with no
     rival ("unique"), or if its ``_invariant`` sorts above every rival's
     ("invariant"); it loses to a rival whose invariant sorts above its
     own, and against the tied rivals x it needs ``masks_key(c - x) >=
-    key``.  It is "tied" if some such key equals ``key``, since then
-    another deletion gives the same parent and the class may come twice.
+    key``, the parent's key, computed only here.  It is "tied" if some
+    such key equals the parent's, since then another deletion gives the
+    same parent and the class may come twice.
     """
     m = len(above) - 1
     down = below[m]
@@ -185,72 +201,85 @@ def _deletion(above: Sequence[int], below: Sequence[int], key: bytes) -> str | N
     path = "keys"
     for x in tied:
         deleted = masks_key(_deleted(above, x), _deleted(below, x))
-        if deleted < key:
+        if deleted < _key(parent):
             return None
-        if deleted == key:
+        if deleted == _key(parent):
             path = "tied"
     return path
 
 
-def _accepted(parent: tuple[bytes, tuple[int, ...]]
-              ) -> Iterator[tuple[tuple[int, ...], str]]:
-    """Upper masks of the children of the parent with this key and these
-    upper masks that stand for their pair class (``_pair_key``) and
-    whose new element m is canonical (``_deletion``), one per class,
-    each with its path: ``_deletion``'s, then " pair" if the pair rule
-    needed keys and " dedup" if the child's key was compared with those
-    of the parent's earlier children.
+def _accepted(parent: list, top: bool) -> Iterator[tuple[list, str]]:
+    """The children of the parent node: its extensions whose new element
+    m is canonical (``_deletion``), one per class, each with its path:
+    ``_deletion``'s, then " pair" if the pair rule needed keys and
+    " dedup" if the child's key was compared with those of the parent's
+    earlier children.  At the ``top`` only the children that stand for
+    their pair class (``_pair_key``) are kept, and the size rule drops
+    the others before ``_deletion``.
 
     Isomorphic children give m the same ``_invariant``, so a child is
     compared only with the earlier ones that share it, and only if it
     is "tied" or the parent's refinement is not ``twin_discrete``.
     """
-    key, above = parent
-    p = Poset(len(above) - 1, above)
-    twins_only = cache(lambda: twin_discrete(above, p.lower_masks()))  # asked once, if ever
-    earlier: dict[tuple, list[list]] = {}  # m's invariant -> [key or None, masks] yielded
-    for child, below in _extensions(p):
-        order = _size_order(child, below)
-        if order > 0 or (path := _deletion(child, below, key)) is None:
+    p = Poset(len(parent[1]) - 1, parent[1])
+    twins_only = cache(lambda: twin_discrete(parent[1], parent[2]))  # asked once, if ever
+    earlier: dict[tuple, list[list]] = {}  # m's invariant -> children yielded
+    for above, below in _extensions(p):
+        order = _size_order(above, below) if top else -1
+        if order > 0 or (path := _deletion(above, below, parent)) is None:
             continue
-        child_key = None
+        child = [None, above, below]
         if order == 0:
-            if (child_key := _pair_key(child, below)) is None:
+            if _pair_key(above, below, _key(child)) is None:
                 continue
             path += " pair"
-        same = earlier.setdefault(tuple(_invariant(child, below, p.d + 1)), [])
+        same = earlier.setdefault(tuple(_invariant(above, below, p.d + 1)), [])
         if same and (path.startswith("tied") or not twins_only()):
-            child_key = child_key or masks_key(child, below)
-            for entry in same:
-                entry[0] = entry[0] or masks_key(*entry[1])
-            if any(entry[0] == child_key for entry in same):
+            if any(_key(entry) == _key(child) for entry in same):
                 continue
             path += " dedup"
-        same.append([child_key, (child, below)])
+        same.append(child)
         yield child, path
 
 
-def _top_children(parent: tuple[bytes, tuple[int, ...]]
-                  ) -> tuple[int, list[tuple[int, ...]]]:
-    """The number of children ``_accepted`` gives, and the upper masks of
-    those with no Hasse square; a parent's low square is every child's
-    (``hasse_squares``)."""
-    children = [above for above, _ in _accepted(parent)]
-    if any(y < len(parent[1]) for *_, y in hasse_squares(parent[1])):
-        return len(children), []
-    return len(children), [
-        above for above in children if next(hasse_squares(above), None) is None]
+def _walk(parent: list, low: bool, stop: int, d_max: int
+          ) -> Iterator[tuple[list, bool, bool, bool]]:
+    """The nodes below the parent node with at most ``stop`` elements,
+    depth first, in a tree whose top is ``d_max``, each as (node, pair
+    flag, low square flag, square-free flag).  ``low`` is the parent's
+    low square flag: a low square is every descendant's, which then
+    skips the square test (``hasse_squares``)."""
+    if len(parent[1]) > stop:  # the children have len(parent[1]) elements
+        return
+    top = len(parent[1]) == d_max
+    for child, _ in _accepted(parent, top):
+        above, below = child[1], child[2]
+        pair = top or (order := _size_order(above, below)) < 0 or (
+            order == 0 and _pair_key(above, below, _key(child)) is not None)
+        tops = [] if low else [y for *_, y in hasse_squares(above)]
+        child_low = low or any(y < len(above) for y in tops)
+        yield child, pair, child_low, not low and not tops
+        yield from _walk(child, child_low, stop, d_max)
 
 
-def _top_row(d: int, pool: Executor | None) -> tuple[int, list[Poset]]:
-    """The number of pair classes on d elements, from the level below by
-    ``_top_children``, and a Poset for each one without a Hasse square."""
-    parents = [(p.canonical_key(), p._above) for p in poset_classes(d - 1, pool=pool)]
-    count, reps = 0, []
-    for n, free in pool_map(_top_children, parents, pool):
-        count += n
-        reps += [Poset(d, above) for above in free]
-    return count, reps
+def _tally(walked: Iterable[tuple[list, bool, bool, bool]]) -> dict[int, list]:
+    """Size -> [number of pair classes, upper masks of the square-free
+    ones] over the walked nodes."""
+    rows: dict[int, list] = {}
+    for node, pair, _, free in walked:
+        if pair:
+            row = rows.setdefault(len(node[1]) - 1, [0, []])
+            row[0] += 1
+            if free:
+                row[1].append(node[1])
+    return rows
+
+
+def _subtree(job: tuple[list, bool, int]) -> dict[int, list]:
+    """``_tally`` of the subtree below a node, given with its low square
+    flag and the tree's top."""
+    node, low, d_max = job
+    return _tally(_walk(node, low, d_max, d_max))
 
 
 CENSUS_MAX_D = 9  # the largest poset size the census enumerates
@@ -326,8 +355,8 @@ def quotient_by_duality(posets: Sequence[Poset]) -> list[Poset]:
 
 
 def _smooth_flag(p: Poset) -> bool:
-    """classify(p).smooth, False at once on a Hasse square, as in ``_top_children``."""
-    return next(hasse_squares(p._above), None) is None and classify(p).smooth
+    """classify(p).smooth, a bool rather than a report to send back from a worker."""
+    return classify(p).smooth
 
 
 def worker_pool(jobs: int) -> ContextManager[Executor | None]:
@@ -372,7 +401,8 @@ def build_table(
 
     With ``out`` set, the CSV file is first replaced, all or nothing,
     by the header and the reused rows, and each new row is appended as
-    its size finishes.  With ``resume``, the rows ``read_table`` accepts
+    it finishes, the rows past d_max - 3 once the pool has walked their
+    subtrees.  With ``resume``, the rows ``read_table`` accepts
     from that file are reused, rows past d_max included, so a long run
     can be restarted; without it no row is reused.
     """
@@ -388,17 +418,26 @@ def build_table(
         finally:  # the file is still there only if the write or replace failed
             with suppress(OSError):
                 os.remove(out + ".tmp")
+    if len(rows) >= d_max:
+        return rows[:d_max]
+    k = max(d_max - 3, 1)  # the parent walks sizes up to k, the pool the subtrees below
     with worker_pool(jobs) as pool:
+        root = [None, (0, 0), (0, 0)]  # the one-element poset: self-dual, square-free
+        tree = [(root, True, False, True), *_walk(root, False, k, d_max)]
+        found = _tally(tree)
         for d in range(len(rows) + 1, d_max + 1):
-            if log:
-                log(f"enumerating d={d}")
-            if d < d_max:
-                poset_classes(d, pool=pool)  # stored for the next level
-            if d in _LEVELS or d == 1:
-                reps = quotient_by_duality(poset_classes(d))
-                posets = len(reps)
-            else:
-                posets, reps = _top_row(d, pool)
+            if d not in found:  # past k: walk the subtrees below the nodes of size k
+                roots = [(node, low, d_max) for node, _, low, _ in tree
+                         if len(node[1]) == k + 1]
+                if log:
+                    log(f"enumerating d={k + 1}..{d_max} in {len(roots)} subtrees")
+                for subtree in pool_map(_subtree, roots, pool):
+                    for size, (n, free) in subtree.items():
+                        row = found.setdefault(size, [0, []])
+                        row[0] += n
+                        row[1] += free
+            posets, free = found[d]
+            reps = [Poset(d, above) for above in free]
             if log:
                 shown = f"{len(reps)} square-free of {posets}" if len(reps) < posets else posets
                 log(f"classifying {shown} representatives at d={d}")
@@ -406,7 +445,7 @@ def build_table(
             if out:
                 with open(out, "a", encoding="utf-8", newline="") as fh:
                     csv.writer(fh).writerow(astuple(rows[-1]))
-    return rows[:d_max]
+    return rows
 
 
 _HEADER = ["d", "posets", "smooth"]

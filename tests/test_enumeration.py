@@ -465,7 +465,7 @@ class TestSharedPool:
 
     @pytest.mark.parametrize("jobs,executors,mapped", [
         (1, 0, set()),
-        (2, 1, {"_keyed_children", "_top_children", "_smooth_flag"}),
+        (2, 1, {"_subtree", "_smooth_flag"}),
     ])
     def test_one_executor_per_table(self, jobs, executors, mapped, counting):
         opened, used = counting
@@ -561,7 +561,7 @@ class TestTopRow:
     def test_table_leaves_its_last_level_unstored(self, jobs, fresh_levels):
         rows = build_table(6, jobs=jobs)
         assert [r.posets for r in rows] == [1, 2, 4, 12, 39, 184]
-        assert sorted(enumeration._LEVELS) == [1, 2, 3, 4, 5]
+        assert enumeration._LEVELS == {}
         assert len(poset_classes(6)) == ISO_CLASSES[6]
         assert len(pair_representatives(6)) == 184
 
@@ -594,13 +594,14 @@ class TestSquareFlag:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
     def test_worker_flags_exactly_the_squared_children(self, d):
+        # the subtree below each parent, one level deep, against the
+        # children _accepted gives, with squares tested here
         classes = flagged = 0
         for parent in poset_classes(d - 1):
-            masks = (parent.canonical_key(), parent._above)
-            accepted = [above for above, _ in enumeration._accepted(masks)]
-            squared = [next(hasse_squares(Poset(d, above)._above), None) is not None
-                       for above in accepted]
-            count, free = enumeration._top_children(masks)
+            accepted = [child[1] for child, _ in enumeration._accepted(_node(parent), True)]
+            squared = [next(hasse_squares(above), None) is not None for above in accepted]
+            low = any(y != d for *_, y in hasse_squares(parent._above))
+            count, free = enumeration._subtree((_node(parent), low, d)).get(d, (0, []))
             assert count == len(accepted), parent
             assert free == [above for above, sq in zip(accepted, squared) if not sq], parent
             classes += count
@@ -624,23 +625,29 @@ class TestSquareFlag:
         monkeypatch.setattr(enumeration, "count_smooth", recording)
         row = build_table(d, log=lines.append)[-1]
         assert (row.posets, row.smooth) == (posets, smooth)
-        assert d not in enumeration._LEVELS
-        want = [p for p in quotient_by_duality(poset_classes(d))
-                if next(hasse_squares(p._above), None) is None]
-        assert len(handed[-1]) == len(want) == square_free
-        assert sorted(p.canonical_key() for p in handed[-1]) == sorted(p._key for p in want)
+        assert enumeration._LEVELS == {}
+        # every row, one call each in order, hands over its square-free pair classes
+        assert len(handed) == d
+        for size, reps in enumerate(handed, start=1):
+            want = [p for p in quotient_by_duality(poset_classes(size))
+                    if next(hasse_squares(p._above), None) is None]
+            assert sorted(p.canonical_key() for p in reps) == sorted(p._key for p in want)
+        assert len(handed[-1]) == square_free
         assert f"classifying {square_free} square-free of {posets} representatives " \
             f"at d={d}" in lines
-        # the rows below the top classify every pair class
-        assert [len(reps) for reps in handed[:-1]] == [1, 2, 4, 12, 39, 184, 1082][:d - 1]
+        assert [len(reps) for reps in handed[:-1]] == [1, 2, 3, 6, 13, 37, 125][:d - 1]
+
+
+def _node(p):
+    """A deletion-tree node for the poset p, its key not yet computed."""
+    return [None, p._above, p.lower_masks()]
 
 
 def _accepted_keys(parent):
     """Canonical keys, computed here, of the children _accepted gives for
-    parent; module level, so a pool worker can run it."""
-    masks = (parent.canonical_key(), parent._above)
+    parent at the top; module level, so a pool worker can run it."""
     return [canonical.masks_key(above, Poset(parent.d + 1, above).lower_masks())
-            for above, _ in enumeration._accepted(masks)]
+            for (_, above, _), _ in enumeration._accepted(_node(parent), True)]
 
 
 class TestCanonicalDeletion:
@@ -664,11 +671,10 @@ class TestCanonicalDeletion:
         paths, dropped = Counter(), 0
         for d in range(2, 8):
             for parent in poset_classes(d - 1):
-                masks = (parent.canonical_key(), parent._above)
-                got = [path for _, path in enumeration._accepted(masks)]
+                got = [path for _, path in enumeration._accepted(_node(parent), True)]
                 paths.update(word for path in got for word in path.split())
                 passed = sum(
-                    enumeration._deletion(above, below, masks[0]) is not None
+                    enumeration._deletion(above, below, _node(parent)) is not None
                     for above, below in _extensions(parent)
                     if enumeration._pair_key(above, below) is not None)
                 dropped += passed - len(got)
@@ -683,8 +689,7 @@ class TestCanonicalDeletion:
         parent = Poset.from_cover_relations(8, [
             (1, 5), (1, 6), (1, 7), (2, 5), (3, 6), (3, 8), (4, 7), (5, 8)])
         assert canonical.twin_discrete(parent._above, parent.lower_masks())
-        paths = [path for _, path in enumeration._accepted(
-            (parent.canonical_key(), parent._above))]
+        paths = [path for _, path in enumeration._accepted(_node(parent), True)]
         assert "tied dedup" in paths
         keys = _accepted_keys(parent)
         assert len(keys) == len(set(keys)) == 19
@@ -697,6 +702,64 @@ class TestCanonicalDeletion:
             rest = [i for i in p.elements if i != x]
             assert all(q.less(a + 1, b + 1) == p.less(rest[a], rest[b])
                        for a in range(3) for b in range(3))
+
+
+def _walked(job):
+    """(size, key computed here, pair flag, square-free flag, whether a
+    Hasse square is found here) of each node ``_walk(*job)`` gives;
+    module level, so a pool worker can run it."""
+    return [(len(node[1]) - 1, canonical.masks_key(node[1], node[2]), pair, free,
+             next(hasse_squares(node[1]), None) is not None)
+            for node, pair, _, free in enumeration._walk(*job)]
+
+
+@pytest.fixture
+def key_calls(monkeypatch):
+    """Every call of masks_key, the enumeration's and the canonical
+    module's (which canonical_key calls), in this process."""
+    calls = []
+    for module in (enumeration, canonical):
+        def counted(above, below, real=module.masks_key):
+            calls.append(above)
+            return real(above, below)
+        monkeypatch.setattr(module, "masks_key", counted)
+    return calls
+
+
+class TestDeletionTree:
+    @pytest.mark.parametrize("use_pool", [False, True])
+    @pytest.mark.parametrize("d", [
+        2, 3, 4, 5, 6, 7,
+        pytest.param(8, marks=[pytest.mark.slow, pytest.mark.skipif(
+            not os.environ.get("RUN_D8"), reason="the d = 8 level; set RUN_D8=1 to run")])])
+    def test_each_class_is_one_node(self, d, use_pool, pool):
+        # the top is d + 1, so every size up to d is internal: one node
+        # per class, each with its pair flag.  As in build_table, sizes
+        # up to k are walked here and the subtrees below the nodes of
+        # size k over the pool, the nodes carrying the keys found so far
+        k = max(d - 2, 1)
+        root = [None, (0, 0), (0, 0)]
+        near = [(root, False), *((node, low) for node, _, low, _ in
+                                 enumeration._walk(root, False, k, d + 1))]
+        walked = _walked((root, False, k, d + 1))
+        jobs = [(node, low, d, d + 1) for node, low in near if len(node[1]) == k + 1]
+        for batch in pool_map(_walked, jobs, pool if use_pool else None):
+            walked += batch
+        assert all(free != squared for *_, free, squared in walked)
+        for size in range(2, d + 1):
+            keys = [key for n, key, *_ in walked if n == size]
+            assert len(keys) == len(set(keys)) == len(poset_classes(size))
+            assert sorted(keys) == sorted(p.canonical_key() for p in poset_classes(size))
+            pairs = [key for n, key, pair, *_ in walked if n == size and pair]
+            assert sorted(pairs) == sorted(
+                p.canonical_key() for p in quotient_by_duality(poset_classes(size)))
+
+    @pytest.mark.parametrize("d,budget", [(7, 700), pytest.param(8, 3300, marks=pytest.mark.slow)])
+    def test_keys_are_computed_only_when_needed(self, d, budget, key_calls):
+        # keying every class below the top takes 904 calls at d = 7 and 5067 at d = 8
+        rows = build_table(d, jobs=1)
+        assert [r.posets for r in rows] == [1, 2, 4, 12, 39, 184, 1082, 8746][:d]
+        assert 0 < len(key_calls) <= budget
 
 
 class TestStreamedMerge:
