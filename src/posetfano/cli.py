@@ -175,7 +175,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_cross_check(args) -> int:
     with worker_pool(args.jobs) as pool:
-        classes = poset_classes(args.d, pool=pool)
+        classes = poset_classes(args.d)
         reps, sample = classes, None
         if args.sample is not None and args.sample < len(classes):
             reps = random.Random(args.seed).sample(classes, args.sample)

@@ -1,61 +1,50 @@
 """Isomorph-free poset generation and the classification table.
 
-Posets on d elements are generated by extending every representative
-on d-1 elements with one new maximal element above an order ideal of
-the parent, grown over a linear extension: an element joins an ideal
-that holds its down-set and its twin before it (twins have the same
-down- and up-set; index order).  A child is kept if no other maximal
-element has a larger down-set.  Children are bit masks: the child's
-upper masks, and its lower masks, which are the parent's plus the new
-element's ideal.  A stored level keys every child: canonical keys
-read the masks directly and deduplicate the results, giving exactly
-one representative per isomorphism class; only representatives become
-Posets.  ``pair_representatives`` keeps one class per {class, dual
-class} pair, and each kept representative's polytope is classified
-for smoothness, which the dual's negated polytope shares.
-``_pair_key`` is the one rule that decides which member of a pair is
-kept.
+Posets on d elements are generated by extending posets on d-1 elements
+with one new maximal element above an order ideal of the parent, grown
+over a linear extension: an element joins an ideal that holds its
+down-set and its twin before it (twins have the same down- and up-set;
+index order).  A child is kept if no other maximal element has a
+larger down-set.  Children are bit masks: the child's upper masks, and
+its lower masks, which are the parent's plus the new element's ideal.
+Keys are canonical and read the masks directly.  ``_pair_key`` is the
+one rule that decides which member of a {class, dual class} pair is
+kept; a kept class's polytope is classified for smoothness, which the
+dual's negated polytope shares.
 
-``build_table`` stores no level: it counts every row in one depth-first
-walk of the canonical-deletion tree (McKay, "Isomorph-free exhaustive
-generation", 1998).  The root is the one-element poset, and a node's
-children are its extensions c = P + m in which m is a canonical element
-of c (``_deletion``): one of the maximal elements with the largest
-down-set (a twin of m counts as m) whose ``_invariant`` sorts highest
-and, among those, whose deletion has the smallest key.  These elements
-are defined up to isomorphism, so by induction on d every class on d
-elements is one node: its canonical deletions leave one class, which is
-one node P, whose extensions reach every orbit of twin swaps of ideals.
-From P it comes twice only if an isomorphism of two children maps m to
-m or a twin, an automorphism of P beyond twin swaps, or to a rival
-whose deletion has P's key; only then does ``_accepted`` compare keys.
-The rule reads only P's masks and key, so P may be any member of its
-class.  Below the top a row counts the nodes ``_pair_key`` keeps; at
-the top the size rule drops the others before ``_deletion``.  A node's
-key is computed only when a child's deletion meets tied rivals, the
-node's pair decision is a size tie, or its siblings are compared, and
-is kept in the node.  A square (a 4-cycle of the bounded Hasse diagram
-that misses a bound, a blocking walk: ``classifier.hasse_squares``)
-that misses 1-hat is every descendant's, so they skip the test.  Only
-square-free pair classes become Posets and reach the walk search.  The
-parent walks sizes up to k = d_max - 3 and the pool the subtrees below
-the nodes of size k, each returning its pair counts and square-free
-masks per size.
+Every class is one node of a depth-first canonical-deletion tree
+(McKay, "Isomorph-free exhaustive generation", 1998).  The root is the
+one-element poset, and a node's children are its extensions c = P + m
+in which m is a canonical element of c (``_deletion``): one of the
+maximal elements with the largest down-set (a twin of m counts as m)
+whose ``_invariant`` sorts highest and, among those, whose deletion has
+the smallest key.  These elements are defined up to isomorphism, so by
+induction on d every class on d elements is one node: its canonical
+deletions leave one class, which is one node P, whose extensions reach
+every orbit of twin swaps of ideals.  From P it comes twice only if an
+isomorphism of two children maps m to m or a twin, an automorphism of P
+beyond twin swaps, or to a rival whose deletion has P's key; only then
+does ``_accepted`` compare keys.  The rule reads only P's masks and
+key, so P may be any member of its class.  At the tree's top the size
+rule of ``_pair_key`` drops the children that do not stand for their
+pair class before ``_deletion``.  A node's key is computed only when a
+child's deletion meets tied rivals, the node's pair decision is a size
+tie, its siblings are compared or its caller asks, and is kept in the
+node.
 
-The stored levels of ``poset_classes`` key every child instead, for
-``enumerate``, ``cross-check`` and ``pair_representatives``.
-Extension and classification take an optional process pool by keyword
-(``pool=None`` runs serially); ``build_table`` opens one pool for both.
-A stored level shards over parents: a worker returns the key and
-masks of each child of one parent, and the results are merged in
-parent order, keeping the first child seen under each key, the one a
-serial loop keeps, so representatives and their ``sorted(key)`` order
-do not depend on the pool.  ``pool_map`` yields each parent's batch in
-parent order, and the merge drops it once read; with a pool, batches
-that finish early wait in the pool until the merge reaches them, so
-only a serial run holds one batch at a time.  A level's masks are
-stored through one dict, so equal mask values share one int object
-rather than one per unpickled child.
+``poset_classes(d)`` is the nodes of size d in the tree whose top is
+d + 1, so that every class is a node, and ``pair_representatives(d)``
+those in the tree whose top is d; each node becomes a Poset with its
+key set, in ``sorted(key)`` order, and equal mask values share one int
+object.  ``build_table`` stores no level: it counts every row in one
+walk.  Below the top a row counts the nodes ``_pair_key`` keeps.  A
+square (a 4-cycle of the bounded Hasse diagram that misses a bound, a
+blocking walk: ``classifier.hasse_squares``) that misses 1-hat is every
+descendant's, so they skip the test.  Only square-free pair classes
+become Posets and reach the walk search.  The parent walks sizes up to
+k = d_max - 3 and a process pool the subtrees below the nodes of size
+k, each returning its pair counts and square-free masks per size; the
+same pool classifies.
 """
 from __future__ import annotations
 
@@ -80,8 +69,10 @@ class TableRow:
     smooth: int
 
 
-def _extensions(p: Poset) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Upper and lower masks of p with a new maximal element added.
+def _extensions(above: Sequence[int], below: tuple[int, ...]
+                ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Upper and lower masks of the poset p with these masks and a new
+    maximal element added.
 
     The new element (index d+1) lies above an order ideal D of p and
     below nothing.  The ideals are grown over a linear extension of p,
@@ -95,17 +86,16 @@ def _extensions(p: Poset) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     extend what is left by that element's down-set.  Children come in
     increasing mask order of D.
     """
-    above = p._above
-    below = p.lower_masks()
+    elements = range(1, len(above))
     ideals = [0]
     latest: dict[tuple[int, int], int] = {}  # bit of the latest element with these masks
-    for x in sorted(p.elements, key=lambda i: below[i].bit_count()):
+    for x in sorted(elements, key=lambda i: below[i].bit_count()):
         masks = (below[x], above[x])
         needed = below[x] | latest.get(masks, 0)
         latest[masks] = 1 << x
         ideals += [down | 1 << x for down in ideals if down & needed == needed]
-    maxima = [(1 << m, below[m].bit_count()) for m in p.maximal_elements]
-    new_bit = 1 << (p.d + 1)
+    maxima = [(1 << m, below[m].bit_count()) for m in elements if not above[m]]
+    new_bit = 1 << len(above)
     for down in sorted(ideals):
         size = down.bit_count()
         if any(size < s for bit, s in maxima if not down & bit):
@@ -114,38 +104,6 @@ def _extensions(p: Poset) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
         for x in _bits(down):
             new_above[x] |= new_bit
         yield tuple(new_above), below + (down,)
-
-
-# a child's canonical key and upper masks
-_Child = tuple[bytes, tuple[int, ...]]
-
-
-def _keyed_children(parent: Poset) -> list[_Child]:
-    """Canonical key and upper masks of every child of parent."""
-    return [(masks_key(above, below), above) for above, below in _extensions(parent)]
-
-
-def _pair_classes(parent: Poset) -> list[_Child]:
-    """``_keyed_children`` of parent restricted to pair representatives (``_pair_key``)."""
-    return [(key, above) for above, below in _extensions(parent)
-            if (key := _pair_key(above, below)) is not None]
-
-
-def _representatives(d: int, batches: Iterator[list[_Child]]) -> tuple[Poset, ...]:
-    """A Poset, with its key set, for the first child seen under each
-    key, in ``sorted(key)`` order; equal mask values share one int object."""
-    first: dict[bytes, tuple[int, ...]] = {}
-    masks: dict[int, int] = {}
-    for children in batches:
-        for key, above in children:
-            if key not in first:
-                first[key] = tuple(map(masks.setdefault, above, above))
-    reps = []
-    for key in sorted(first):
-        p = Poset(d, first[key])
-        p._key = key
-        reps.append(p)
-    return tuple(reps)
 
 
 def _deleted(masks: Sequence[int], x: int) -> tuple[int, ...]:
@@ -221,10 +179,10 @@ def _accepted(parent: list, top: bool) -> Iterator[tuple[list, str]]:
     compared only with the earlier ones that share it, and only if it
     is "tied" or the parent's refinement is not ``twin_discrete``.
     """
-    p = Poset(len(parent[1]) - 1, parent[1])
+    m = len(parent[1])  # the new element
     twins_only = cache(lambda: twin_discrete(parent[1], parent[2]))  # asked once, if ever
     earlier: dict[tuple, list[list]] = {}  # m's invariant -> children yielded
-    for above, below in _extensions(p):
+    for above, below in _extensions(parent[1], parent[2]):
         order = _size_order(above, below) if top else -1
         if order > 0 or (path := _deletion(above, below, parent)) is None:
             continue
@@ -233,7 +191,7 @@ def _accepted(parent: list, top: bool) -> Iterator[tuple[list, str]]:
             if _pair_key(above, below, _key(child)) is None:
                 continue
             path += " pair"
-        same = earlier.setdefault(tuple(_invariant(above, below, p.d + 1)), [])
+        same = earlier.setdefault(tuple(_invariant(above, below, m)), [])
         if same and (path.startswith("tied") or not twins_only()):
             if any(_key(entry) == _key(child) for entry in same):
                 continue
@@ -243,35 +201,34 @@ def _accepted(parent: list, top: bool) -> Iterator[tuple[list, str]]:
 
 
 def _walk(parent: list, low: bool, stop: int, d_max: int
-          ) -> Iterator[tuple[list, bool, bool, bool]]:
+          ) -> Iterator[tuple[list, bool, bool]]:
     """The nodes below the parent node with at most ``stop`` elements,
-    depth first, in a tree whose top is ``d_max``, each as (node, pair
-    flag, low square flag, square-free flag).  ``low`` is the parent's
-    low square flag: a low square is every descendant's, which then
-    skips the square test (``hasse_squares``)."""
+    depth first, in a tree whose top is ``d_max``, each as (node, low
+    square flag, square-free flag).  ``low`` is the parent's low square
+    flag: a low square is every descendant's, which then skips the
+    square test (``hasse_squares``); with ``low`` set none is run."""
     if len(parent[1]) > stop:  # the children have len(parent[1]) elements
         return
-    top = len(parent[1]) == d_max
-    for child, _ in _accepted(parent, top):
-        above, below = child[1], child[2]
-        pair = top or (order := _size_order(above, below)) < 0 or (
-            order == 0 and _pair_key(above, below, _key(child)) is not None)
-        tops = [] if low else [y for *_, y in hasse_squares(above)]
-        child_low = low or any(y < len(above) for y in tops)
-        yield child, pair, child_low, not low and not tops
+    for child, _ in _accepted(parent, len(parent[1]) == d_max):
+        tops = [] if low else [y for *_, y in hasse_squares(child[1])]
+        child_low = low or any(y < len(child[1]) for y in tops)
+        yield child, child_low, not low and not tops
         yield from _walk(child, child_low, stop, d_max)
 
 
-def _tally(walked: Iterable[tuple[list, bool, bool, bool]]) -> dict[int, list]:
+def _tally(walked: Iterable[tuple[list, bool, bool]], d_max: int) -> dict[int, list]:
     """Size -> [number of pair classes, upper masks of the square-free
-    ones] over the walked nodes."""
+    ones] over the walked nodes of a tree whose top is ``d_max``, where
+    ``_accepted`` kept only pair classes."""
     rows: dict[int, list] = {}
-    for node, pair, _, free in walked:
-        if pair:
-            row = rows.setdefault(len(node[1]) - 1, [0, []])
+    for node, _, free in walked:
+        above, below = node[1], node[2]
+        if len(above) - 1 == d_max or (order := _size_order(above, below)) < 0 or (
+                order == 0 and _pair_key(above, below, _key(node)) is not None):
+            row = rows.setdefault(len(above) - 1, [0, []])
             row[0] += 1
             if free:
-                row[1].append(node[1])
+                row[1].append(above)
     return rows
 
 
@@ -279,38 +236,48 @@ def _subtree(job: tuple[list, bool, int]) -> dict[int, list]:
     """``_tally`` of the subtree below a node, given with its low square
     flag and the tree's top."""
     node, low, d_max = job
-    return _tally(_walk(node, low, d_max, d_max))
+    return _tally(_walk(node, low, d_max, d_max), d_max)
+
+
+def _classes(d: int, top: int) -> tuple[Poset, ...]:
+    """A Poset, with its key set, for each node of size d in the tree
+    whose top is ``top``, in ``sorted(key)`` order; equal mask values
+    share one int object."""
+    root = [None, (0, 0), (0, 0)]  # the one-element poset, self-dual
+    walked = _walk(root, True, d, top) if d > 1 else [(root,)]
+    masks: dict[int, int] = {}
+    found = {_key(node): tuple(map(masks.setdefault, node[1], node[1]))
+             for node, *_ in walked if len(node[1]) == d + 1}
+    reps = []
+    for key in sorted(found):
+        p = Poset(d, found[key])
+        p._key = key
+        reps.append(p)
+    return tuple(reps)
 
 
 CENSUS_MAX_D = 9  # the largest poset size the census enumerates
-_LEVELS: dict[int, tuple[Poset, ...]] = {}  # d -> one representative per class
+_LEVELS: dict[int, tuple[Poset, ...]] = {}  # d -> poset_classes(d), for each d asked for
 
 
-def poset_classes(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
-    """One representative per isomorphism class, deterministic order."""
+def poset_classes(d: int) -> tuple[Poset, ...]:
+    """One representative per isomorphism class, in ``sorted(key)``
+    order: the nodes of size d in the tree whose top is d + 1."""
     if not 1 <= d <= CENSUS_MAX_D:
         raise UnsupportedSize(
             f"enumeration supports 1 <= d <= {CENSUS_MAX_D}, got {d}")
     if d not in _LEVELS:
-        if d == 1:
-            _LEVELS[1] = (Poset(1, (0, 0)),)
-        else:
-            _LEVELS[d] = _representatives(
-                d, pool_map(_keyed_children, poset_classes(d - 1, pool=pool), pool))
+        _LEVELS[d] = _classes(d, d + 1)
     return _LEVELS[d]
 
 
-def pair_representatives(d: int, *, pool: Executor | None = None) -> tuple[Poset, ...]:
-    """``quotient_by_duality(poset_classes(d))``, without storing level d.
-
-    A stored level is quotiented; otherwise the level below is extended
-    with ``_pair_classes``.  Whether a class stands for its pair does
-    not depend on which of its children is asked, so the first child
-    seen under each kept key is the one the stored level would keep.
-    """
-    if d in _LEVELS or not 1 < d <= CENSUS_MAX_D:  # d = 1, or poset_classes raises
+def pair_representatives(d: int) -> tuple[Poset, ...]:
+    """``quotient_by_duality(poset_classes(d))``, without storing level
+    d: the nodes of size d in the tree whose top is d.  A class is one
+    node in both trees, so the members agree."""
+    if d in _LEVELS or not 1 <= d <= CENSUS_MAX_D:  # or poset_classes raises
         return tuple(quotient_by_duality(poset_classes(d)))
-    return _representatives(d, pool_map(_pair_classes, poset_classes(d - 1, pool=pool), pool))
+    return _classes(d, d)
 
 
 def _size_order(above: Sequence[int], below: Sequence[int]) -> int:
@@ -422,12 +389,12 @@ def build_table(
         return rows[:d_max]
     k = max(d_max - 3, 1)  # the parent walks sizes up to k, the pool the subtrees below
     with worker_pool(jobs) as pool:
-        root = [None, (0, 0), (0, 0)]  # the one-element poset: self-dual, square-free
-        tree = [(root, True, False, True), *_walk(root, False, k, d_max)]
-        found = _tally(tree)
+        root = [None, (0, 0), (0, 0)]  # the one-element poset: square-free
+        tree = [(root, False, True), *_walk(root, False, k, d_max)]
+        found = _tally(tree, d_max)
         for d in range(len(rows) + 1, d_max + 1):
             if d not in found:  # past k: walk the subtrees below the nodes of size k
-                roots = [(node, low, d_max) for node, _, low, _ in tree
+                roots = [(node, low, d_max) for node, low, _ in tree
                          if len(node[1]) == k + 1]
                 if log:
                     log(f"enumerating d={k + 1}..{d_max} in {len(roots)} subtrees")

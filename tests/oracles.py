@@ -19,13 +19,16 @@ the package kept before its pruned search and its self-checking
 witness plane, both of which are what is checked), the duality
 quotient by comparing every poset's key with its dual's, the twin skip
 by comparing each twin group's membership with its sorted membership,
-and canonical keys by the search the package used before its first
-refinement stopped at the twin partition (refined to the fixpoint).
+canonical keys by the search the package used before its first
+refinement stopped at the twin partition (refined to the fixpoint), and
+the isomorphism classes by the stored levels the package kept before
+its canonical-deletion walk, which keep the first child seen per key.
 """
 from __future__ import annotations
 
 from collections.abc import Iterator
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations, product
 from math import gcd, lcm
 from operator import mul
@@ -35,6 +38,8 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 import posetfano.geometry as geometry
+from posetfano.canonical import masks_key
+from posetfano.enumeration import _extensions
 from posetfano import (
     DegenerateInput,
     Facet,
@@ -650,6 +655,27 @@ def filtered_extensions(p: Poset) -> list[Poset]:
         pairs = [(i, j) for i in p.elements for j in p.elements if p.less(i, j)]
         out.append(Poset.from_cover_relations(d + 1, pairs + [(i, d + 1) for i in down]))
     return out
+
+
+@cache
+def first_seen_classes(d: int) -> tuple[Poset, ...]:
+    """One Poset per isomorphism class on d elements, its key set, in
+    ``sorted(key)`` order: every ``_extensions`` child of the level
+    below is keyed, and the first one seen under each key, in parent
+    order, is kept."""
+    if d == 1:
+        first = {masks_key((0, 0), (0, 0)): (0, 0)}
+    else:
+        first = {}
+        for parent in first_seen_classes(d - 1):
+            for above, below in _extensions(parent._above, parent.lower_masks()):
+                first.setdefault(masks_key(above, below), above)
+    reps = []
+    for key in sorted(first):
+        p = Poset(d, first[key])
+        p._key = key
+        reps.append(p)
+    return tuple(reps)
 
 
 def twin_prefix(p: Poset, children: list[Poset]) -> list[Poset]:

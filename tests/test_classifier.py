@@ -22,6 +22,7 @@ from conftest import antichain, chain, random_poset
 from oracles import (
     cycle_levels_compatible,
     enumerate_special_paths,
+    first_seen_classes,
     is_balanced,
     is_very_special_cycle,
     nx_cycle_count,
@@ -325,7 +326,7 @@ class TestClassify:
         # with their "method": "pure-shortcut" rewritten to "combinatorial"
         digest = hashlib.sha256()
         for d in range(1, 7):
-            for p in smaller_key_quotient(poset_classes(d)):
+            for p in smaller_key_quotient(first_seen_classes(d)):
                 digest.update(json.dumps(classify(p).to_dict(), sort_keys=True).encode())
         assert digest.hexdigest() == (
             "11c6bf5d8fb212d919439e88032af4e2d18c7e96c37d4d59201c03670be4aa3d"
@@ -337,7 +338,7 @@ class TestWitnessSearch:
         # digest computed with the enumerate-then-filter search
         digest = hashlib.sha256()
         for d in range(1, 8):
-            for p in poset_classes(d):
+            for p in first_seen_classes(d):
                 for w in iter_witnesses(p.hat()):
                     digest.update(json.dumps(
                         [w.kind, list(w.elements), list(w.steps)]).encode())
@@ -352,7 +353,7 @@ class TestWitnessSearch:
         # digest computed with the search that gave paths no wrap cap
         digest = hashlib.sha256()
         count = 0
-        for p in poset_classes(8):
+        for p in first_seen_classes(8):
             for w in iter_witnesses(p.hat()):
                 digest.update(json.dumps(
                     [w.kind, list(w.elements), list(w.steps)]).encode())
@@ -367,7 +368,7 @@ class TestWitnessSearch:
         # computed like the d <= 6 digest in TestClassify: the shortcut
         # classifier's reports, "pure-shortcut" rewritten to "combinatorial"
         digest = hashlib.sha256()
-        for p in smaller_key_quotient(poset_classes(7)):
+        for p in smaller_key_quotient(first_seen_classes(7)):
             digest.update(json.dumps(classify(p).to_dict(), sort_keys=True).encode())
         assert digest.hexdigest() == (
             "a99c18f9f928198d952836b0def0de0d2e6cec93e1de5e59e5db6657bbc288f0"

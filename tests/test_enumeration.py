@@ -22,7 +22,8 @@ from posetfano.classifier import hasse_squares
 from posetfano.enumeration import (
     _extensions, count_smooth, pair_representatives, pool_map, read_table)
 from oracles import (
-    brute_isomorphic, filtered_extensions, labeled_posets, relabel, twin_prefix)
+    brute_isomorphic, filtered_extensions, first_seen_classes, labeled_posets, relabel,
+    twin_prefix)
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +108,7 @@ class TestIsoClassCounts:
 
 def _children(p):
     """The children _extensions yields, as Posets."""
-    return [Poset(p.d + 1, above) for above, _ in _extensions(p)]
+    return [Poset(p.d + 1, above) for above, _ in _extensions(p._above, p.lower_masks())]
 
 
 def _digest(rows):
@@ -123,7 +124,7 @@ class TestMaximalElementExtension:
     def test_new_element_is_maximal_with_largest_down_set(self, d):
         new = d + 1
         for p in poset_classes(d):
-            for above, below in _extensions(p):
+            for above, below in _extensions(p._above, p.lower_masks()):
                 child = Poset(new, above)
                 assert child._above[new] == 0
                 lower = child.lower_masks()
@@ -158,7 +159,8 @@ class TestMaximalElementExtension:
     def test_children_pinned_d7(self):
         # digest computed with the extension that filtered a table of the
         # down-set closures of all 2^d subsets
-        children = [child for p in poset_classes(7) for child in _extensions(p)]
+        children = [child for p in first_seen_classes(7)
+                    for child in _extensions(p._above, p.lower_masks())]
         assert len(children) == 19622
         assert _digest(children) == (
             "f2204e40aec66063abc26ad3ab2454651b609f74e76baa19a23180411266c461"
@@ -226,9 +228,10 @@ class TestDualityQuotient:
 
 @pytest.fixture
 def dual_key_calls(monkeypatch):
-    """Counts serial calls of enumeration.masks_key.  Levels up to 8 are
+    """Counts serial calls of enumeration.masks_key.  Levels 7 and 8 are
     stored first, and a stored level's keys are set, so over a stored
     level every call counted is a dual key."""
+    poset_classes(7)
     poset_classes(8)
     calls = []
     real = enumeration.masks_key
@@ -335,7 +338,7 @@ class TestDeterminism:
     # down-set closures of all 2^d subsets
     def test_stored_levels_pinned(self):
         levels = [(p.canonical_key(), p._above)
-                  for d in range(1, 8) for p in poset_classes(d)]
+                  for d in range(1, 8) for p in first_seen_classes(d)]
         assert len(levels) == 2450
         assert _digest(levels) == (
             "305e47ddcef1233fe1e515371aa1d77fb83cd2dee135b1cdb1c1ef4c9c303a4d"
@@ -345,11 +348,50 @@ class TestDeterminism:
     @pytest.mark.skipif(not os.environ.get("RUN_D8"),
                         reason="the d = 8 level; set RUN_D8=1 to run")
     def test_stored_level_pinned_d8(self):
-        level = [(p.canonical_key(), p._above) for p in poset_classes(8)]
+        level = [(p.canonical_key(), p._above) for p in first_seen_classes(8)]
         assert len(level) == 16999
         assert _digest(level) == (
             "6b801bcf88f66135705ae3c66b41aec2f466bcfb986ee7e3118bf9e539699f60"
         )
+
+
+class TestWalkedLevels:
+    @pytest.mark.parametrize("d", [
+        1, 2, 3, 4, 5, 6, 7,
+        pytest.param(8, marks=[pytest.mark.slow, pytest.mark.skipif(
+            not os.environ.get("RUN_D8"), reason="the d = 8 level; set RUN_D8=1 to run")])])
+    def test_keys_equal_the_first_seen_classes(self, d):
+        assert [p.canonical_key() for p in poset_classes(d)] == [
+            p.canonical_key() for p in first_seen_classes(d)]
+
+    # digests of the key and upper masks of every class the walk gives,
+    # in order, taken once its keys equalled the first-seen generator's;
+    # the members differ from first_seen_classes' in 2 classes at d = 5,
+    # 33 at d = 6, 446 at d = 7 and 6108 at d = 8
+    def test_walked_levels_pinned(self):
+        levels = [(p.canonical_key(), p._above)
+                  for d in range(1, 8) for p in poset_classes(d)]
+        assert len(levels) == 2450
+        assert _digest(levels) == (
+            "71a675ad0b7c81d1c49b0a9d3c88faa2659236f97ef08a78c983694d01148701"
+        )
+
+    @pytest.mark.slow
+    @pytest.mark.skipif(not os.environ.get("RUN_D8"),
+                        reason="the d = 8 level; set RUN_D8=1 to run")
+    def test_walked_level_pinned_d8(self):
+        level = [(p.canonical_key(), p._above) for p in poset_classes(8)]
+        assert len(level) == 16999
+        assert _digest(level) == (
+            "7826cdb74596a3c841993a56add8b26c3c33cf0668bf3db46882563530f31490"
+        )
+
+    def test_memo_holds_only_the_levels_asked_for(self, fresh_levels):
+        poset_classes(7)
+        assert set(enumeration._LEVELS) == {7}
+        pair_representatives(6)
+        poset_classes(5)
+        assert set(enumeration._LEVELS) == {5, 7}
 
 
 class TestSmoothCounting:
@@ -409,13 +451,6 @@ class TestBuildTable:
                     assert maximal_chain_vector_sum(h, c) == (0,) * d
 
 
-def _levels(d_max, pool):
-    """Levels 1..d_max and their quotients; the caller empties the memo."""
-    levels = [poset_classes(d, pool=pool) for d in range(1, d_max + 1)]
-    quotients = [quotient_by_duality(level) for level in levels]
-    return levels, quotients
-
-
 def _masks(posets):
     return [m for p in posets for m in p._above]
 
@@ -439,20 +474,9 @@ def counting(monkeypatch, fresh_levels):
 
 
 class TestSharedPool:
-    def test_levels_and_quotients_match_serial(self, pool, fresh_levels, monkeypatch):
-        serial = _levels(7, None)
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
-        parallel = _levels(7, pool)
-        for got, want in zip(parallel[0], serial[0]):
-            assert _masks(got) == _masks(want)
-            assert [p._key for p in got] == [p._key for p in want]
-        for got, want in zip(parallel[1], serial[1]):
-            assert _masks(got) == _masks(want)
-
-    @pytest.mark.parametrize("use_pool", [False, True])
-    def test_parent_sets_the_fresh_key(self, use_pool, pool, fresh_levels):
+    def test_parent_sets_the_fresh_key(self, fresh_levels):
         for d in range(2, 8):
-            for p in poset_classes(d, pool=pool if use_pool else None):
+            for p in poset_classes(d):
                 assert p._key == canonical.canonical_key(p)
 
     def test_table_rows_match_serial(self, fresh_levels, monkeypatch):
@@ -479,7 +503,7 @@ class TestSharedPool:
         assert cli.main(["cross-check", "--d", "4", "--jobs", "2"]) == 0
         assert "16 classes, 0 disagreements" in capsys.readouterr().out
         assert len(opened) == 1
-        assert {name for _, name in used} == {"_keyed_children", "find_disagreement"}
+        assert {name for _, name in used} == {"find_disagreement"}
         assert all(executor is opened[0] for executor, _ in used)
 
 
@@ -520,11 +544,10 @@ class TestWorkerPool:
 
 
 class TestPairFlags:
-    @pytest.mark.parametrize("use_pool", [False, True])
-    def test_stored_flags_equal_the_quotient(self, use_pool, pool, fresh_levels):
+    def test_stored_flags_equal_the_quotient(self, fresh_levels):
         for d in range(1, 8):
-            level = poset_classes(d, pool=pool if use_pool else None)
-            kept = pair_representatives(d, pool=pool if use_pool else None)
+            level = poset_classes(d)
+            kept = pair_representatives(d)
             quotient = quotient_by_duality(level)
             assert list(kept) == quotient
             assert [id(p) for p in kept] == [id(p) for p in quotient]
@@ -532,21 +555,19 @@ class TestPairFlags:
 
 
 class TestTopRow:
-    @pytest.mark.parametrize("use_pool", [False, True])
-    def test_equals_the_stored_pair_representatives(self, use_pool, pool, fresh_levels):
-        executor = pool if use_pool else None
+    def test_equals_the_stored_pair_representatives(self, fresh_levels):
         for d in range(2, 8):
-            top = pair_representatives(d, pool=executor)
+            top = pair_representatives(d)
             assert d not in enumeration._LEVELS
-            level = poset_classes(d, pool=executor)
+            level = poset_classes(d)
             quotient = quotient_by_duality(level)
             assert _masks(top) == _masks(quotient)
             assert [p._key for p in top] == [p._key for p in quotient]
 
     @pytest.mark.slow
-    def test_equals_the_quotient_d8(self, pool, fresh_levels):
-        top = pair_representatives(8, pool=pool)
-        quotient = quotient_by_duality(poset_classes(8, pool=pool))
+    def test_equals_the_quotient_d8(self, fresh_levels):
+        top = pair_representatives(8)
+        quotient = quotient_by_duality(poset_classes(8))
         assert _masks(top) == _masks(quotient)
         assert [p._key for p in top] == [p._key for p in quotient]
 
@@ -586,7 +607,7 @@ class TestSquareFlag:
         for parent in poset_classes(d - 1):
             if any(y != d for *_, y in hasse_squares(parent._above)):
                 low_parents += 1
-                for above, _ in _extensions(parent):
+                for above, _ in _extensions(parent._above, parent.lower_masks()):
                     assert next(hasse_squares(above), None) is not None, parent
         assert low_parents > 0 if d > 3 else low_parents == 0
         if d == 8:
@@ -675,7 +696,7 @@ class TestCanonicalDeletion:
                 paths.update(word for path in got for word in path.split())
                 passed = sum(
                     enumeration._deletion(above, below, _node(parent)) is not None
-                    for above, below in _extensions(parent)
+                    for above, below in _extensions(parent._above, parent.lower_masks())
                     if enumeration._pair_key(above, below) is not None)
                 dropped += passed - len(got)
         assert all(paths[word] > 0 for word in (
@@ -705,12 +726,13 @@ class TestCanonicalDeletion:
 
 
 def _walked(job):
-    """(size, key computed here, pair flag, square-free flag, whether a
-    Hasse square is found here) of each node ``_walk(*job)`` gives;
-    module level, so a pool worker can run it."""
-    return [(len(node[1]) - 1, canonical.masks_key(node[1], node[2]), pair, free,
+    """(size, key computed here, whether _pair_key keeps it, square-free
+    flag, whether a Hasse square is found here) of each node
+    ``_walk(*job)`` gives; module level, so a pool worker can run it."""
+    return [(len(node[1]) - 1, canonical.masks_key(node[1], node[2]),
+             enumeration._pair_key(node[1], node[2]) is not None, free,
              next(hasse_squares(node[1]), None) is not None)
-            for node, pair, _, free in enumeration._walk(*job)]
+            for node, _, free in enumeration._walk(*job)]
 
 
 @pytest.fixture
@@ -734,12 +756,12 @@ class TestDeletionTree:
             not os.environ.get("RUN_D8"), reason="the d = 8 level; set RUN_D8=1 to run")])])
     def test_each_class_is_one_node(self, d, use_pool, pool):
         # the top is d + 1, so every size up to d is internal: one node
-        # per class, each with its pair flag.  As in build_table, sizes
-        # up to k are walked here and the subtrees below the nodes of
+        # per class, against the first-seen generator.  As in build_table,
+        # sizes up to k are walked here and the subtrees below the nodes of
         # size k over the pool, the nodes carrying the keys found so far
         k = max(d - 2, 1)
         root = [None, (0, 0), (0, 0)]
-        near = [(root, False), *((node, low) for node, _, low, _ in
+        near = [(root, False), *((node, low) for node, low, _ in
                                  enumeration._walk(root, False, k, d + 1))]
         walked = _walked((root, False, k, d + 1))
         jobs = [(node, low, d, d + 1) for node, low in near if len(node[1]) == k + 1]
@@ -748,11 +770,11 @@ class TestDeletionTree:
         assert all(free != squared for *_, free, squared in walked)
         for size in range(2, d + 1):
             keys = [key for n, key, *_ in walked if n == size]
-            assert len(keys) == len(set(keys)) == len(poset_classes(size))
-            assert sorted(keys) == sorted(p.canonical_key() for p in poset_classes(size))
+            assert len(keys) == len(set(keys)) == len(first_seen_classes(size))
+            assert sorted(keys) == sorted(p.canonical_key() for p in first_seen_classes(size))
             pairs = [key for n, key, pair, *_ in walked if n == size and pair]
             assert sorted(pairs) == sorted(
-                p.canonical_key() for p in quotient_by_duality(poset_classes(size)))
+                p.canonical_key() for p in quotient_by_duality(first_seen_classes(size)))
 
     @pytest.mark.parametrize("d,budget", [(7, 700), pytest.param(8, 3300, marks=pytest.mark.slow)])
     def test_keys_are_computed_only_when_needed(self, d, budget, key_calls):
@@ -785,9 +807,9 @@ class TestStreamedMerge:
         assert list(results) == list(range(1, 40))
 
     @pytest.mark.slow
-    def test_level_holds_one_int_per_mask_value(self, pool, fresh_levels):
+    def test_level_holds_one_int_per_mask_value(self, fresh_levels):
         # masks of d = 8 reach 510, past the interpreter's small-int cache,
-        # and each child's masks arrive as fresh ints from a worker
-        masks = [m for p in poset_classes(8, pool=pool) for m in p._above]
+        # and each child's masks are fresh ints
+        masks = [m for p in poset_classes(8) for m in p._above]
         assert max(masks) > 256
         assert len({id(m) for m in masks}) == len(set(masks))

@@ -36,6 +36,7 @@ from oracles import (
     box_is_terminal,
     brute_facets,
     cofactor_det,
+    first_seen_classes,
     is_balanced,
     minor_normal,
     prefix_normals,
@@ -118,7 +119,7 @@ def class_vertex_sets(ds):
     """Vertex sets of every duality class of each size in ds, one
     representative per class as the pinned digests were taken."""
     for d in ds:
-        for p in smaller_key_quotient(poset_classes(d)):
+        for p in smaller_key_quotient(first_seen_classes(d)):
             yield build_vertex_set(p.hat()).vectors
 
 
@@ -711,7 +712,7 @@ class TestWitnessHyperplane:
         # the normals are the ones the eligibility-first construction gave
         digest = hashlib.sha256()
         planes = 0
-        for p in [q for d in range(1, 8) for q in poset_classes(d)]:
+        for p in [q for d in range(1, 8) for q in first_seen_classes(d)]:
             h = p.hat()
             eligible = set(reference_witnesses(h))
             walks = [*(Walk.from_elements(h, els, "cycle") for els in recursive_cycles(h)),
