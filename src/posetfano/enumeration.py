@@ -7,10 +7,10 @@ down-set and its twin before it (twins have the same down- and up-set;
 index order).  A child is kept if no other maximal element has a
 larger down-set.  Children are bit masks: the child's upper masks, and
 its lower masks, which are the parent's plus the new element's ideal.
-Keys are canonical and read the masks directly.  ``_pair_key`` is the
-one rule that decides which member of a {class, dual class} pair is
-kept; a kept class's polytope is classified for smoothness, which the
-dual's negated polytope shares.
+Keys are canonical and read the masks directly.  ``_keeps`` is the one
+rule that decides which member of a {class, dual class} pair is kept; a
+kept class's polytope is classified for smoothness, which the dual's
+negated polytope shares.
 
 Every class is one node of a depth-first canonical-deletion tree
 (McKay, "Isomorph-free exhaustive generation", 1998).  The root is the
@@ -26,8 +26,8 @@ isomorphism of two children maps m to m or a twin, an automorphism of P
 beyond twin swaps, or to a rival whose deletion has P's key; only then
 does ``_accepted`` compare keys.  The rule reads only P's masks and
 key, so P may be any member of its class.  At the tree's top the size
-rule of ``_pair_key`` drops the children that do not stand for their
-pair class before ``_deletion``.  A node's key is computed only when a
+rule of ``_keeps`` drops the children that do not stand for their pair
+class before ``_deletion``.  A node's key is computed only when a
 child's deletion meets tied rivals, the node's pair decision is a size
 tie, its siblings are compared or its caller asks, and is kept in the
 node.
@@ -37,7 +37,7 @@ d + 1, so that every class is a node, and ``pair_representatives(d)``
 those in the tree whose top is d; each node becomes a Poset with its
 key set, in ``sorted(key)`` order, and equal mask values share one int
 object.  ``build_table`` stores no level: it counts every row in one
-walk.  Below the top a row counts the nodes ``_pair_key`` keeps.  A
+walk.  Below the top a row counts the nodes ``_keeps`` keeps.  A
 square (a 4-cycle of the bounded Hasse diagram that misses a bound, a
 blocking walk: ``classifier.hasse_squares``) that misses 1-hat is every
 descendant's, so they skip the test.  Only square-free pair classes
@@ -125,14 +125,15 @@ def _key(node: list) -> bytes:
     return node[0]
 
 
-def _deletion(above: Sequence[int], below: Sequence[int], parent: list) -> str | None:
+def _deletion(above: Sequence[int], below: Sequence[int], parent: list,
+              own: list[tuple[int, int]]) -> str | None:
     """How the child with these masks is accepted from the parent node as
-    the canonical deletion of its last element m; None if another
-    deletion is canonical.
+    the canonical deletion of its last element m, whose ``_invariant``
+    is ``own``; None if another deletion is canonical.
 
     The rivals of m are the other maximal elements with m's down-set
     size but not m's down-set (a twin of m counts as m).  m wins with no
-    rival ("unique"), or if its ``_invariant`` sorts above every rival's
+    rival ("unique"), or if its invariant sorts above every rival's
     ("invariant"); it loses to a rival whose invariant sorts above its
     own, and against the tied rivals x it needs ``masks_key(c - x) >=
     key``, the parent's key, computed only here.  It is "tied" if some
@@ -146,7 +147,6 @@ def _deletion(above: Sequence[int], below: Sequence[int], parent: list) -> str |
               if not above[x] and below[x] != down and below[x].bit_count() == size]
     if not rivals:
         return "unique"
-    own = _invariant(above, below, m)
     tied = []
     for x in rivals:
         invariant = _invariant(above, below, x)
@@ -172,8 +172,8 @@ def _accepted(parent: list, top: bool) -> Iterator[tuple[list, str]]:
     ``_deletion``'s, then " pair" if the pair rule needed keys and
     " dedup" if the child's key was compared with those of the parent's
     earlier children.  At the ``top`` only the children that stand for
-    their pair class (``_pair_key``) are kept, and the size rule drops
-    the others before ``_deletion``.
+    their pair class (``_keeps``) are kept, and the size rule drops the
+    others before ``_deletion``.
 
     Isomorphic children give m the same ``_invariant``, so a child is
     compared only with the earlier ones that share it, and only if it
@@ -184,14 +184,17 @@ def _accepted(parent: list, top: bool) -> Iterator[tuple[list, str]]:
     earlier: dict[tuple, list[list]] = {}  # m's invariant -> children yielded
     for above, below in _extensions(parent[1], parent[2]):
         order = _size_order(above, below) if top else -1
-        if order > 0 or (path := _deletion(above, below, parent)) is None:
+        if order > 0:
+            continue
+        own = _invariant(above, below, m)
+        if (path := _deletion(above, below, parent, own)) is None:
             continue
         child = [None, above, below]
         if order == 0:
-            if _pair_key(above, below, _key(child)) is None:
+            if not _keeps(child):
                 continue
             path += " pair"
-        same = earlier.setdefault(tuple(_invariant(above, below, m)), [])
+        same = earlier.setdefault(tuple(own), [])
         if same and (path.startswith("tied") or not twins_only()):
             if any(_key(entry) == _key(child) for entry in same):
                 continue
@@ -222,13 +225,11 @@ def _tally(walked: Iterable[tuple[list, bool, bool]], d_max: int) -> dict[int, l
     ``_accepted`` kept only pair classes."""
     rows: dict[int, list] = {}
     for node, _, free in walked:
-        above, below = node[1], node[2]
-        if len(above) - 1 == d_max or (order := _size_order(above, below)) < 0 or (
-                order == 0 and _pair_key(above, below, _key(node)) is not None):
-            row = rows.setdefault(len(above) - 1, [0, []])
+        if len(node[1]) - 1 == d_max or _keeps(node):
+            row = rows.setdefault(len(node[1]) - 1, [0, []])
             row[0] += 1
             if free:
-                row[1].append(above)
+                row[1].append(node[1])
     return rows
 
 
@@ -242,15 +243,14 @@ def _subtree(job: tuple[list, bool, int]) -> dict[int, list]:
 def _classes(d: int, top: int) -> tuple[Poset, ...]:
     """A Poset, with its key set, for each node of size d in the tree
     whose top is ``top``, in ``sorted(key)`` order; equal mask values
-    share one int object."""
+    share one int object.  A node walked twice gives two members."""
     root = [None, (0, 0), (0, 0)]  # the one-element poset, self-dual
     walked = _walk(root, True, d, top) if d > 1 else [(root,)]
     masks: dict[int, int] = {}
-    found = {_key(node): tuple(map(masks.setdefault, node[1], node[1]))
-             for node, *_ in walked if len(node[1]) == d + 1}
     reps = []
-    for key in sorted(found):
-        p = Poset(d, found[key])
+    for key, above in sorted((_key(node), tuple(map(masks.setdefault, node[1], node[1])))
+                             for node, *_ in walked if len(node[1]) == d + 1):
+        p = Poset(d, above)
         p._key = key
         reps.append(p)
     return tuple(reps)
@@ -275,8 +275,8 @@ def pair_representatives(d: int) -> tuple[Poset, ...]:
     """``quotient_by_duality(poset_classes(d))``, without storing level
     d: the nodes of size d in the tree whose top is d.  A class is one
     node in both trees, so the members agree."""
-    if d in _LEVELS or not 1 <= d <= CENSUS_MAX_D:  # or poset_classes raises
-        return tuple(quotient_by_duality(poset_classes(d)))
+    if not 1 <= d <= CENSUS_MAX_D:
+        poset_classes(d)  # raises UnsupportedSize
     return _classes(d, d)
 
 
@@ -295,30 +295,24 @@ def _size_order(above: Sequence[int], below: Sequence[int]) -> int:
     return (own > swapped) - (own < swapped)
 
 
-def _pair_key(above: Sequence[int], below: Sequence[int],
-              key: bytes | None = None) -> bytes | None:
-    """The canonical key (``key``, if given) of the poset with these
-    masks if it stands for its {class, dual class} pair, else None.
+def _keeps(node: list) -> bool:
+    """Whether the deletion-tree node stands for its {class, dual class}
+    pair.
 
     Duality swaps each element's (down-set size, up-set size) pair, so
     the dual's sorted pairs are the swapped ones (``_size_order``).  The
-    poset is kept if its sorted pairs sort strictly below the swapped
+    node is kept if its sorted pairs sort strictly below the swapped
     ones, and dropped before any key is computed if they sort strictly
-    above; on a tie it is kept iff its key is not larger than the
-    dual's, which is computed from the swapped masks only then.
+    above; on a tie it is kept iff its key (``_key``) is not larger than
+    the dual's, which is computed from the swapped masks only then.
     """
-    order = _size_order(above, below)
-    if order > 0:
-        return None  # its dual's class stands for the pair
-    if key is None:
-        key = masks_key(above, below)
-    return key if order < 0 or key <= masks_key(below, above) else None
+    order = _size_order(node[1], node[2])
+    return order < 0 or (order == 0 and _key(node) <= masks_key(node[2], node[1]))
 
 
 def quotient_by_duality(posets: Sequence[Poset]) -> list[Poset]:
-    """One poset per {class, dual class} pair, each decided on its own by ``_pair_key``."""
-    return [p for p in posets
-            if _pair_key(p._above, p.lower_masks(), p.canonical_key()) is not None]
+    """One poset per {class, dual class} pair, each decided on its own by ``_keeps``."""
+    return [p for p in posets if _keeps([p.canonical_key(), p._above, p.lower_masks()])]
 
 
 def _smooth_flag(p: Poset) -> bool:

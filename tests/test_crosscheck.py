@@ -129,7 +129,7 @@ class TestOracleReport:
 
 
 @pytest.mark.skipif(not os.environ.get("RUN_D8"),
-                    reason="full d = 8 cross-check, a few minutes; set RUN_D8=1 to run")
+                    reason="full d = 8 cross-check, 14-19 s at two jobs; set RUN_D8=1 to run")
 def test_full_d8_cross_check(capsys):
     jobs = min(2, os.cpu_count() or 1)
     assert main(["cross-check", "--d", "8", "--jobs", str(jobs), "--json"]) == 0
