@@ -1,7 +1,7 @@
 """Canonical labeling of posets up to isomorphism.
 
 Individualization-refinement over the strict-order relation: elements
-are first partitioned by order-invariant statistics, the partition is
+are first partitioned by down-set and up-set size, the partition is
 refined by neighborhood color multisets until stable, and remaining
 symmetric choices are resolved by branching and taking the minimal
 relation-matrix encoding.  Twins (elements with the same down- and
@@ -23,19 +23,18 @@ whether the stable partition is the twin groups alone, so that every
 automorphism only swaps twins.  Sizes here are tiny
 (d <= 64 by type, d <= enumeration.CENSUS_MAX_D in all enumeration
 paths), so no external canonicalization dependency is used.
+
+Longest-chain heights and depths need no statistic of their own.  If a
+stable cell held x and y of heights h < h', with h the least such, some
+z below y has height >= h, so some w below x, of height < h, shares
+z's cell: a mixed cell with a lower height than h.  Depths follow from
+up-sets alike.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .poset import Poset, _bits
-
-
-@lru_cache(maxsize=4096)
-def _elements(mask: int) -> tuple[int, ...]:
-    """The set bit positions of mask; the same few masks recur across calls."""
-    return tuple(_bits(mask))
 
 
 def _rank(values: list) -> list[int]:
@@ -59,27 +58,13 @@ def masks_key(above: Sequence[int], below: Sequence[int]) -> bytes:
 def _partition(above: Sequence[int], below: Sequence[int]) -> tuple[list[int], list, list, list]:
     """The stable partition the search starts from, as ranks, with the
     down- and up-sets of index i (element i + 1) and its first twin."""
-    d = len(above) - 1
     # element i + 1 of the poset is index i here
     masks = [(down >> 1, up >> 1) for down, up in zip(below[1:], above[1:])]
-    downs = [_elements(down) for down, _ in masks]
-    ups = [_elements(up) for _, up in masks]
+    downs = [_bits(down) for down, _ in masks]
+    ups = [_bits(up) for _, up in masks]
     first: dict[tuple[int, int], int] = {}
     twin = [first.setdefault(m, i) for i, m in enumerate(masks)]
-
-    # longest-chain heights, bottom-up and top-down
-    # (an element's down-set is smaller than that of every element above it)
-    order = sorted(range(d), key=[len(down) for down in downs].__getitem__)
-    height = [0] * d
-    for i in order:
-        if downs[i]:
-            height[i] = max(map(height.__getitem__, downs[i])) + 1
-    depth = [0] * d
-    for i in reversed(order):
-        if ups[i]:
-            depth[i] = max(map(depth.__getitem__, ups[i])) + 1
-
-    init = [(len(downs[i]), len(ups[i]), height[i], depth[i]) for i in range(d)]
+    init = [(len(down), len(up)) for down, up in zip(downs, ups)]
     # len(first) is the number of twin groups
     return _refine(_rank(init), downs, ups, len(first)), downs, ups, twin
 

@@ -194,7 +194,7 @@ def hasse_squares(above: Sequence[int]) -> Iterator[tuple[int, int, int, int]]:
         for b in range(a + 1, top):
             common = nbrs[a] & nbrs[b]
             if common & (common - 1):
-                shared = list(_bits(common))
+                shared = _bits(common)
                 for k, x in enumerate(shared):
                     for y in shared[k + 1:]:
                         if (x, y) != (0, top):

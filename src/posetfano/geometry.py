@@ -180,7 +180,7 @@ def enumerate_facets(points) -> list[Facet]:
                         ray_new = [v_out * x - v * y for x, y in zip(ray, ray_out)]
                         cone.append((_primitive(ray_new), common | bit))
     facets = sorted(
-        (Facet(tuple(ray[:d]), ray[d], tuple(_bits(zero))) for ray, zero in cone),
+        (Facet(tuple(ray[:d]), ray[d], _bits(zero)) for ray, zero in cone),
         key=lambda f: (f.normal, f.offset))
     for f in facets:
         if f.offset == 0:

@@ -16,7 +16,8 @@ import json
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .errors import CycleInInput, NotAnEdge, NotComparable, ParseError
 
@@ -24,12 +25,16 @@ MAX_D = 64
 _INTEGER = re.compile("-?[0-9]+")  # a text-format token: ASCII digits only
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of mask, lowest first."""
+@lru_cache(maxsize=4096)
+def _bits(mask: int) -> tuple[int, ...]:
+    """The set bit positions of mask, lowest first; cached, since the
+    same few masks recur across calls."""
+    bits = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        bits.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(bits)
 
 
 def _cover_pairs(above: Sequence[int]) -> tuple[tuple[int, int], ...]:

@@ -713,16 +713,7 @@ def fixpoint_key(p: Poset) -> bytes:
     ups = [tuple(j for j in range(d) if (above >> j) & 1) for _, above in masks]
     first: dict[tuple[int, int], int] = {}
     twin = [first.setdefault(m, i) for i, m in enumerate(masks)]
-    order = sorted(range(d), key=[len(down) for down in downs].__getitem__)
-    height = [0] * d
-    for i in order:
-        if downs[i]:
-            height[i] = max(map(height.__getitem__, downs[i])) + 1
-    depth = [0] * d
-    for i in reversed(order):
-        if ups[i]:
-            depth[i] = max(map(depth.__getitem__, ups[i])) + 1
-    init = [(len(downs[i]), len(ups[i]), height[i], depth[i]) for i in range(d)]
+    init = [(len(downs[i]), len(ups[i])) for i in range(d)]
     best = _fixpoint_search(_fixpoint_refine(_fixpoint_rank(init), downs, ups),
                             downs, ups, twin)
     return bytes([d]) + best.to_bytes((d * d + 7) // 8, "big")

@@ -96,10 +96,10 @@ KEY_DIGESTS = {
         "e350ff955d1d3bc57b1da8880495b0ca35020e5c939613963770ded42f7f5059"),
     5: ("c200b726e952283ce132dec53af5bc616bbf0307bab4ac419465f36772a6ff0d",
         "67479f150e3cebe7ed949e5dc9c2735ff76b055860eb8a3d0f37adecd75b7e77"),
-    6: ("b12b088ae1d498719009e5baccdb9566d5017ad881c5146416d7dd6dfb646ffb",
-        "7dbab603f0b642d113b0cdb853db8f83fff6f23a466a51f3f5b053a43fd6b29b"),
-    7: ("405f4907d4cf8e2a08b09f9b4938557ba2a99f90ba1511d4e7f024f855f66d73",
-        "ec756c854353a1ce0f2066317e03870a308b833ad72f9003d9b5a49019aca353"),
+    6: ("ee15c88278afa0fb2cb78a73ff58226187a22217f56bc145a67ab54c88d34b3b",
+        "f32a4949d9256928f0316c0471fa2d943c3f7756c59fa120873c8f9aa24e9d15"),
+    7: ("fb8dc81cef92dc9bb89d84d07e4ce61c5272b97f8f89bf4c814dcf8d7a922ebe",
+        "3d85ca4332c6bbecc6cbc3cc88bc0ed8c88986e6463718224d755d1876af1faf"),
 }
 
 
@@ -199,3 +199,33 @@ def test_twin_stop_matches_the_fixpoint_key_on_planted_twins():
     for _ in range(300):
         p = _planted_twins(rng, rng.randint(9, 14))
         assert canonical.canonical_key(p) == fixpoint_key(p)
+
+
+def _longest_chains(d: int, masks) -> list[int]:
+    """The longest chain from each element 1..d down through the
+    elements its mask holds: heights from lower masks, depths from upper."""
+    length = [0] * (d + 1)
+    for i in sorted(range(1, d + 1), key=lambda i: masks[i].bit_count()):
+        length[i] = max((length[j] + 1 for j in range(1, d + 1) if masks[i] >> j & 1),
+                        default=0)
+    return length[1:]
+
+
+def _assert_cells_keep_chain_lengths(p: Poset) -> None:
+    below = p.lower_masks()
+    ranks = canonical._partition(p._above, below)[0]
+    heights, depths = _longest_chains(p.d, below), _longest_chains(p.d, p._above)
+    cells: dict[int, tuple[int, int]] = {}
+    for r, chains in zip(ranks, zip(heights, depths)):
+        assert cells.setdefault(r, chains) == chains, p
+
+
+def test_stable_partitions_separate_heights_and_depths():
+    # refinement starts from the down- and up-set sizes alone, so the
+    # key rests on every stable partition splitting heights and depths
+    rng = random.Random(914)
+    for _ in range(300):
+        _assert_cells_keep_chain_lengths(_planted_twins(rng, rng.randint(9, 14)))
+    for d in range(1, 8):
+        for p in poset_classes(d):
+            _assert_cells_keep_chain_lengths(p)

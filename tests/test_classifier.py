@@ -329,7 +329,7 @@ class TestClassify:
             for p in smaller_key_quotient(first_seen_classes(d)):
                 digest.update(json.dumps(classify(p).to_dict(), sort_keys=True).encode())
         assert digest.hexdigest() == (
-            "11c6bf5d8fb212d919439e88032af4e2d18c7e96c37d4d59201c03670be4aa3d"
+            "b0ab9f2d54b0bc74a181f88b1be69acf11f04ba7e9d3c17fc3a61827b94f779f"
         )
 
 
@@ -344,7 +344,7 @@ class TestWitnessSearch:
                         [w.kind, list(w.elements), list(w.steps)]).encode())
                 digest.update(b";")
         assert digest.hexdigest() == (
-            "668893c7a9105ddfd4224df5f96f99c77a2714148289c344c2ee1d7c56482e14"
+            "37b46ed20fa3f1b178fb0959d7462db8c4eb1a2f2fa19e4bdceb9af1bef94b11"
         )
 
     @pytest.mark.skipif(not os.environ.get("RUN_D8"),
@@ -361,7 +361,7 @@ class TestWitnessSearch:
             digest.update(b";")
         assert count == 229813
         assert digest.hexdigest() == (
-            "4b2fd5abb223cc83d9507b35d6571cf5f1673a89fd873839a7a016b4a5c9e600"
+            "4c86d73011cb504e07b141d8da74b88dad8f123de196e3ed6fe35074c5c5eb72"
         )
 
     def test_reports_pinned_d7(self):
@@ -371,7 +371,7 @@ class TestWitnessSearch:
         for p in smaller_key_quotient(first_seen_classes(7)):
             digest.update(json.dumps(classify(p).to_dict(), sort_keys=True).encode())
         assert digest.hexdigest() == (
-            "a99c18f9f928198d952836b0def0de0d2e6cec93e1de5e59e5db6657bbc288f0"
+            "6f5391f8dbdef0cd678d9c1b4c030df975581274f2c31c0de0da34962d3c51f3"
         )
 
     def test_matches_reference_on_random_posets(self):

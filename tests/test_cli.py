@@ -51,6 +51,19 @@ class TestClassifyCommand:
         out = json.loads(capsys.readouterr().out)
         assert out["verified"] is True
 
+    def test_verify_disagreement(self, v_file, capsys, monkeypatch):
+        import posetfano.crosscheck as crosscheck
+        facets_and_flags = crosscheck.facets_and_flags
+        monkeypatch.setattr(crosscheck, "facets_and_flags",
+                            lambda points: (facets_and_flags(points)[0], False, True))
+        assert main(["classify", "--verify", v_file]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "disagrees with the oracle" in err
+
+    def test_all_witnesses_text(self, v_file, capsys):
+        assert main(["classify", "--all-witnesses", v_file]) == 0
+        assert "blocking cycle: 1 2 4 3\n" in capsys.readouterr().out
+
     def test_all_witnesses(self, v_file, capsys):
         assert main(["classify", "--json", "--all-witnesses", v_file]) == 0
         out = json.loads(capsys.readouterr().out)

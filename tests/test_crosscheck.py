@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+import posetfano.crosscheck as crosscheck
 import posetfano.geometry as geometry
 from posetfano import (
+    ClassificationReport,
+    Walk,
     classify,
     find_disagreement,
     oracle_report,
@@ -94,6 +97,26 @@ class TestFixtures:
             mine = {(f.normal, f.offset): f.incident
                     for f in enumerate_facets(vs.vectors)}
             assert mine == qhull_exact_facets(vs.vectors)
+
+
+class TestDisagreementReports:
+    def test_flags_the_classifier(self, chain3, monkeypatch):
+        # a chain's polytope is smooth; a report blocking it disagrees twice
+        walk = Walk.from_elements(chain3.hat(), (0, 1, 2, 3, 4), "path")
+        monkeypatch.setattr(crosscheck, "classify",
+                            lambda p: ClassificationReport(p.d, walk))
+        assert find_disagreement(chain3) == {
+            "q_factorial": (False, True), "smooth": (False, True)}
+
+    def test_flags_an_unconditional_flag(self, chain3, monkeypatch):
+        facets_and_flags = geometry.facets_and_flags
+
+        def not_fano(points):
+            facets, _, terminal = facets_and_flags(points)
+            return facets, False, terminal
+
+        monkeypatch.setattr(crosscheck, "facets_and_flags", not_fano)
+        assert find_disagreement(chain3) == {"fano": (True, False)}
 
 
 class TestOracleReport:

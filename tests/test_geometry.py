@@ -61,6 +61,11 @@ class TestDeterminant:
         assert det_fraction_free([[5]]) == 5
         assert det_fraction_free([[1, 2], [3, 4]]) == -2
         assert det_fraction_free([[1, 0], [0, 1]]) == 1
+        assert det_fraction_free([]) == 1
+
+    def test_not_square(self):
+        with pytest.raises(ValueError, match="square"):
+            det_fraction_free([[1, 2], [3, 4], [5, 6]])
 
     def test_agrees_with_cofactor_expansion(self):
         rng = random.Random(29)
@@ -142,10 +147,10 @@ def outcome(fn, *args):
 
 # sha256 of the facet lists of every d = 6 duality class, computed with
 # the C(n, d) minors loop that preceded the prefix-pruned search
-D6_FACETS_SHA256 = "0606f42eedccd0f4b22e93701e718332a5b787df422ce36a8ec191f09b820f46"
+D6_FACETS_SHA256 = "129c545d50e817d0ee7a67e87c81c8fdce241eea6221e2aae82b81c759248427"
 # the same over every d = 7 duality class, computed with the
 # prefix-pruned subset search that preceded the double description
-D7_FACETS_SHA256 = "eefc8f1b59aa33faf82ce5126cbf5de84d28d86c2718a3f64fb713f230893df4"
+D7_FACETS_SHA256 = "b87410e203c30e327f47b7d0c348f76af30316b3198ab39012c4548a308cae86"
 
 
 class TestFacetsAgainstBruteForce:
@@ -653,6 +658,13 @@ class TestWitnessHyperplane:
         with pytest.raises(WalkNotEligible):
             witness_hyperplane(h, walk)
 
+    @pytest.mark.parametrize("elements", [(1, 2, 3, 4), (0, 1, 2, 3)])
+    def test_path_off_the_bounds_rejected(self, chain3, elements):
+        h = chain3.hat()
+        walk = Walk.from_elements(h, elements, "path")
+        with pytest.raises(WalkNotEligible, match="bottom to the top"):
+            witness_hyperplane(h, walk)
+
     def test_unbalanced_cycle_rejected(self, broom6):
         h = broom6.hat()
         # odd cycle through the pendant maximal: never balanced
@@ -727,7 +739,7 @@ class TestWitnessHyperplane:
                 digest.update(f"{walk.kind} {walk.elements} {normal}\n".encode())
         assert planes == 17916
         assert digest.hexdigest() == (
-            "99c6e376b6115872ce83c68f3747666631f08220f091b38b1b9c5a21040c02c3")
+            "afa7938aa7a5121ea11690a4fa597d2a609c45acf29a38b81c5d8fabd95a3f0e")
 
 
 def test_geometry_imports_no_classifier():

@@ -217,6 +217,16 @@ class TestWalkFromElements:
         with pytest.raises(NotAnEdge, match=re.escape(pair)):
             Walk.from_elements(diamond.hat(), elements, kind)
 
+    @pytest.mark.parametrize("kind, elements, message", [
+        ("loop", (1, 2, 4, 3), "kind must be"),
+        ("cycle", (1, 2, 4, 2), "pairwise distinct"),
+        ("cycle", (1, 2, 4), "at least 4"),
+        ("path", (0,), "at least 2"),
+    ])
+    def test_malformed_walks(self, diamond, kind, elements, message):
+        with pytest.raises(ValueError, match=message):
+            Walk.from_elements(diamond.hat(), elements, kind)
+
 
 class TestLess:
     def test_indices_outside_1_to_d(self):
@@ -420,6 +430,8 @@ class TestFileFormats:
         '{"d": true, "relations": []}',
         '{"d": 3, "relations": [[true, 2]]}',
         '{"d": 3, "relations": [[2, true]]}',
+        '{"d": 3',
+        '{"relations": []}',
     ])
     def test_json_type_errors(self, text):
         with pytest.raises(ParseError):
