@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import json
-import os
 import random
 
 import pytest
@@ -347,8 +346,7 @@ class TestWitnessSearch:
             "37b46ed20fa3f1b178fb0959d7462db8c4eb1a2f2fa19e4bdceb9af1bef94b11"
         )
 
-    @pytest.mark.skipif(not os.environ.get("RUN_D8"),
-                        reason="every d = 8 witness, about 15 s; set RUN_D8=1 to run")
+    @pytest.mark.slow
     def test_witnesses_pinned_d8(self):
         # digest computed with the search that gave paths no wrap cap
         digest = hashlib.sha256()

@@ -1,7 +1,10 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +199,11 @@ class TestCrossCheckCommand:
         assert main(["cross-check", "--d", "2", "--jobs", "1"]) == 1
         out = capsys.readouterr().out
         assert "2 disagreements" in out
+        assert main(["cross-check", "--d", "2", "--jobs", "1", "--json"]) == 1
+        records = json.loads(capsys.readouterr().out)["disagreements"]
+        assert sorted(r["covers"] for r in records) == [[], [[1, 2]]]
+        assert all(r["mismatch"] == {"smooth": {"classifier": True, "oracle": False}}
+                   for r in records)
 
 
 class TestCrossCheckSample:
@@ -401,6 +409,18 @@ class TestJobs:
             main(["table", "--help"])
         help_text = " ".join(capsys.readouterr().out.split())
         assert "enumeration and classification" in help_text
+
+
+class TestEntryPoints:
+    @pytest.mark.parametrize("module", ["posetfano", "posetfano.cli"])
+    def test_module_help_exits_zero(self, module):
+        # -m puts the working directory first on the path, so the source
+        # tree is what runs
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-m", module, "--help"], cwd=src,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "cross-check" in proc.stdout
 
 
 class TestEnumerateCommand:

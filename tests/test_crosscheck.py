@@ -151,11 +151,11 @@ class TestOracleReport:
         assert all(flags.values())
 
 
-@pytest.mark.skipif(not os.environ.get("RUN_D8"),
-                    reason="full d = 8 cross-check, 14-19 s at two jobs; set RUN_D8=1 to run")
-def test_full_d8_cross_check(capsys):
+@pytest.mark.slow
+@pytest.mark.parametrize("d,classes", [(7, 2045), (8, 16999)])
+def test_full_cross_check(d, classes, capsys):
     jobs = min(2, os.cpu_count() or 1)
-    assert main(["cross-check", "--d", "8", "--jobs", str(jobs), "--json"]) == 0
+    assert main(["cross-check", "--d", str(d), "--jobs", str(jobs), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["classes"] == 16999
+    assert out["classes"] == classes
     assert out["disagreements"] == []

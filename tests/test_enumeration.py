@@ -1,5 +1,4 @@
 import hashlib
-import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -320,8 +319,6 @@ class TestLocalQuotient:
         )
 
     @pytest.mark.slow
-    @pytest.mark.skipif(not os.environ.get("RUN_D8"),
-                        reason="the d = 8 level; set RUN_D8=1 to run")
     def test_kept_members_pinned_d8(self):
         kept = [p.canonical_key() for p in quotient_by_duality(poset_classes(8))]
         assert len(kept) == 8746
@@ -350,8 +347,6 @@ class TestDeterminism:
         )
 
     @pytest.mark.slow
-    @pytest.mark.skipif(not os.environ.get("RUN_D8"),
-                        reason="the d = 8 level; set RUN_D8=1 to run")
     def test_stored_level_pinned_d8(self):
         level = [(p.canonical_key(), p._above) for p in first_seen_classes(8)]
         assert len(level) == 16999
@@ -363,8 +358,7 @@ class TestDeterminism:
 class TestWalkedLevels:
     @pytest.mark.parametrize("d", [
         1, 2, 3, 4, 5, 6, 7,
-        pytest.param(8, marks=[pytest.mark.slow, pytest.mark.skipif(
-            not os.environ.get("RUN_D8"), reason="the d = 8 level; set RUN_D8=1 to run")])])
+        pytest.param(8, marks=pytest.mark.slow)])
     def test_keys_equal_the_first_seen_classes(self, d):
         assert [p.canonical_key() for p in poset_classes(d)] == [
             p.canonical_key() for p in first_seen_classes(d)]
@@ -382,8 +376,6 @@ class TestWalkedLevels:
         )
 
     @pytest.mark.slow
-    @pytest.mark.skipif(not os.environ.get("RUN_D8"),
-                        reason="the d = 8 level; set RUN_D8=1 to run")
     def test_walked_level_pinned_d8(self):
         level = [(p.canonical_key(), p._above) for p in poset_classes(8)]
         assert len(level) == 16999
@@ -594,8 +586,6 @@ class TestTopRow:
         assert [p._key for p in top] == [p._key for p in quotient]
 
     @pytest.mark.slow
-    @pytest.mark.skipif(not os.environ.get("RUN_D9"),
-                        reason="the d = 9 row, about 10 s; set RUN_D9=1 to run")
     def test_d9_row(self, fresh_levels):
         row = build_table(9, jobs=2)[-1]
         assert (row.d, row.posets, row.smooth) == (9, 92376, 1138)
@@ -697,8 +687,7 @@ class TestCanonicalDeletion:
     @pytest.mark.parametrize("use_pool", [False, True])
     @pytest.mark.parametrize("d", [
         2, 3, 4, 5, 6, 7,
-        pytest.param(8, marks=[pytest.mark.slow, pytest.mark.skipif(
-            not os.environ.get("RUN_D8"), reason="the d = 8 row; set RUN_D8=1 to run")])])
+        pytest.param(8, marks=pytest.mark.slow)])
     def test_each_pair_class_is_accepted_once(self, d, use_pool, pool):
         parents = poset_classes(d - 1)
         keys = [key for batch in pool_map(_accepted_keys, parents, pool if use_pool else None)
@@ -775,8 +764,7 @@ class TestDeletionTree:
     @pytest.mark.parametrize("use_pool", [False, True])
     @pytest.mark.parametrize("d", [
         2, 3, 4, 5, 6, 7,
-        pytest.param(8, marks=[pytest.mark.slow, pytest.mark.skipif(
-            not os.environ.get("RUN_D8"), reason="the d = 8 level; set RUN_D8=1 to run")])])
+        pytest.param(8, marks=pytest.mark.slow)])
     def test_each_class_is_one_node(self, d, use_pool, pool):
         # the top is d + 1, so every size up to d is internal: one node
         # per class, against the first-seen generator.  As in build_table,

@@ -114,6 +114,8 @@ class TestEnumerateFacets:
             enumerate_facets([(0, 0), (1, 1), (2, 2)])
         with pytest.raises(DegenerateInput):
             enumerate_facets([(1, 0)])
+        with pytest.raises(ValueError, match="points must share one positive dimension"):
+            enumerate_facets([(0, 1), (1,)])
 
     def test_origin_on_hyperplane(self):
         with pytest.raises(OriginOnHyperplane):

@@ -95,6 +95,18 @@ class TestFromCoverRelations:
 
 
 class TestConstructorValidation:
+    @pytest.mark.parametrize("d", [0, 65])
+    def test_size_out_of_range(self, d):
+        message = re.escape(f"d must be in 1..64, got {d}")
+        with pytest.raises(ValueError, match=message):
+            Poset(d, (0,) * (d + 1))
+        with pytest.raises(ValueError, match=message):
+            Poset.from_cover_relations(d, [])
+
+    def test_above_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="above must have d\\+1 entries"):
+            Poset(2, (0, 0))
+
     def test_mask_out_of_range(self):
         with pytest.raises(ValueError, match="invalid strict-order mask"):
             Poset(2, (0, 1 << 3, 0))
@@ -150,6 +162,7 @@ class TestHat:
     def test_chain(self):
         h = chain(3).hat()
         assert h.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
+        assert repr(h) == "HatPoset(d=3, edges=[(0, 1), (1, 2), (2, 3), (3, 4)])"
 
     def test_two_chain_plus_point(self):
         h = Poset.from_cover_relations(3, [(1, 2)]).hat()

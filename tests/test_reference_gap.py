@@ -8,7 +8,6 @@ agrees with the package on each of them.  At d = 6 and 7 that walk is
 one balanced cycle missing a bound, and the gap it breaks is a distance
 gap, never the cap through both bounds.
 """
-import os
 from functools import lru_cache
 
 import pytest
@@ -32,10 +31,7 @@ from oracles import (
 
 REFERENCE_ROW = {1: 1, 2: 2, 3: 3, 4: 6, 5: 12, 6: 31, 7: 83, 8: 266}
 CONTESTED = {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 1, 7: 5, 8: 36}
-UP_TO_D8 = [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=[
-    pytest.mark.slow,
-    pytest.mark.skipif(not os.environ.get("RUN_D8"), reason="d = 8; set RUN_D8=1 to run"),
-])]
+UP_TO_D8 = [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)]
 
 
 def duality_classes(d):
