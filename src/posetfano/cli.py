@@ -174,12 +174,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_cross_check(args) -> int:
+    classes = poset_classes(args.d)
+    reps, sample = classes, None
+    if args.sample is not None and args.sample < len(classes):
+        reps = random.Random(args.seed).sample(classes, args.sample)
+        sample = {"of": len(classes), "seed": args.seed}
     with worker_pool(args.jobs) as pool:
-        classes = poset_classes(args.d)
-        reps, sample = classes, None
-        if args.sample is not None and args.sample < len(classes):
-            reps = random.Random(args.seed).sample(classes, args.sample)
-            sample = {"of": len(classes), "seed": args.seed}
         results = list(pool_map(find_disagreement, reps, pool))
     bad = [(p, mm) for p, mm in zip(reps, results) if mm]
     if args.json:

@@ -44,22 +44,26 @@ descendant's, so they skip the test.  Only square-free pair classes
 become Posets and reach the walk search.  The parent walks sizes up to
 k = d_max - 3 and a process pool the subtrees below the nodes of size
 k, each returning its pair counts and square-free masks per size; the
-same pool classifies.
+same pool classifies.  The pool stack (``concurrent.futures`` and
+``multiprocessing``) loads with the first pool ``worker_pool`` builds,
+so a process that builds none never imports it.
 """
 from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import nullcontext, suppress
 from functools import cache
 from dataclasses import astuple, dataclass
-from typing import Callable, ContextManager, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, ContextManager, Iterable, Iterator, Sequence
 
 from .canonical import masks_key, twin_discrete
 from .classifier import classify, hasse_squares
 from .errors import ParseError, UnsupportedSize
 from .poset import Poset, _bits
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 
 @dataclass(frozen=True)
@@ -323,21 +327,24 @@ def _smooth_flag(p: Poset) -> bool:
 def worker_pool(jobs: int) -> ContextManager[Executor | None]:
     """A pool of ``jobs`` worker processes, at most one per CPU this
     process may run on (a pool starts them all on its first task), or a
-    context giving None if that leaves at most one worker."""
+    context giving None if that leaves at most one worker.  The pool
+    stack is imported here, with the first pool, not with this module."""
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     workers = min(jobs, cpus)
     if workers <= 1:
         return nullcontext()
+    from concurrent.futures import ProcessPoolExecutor
     return ProcessPoolExecutor(workers)
 
 
 def pool_map(fn: Callable, items: Sequence, pool: Executor | None = None) -> Iterator:
     """fn(x) for x in items, yielded in input order as the results arrive.
 
-    Runs over the pool's workers unless pool is None.  A pool is handed
-    every chunk at once and keeps each finished result until it is read;
-    the results must be read before the pool shuts down.
+    Runs over the pool's workers unless pool is None, and then needs no
+    pool stack.  A pool is handed every chunk at once and keeps each
+    finished result until it is read; the results must be read before
+    the pool shuts down.
     """
     if pool is None or len(items) < 2:
         return map(fn, items)

@@ -481,7 +481,7 @@ def counting(monkeypatch, fresh_levels):
             used.append((self, fn.__name__))
             return super().map(fn, *iterables, **kwargs)
 
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", Counting)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Counting)
     return opened, used
 
 
@@ -524,7 +524,7 @@ def opened(monkeypatch):
     """The worker counts of the pools worker_pool opens, recorded by a
     fake: no process is started."""
     opened = []
-    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", opened.append)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", opened.append)
     return opened
 
 
@@ -553,6 +553,14 @@ class TestWorkerPool:
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
         enumeration.worker_pool(4)
         assert opened == [3]
+
+    def test_cross_check_validates_before_it_opens_a_pool(self, opened, monkeypatch, capsys):
+        from posetfano import cli
+        monkeypatch.setattr(enumeration.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        assert cli.main(["cross-check", "--d", "0", "--jobs", "2"]) == 1
+        assert "error: enumeration supports 1 <= d" in capsys.readouterr().err
+        assert opened == []
 
 
 class TestPairFlags:
