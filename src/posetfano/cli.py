@@ -12,6 +12,7 @@ import json
 import os
 import random
 import sys
+from contextlib import suppress
 from itertools import islice
 
 from .classifier import classify, iter_witnesses
@@ -33,10 +34,10 @@ def _log(msg: str) -> None:
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+    with suppress(ValueError):
+        if (value := int(text)) >= 1:
+            return value
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

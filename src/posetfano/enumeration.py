@@ -36,8 +36,9 @@ node.
 d + 1, so that every class is a node, and ``pair_representatives(d)``
 those in the tree whose top is d; each node becomes a Poset with its
 key set, in ``sorted(key)`` order, and equal mask values share one int
-object.  ``build_table`` stores no level: it counts every row in one
-walk.  Below the top a row counts the nodes ``_keeps`` keeps.  A
+object.  Each call walks afresh, and the level lives as long as its
+caller holds it.  ``build_table`` builds no level: it counts every row
+in one walk.  Below the top a row counts the nodes ``_keeps`` keeps.  A
 square (a 4-cycle of the bounded Hasse diagram that misses a bound, a
 blocking walk: ``classifier.hasse_squares``) that misses 1-hat is every
 descendant's, so they skip the test.  Only square-free pair classes
@@ -244,10 +245,16 @@ def _subtree(job: tuple[list, bool, int]) -> dict[int, list]:
     return _tally(_walk(node, low, d_max, d_max), d_max)
 
 
+CENSUS_MAX_D = 9  # the largest poset size the census enumerates
+
+
 def _classes(d: int, top: int) -> tuple[Poset, ...]:
     """A Poset, with its key set, for each node of size d in the tree
     whose top is ``top``, in ``sorted(key)`` order; equal mask values
     share one int object.  A node walked twice gives two members."""
+    if not 1 <= d <= CENSUS_MAX_D:
+        raise UnsupportedSize(
+            f"enumeration supports 1 <= d <= {CENSUS_MAX_D}, got {d}")
     root = [None, (0, 0), (0, 0)]  # the one-element poset, self-dual
     walked = _walk(root, True, d, top) if d > 1 else [(root,)]
     masks: dict[int, int] = {}
@@ -260,27 +267,16 @@ def _classes(d: int, top: int) -> tuple[Poset, ...]:
     return tuple(reps)
 
 
-CENSUS_MAX_D = 9  # the largest poset size the census enumerates
-_LEVELS: dict[int, tuple[Poset, ...]] = {}  # d -> poset_classes(d), for each d asked for
-
-
 def poset_classes(d: int) -> tuple[Poset, ...]:
     """One representative per isomorphism class, in ``sorted(key)``
     order: the nodes of size d in the tree whose top is d + 1."""
-    if not 1 <= d <= CENSUS_MAX_D:
-        raise UnsupportedSize(
-            f"enumeration supports 1 <= d <= {CENSUS_MAX_D}, got {d}")
-    if d not in _LEVELS:
-        _LEVELS[d] = _classes(d, d + 1)
-    return _LEVELS[d]
+    return _classes(d, d + 1)
 
 
 def pair_representatives(d: int) -> tuple[Poset, ...]:
-    """``quotient_by_duality(poset_classes(d))``, without storing level
-    d: the nodes of size d in the tree whose top is d.  A class is one
-    node in both trees, so the members agree."""
-    if not 1 <= d <= CENSUS_MAX_D:
-        poset_classes(d)  # raises UnsupportedSize
+    """``quotient_by_duality(poset_classes(d))``: the nodes of size d in
+    the tree whose top is d.  A class is one node in both trees, so the
+    members agree."""
     return _classes(d, d)
 
 

@@ -6,14 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from posetfano import Poset, enumeration
-
-
-@pytest.fixture
-def fresh_levels(monkeypatch):
-    """An empty level memo for enumeration, the shared one restored after
-    the test."""
-    monkeypatch.setattr(enumeration, "_LEVELS", {})
+from posetfano import Poset
 
 
 def chain(d):

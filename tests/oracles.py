@@ -23,6 +23,8 @@ canonical keys by the search the package used before its first
 refinement stopped at the twin partition (refined to the fixpoint), and
 the isomorphism classes by the stored levels the package kept before
 its canonical-deletion walk, which keep the first child seen per key.
+``cached_classes`` alone is no oracle: it is the package's own
+``poset_classes``, cached so that the suite walks each level once.
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ from posetfano import (
     Walk,
     enumerate_facets,
     level_labels,
+    poset_classes,
 )
 
 
@@ -655,6 +658,12 @@ def filtered_extensions(p: Poset) -> list[Poset]:
         pairs = [(i, j) for i in p.elements for j in p.elements if p.less(i, j)]
         out.append(Poset.from_cover_relations(d + 1, pairs + [(i, d + 1) for i in down]))
     return out
+
+
+# poset_classes(d), walked once per test session: the tests that take a
+# level as input read it here, and the tests of a call of poset_classes
+# (its errors, fresh levels, a patched walk) call it directly
+cached_classes = cache(poset_classes)
 
 
 @cache

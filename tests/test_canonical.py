@@ -7,9 +7,10 @@ from math import factorial, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posetfano import Poset, canonical, poset_classes
+from posetfano import Poset, canonical
 from conftest import antichain, chain, random_poset
-from oracles import brute_isomorphic, fixpoint_key, labeled_posets, relabel
+from oracles import (
+    brute_isomorphic, cached_classes, fixpoint_key, labeled_posets, relabel)
 
 
 def test_v_poset_automorphic_labelings():
@@ -105,7 +106,7 @@ KEY_DIGESTS = {
 
 @pytest.mark.parametrize("d", sorted(KEY_DIGESTS))
 def test_key_bytes_pinned(d):
-    reps = poset_classes(d)
+    reps = cached_classes(d)
     keys = hashlib.sha256(b"".join(p.canonical_key() for p in reps))
     duals = hashlib.sha256(b"".join(p.dual().canonical_key() for p in reps))
     assert (keys.hexdigest(), duals.hexdigest()) == KEY_DIGESTS[d]
@@ -153,7 +154,7 @@ def test_twin_discrete_posets_have_only_twin_swaps():
     # twin_discrete may still have only twin swaps, so only one way is checked
     seen = Counter()
     for d in range(1, 6):
-        for p in poset_classes(d):
+        for p in cached_classes(d):
             below = p.lower_masks()
             discrete = canonical.twin_discrete(p._above, below)
             seen[discrete] += 1
@@ -172,7 +173,7 @@ def test_twin_stop_matches_the_fixpoint_key_on_every_class(d):
     # the first refinement stops at the twin partition; refining on to
     # the fixpoint gives the same bytes
     rng = random.Random(70 + d)
-    for p in poset_classes(d):
+    for p in cached_classes(d):
         perm = list(range(1, d + 1))
         rng.shuffle(perm)
         for q in (p, relabel(p, [0] + perm), p.dual()):
@@ -227,5 +228,5 @@ def test_stable_partitions_separate_heights_and_depths():
     for _ in range(300):
         _assert_cells_keep_chain_lengths(_planted_twins(rng, rng.randint(9, 14)))
     for d in range(1, 8):
-        for p in poset_classes(d):
+        for p in cached_classes(d):
             _assert_cells_keep_chain_lengths(p)

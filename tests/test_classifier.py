@@ -13,12 +13,12 @@ from posetfano import (
     enumerate_cycles,
     iter_witnesses,
     level_labels,
-    poset_classes,
 )
 from posetfano.classifier import enumerate_paths, hasse_squares
 from posetfano.enumeration import _smooth_flag
 from conftest import antichain, chain, random_poset
 from oracles import (
+    cached_classes,
     cycle_levels_compatible,
     enumerate_special_paths,
     first_seen_classes,
@@ -167,10 +167,9 @@ class TestCycleGapBounds:
     def test_violating_instance_exists_below_seven(self):
         # some d <= 6 poset is smooth although it carries balanced
         # bound-avoiding cycles (all of which must fail the gap bounds)
-        from posetfano import poset_classes
         hits = []
         for d in range(1, 7):
-            for p in poset_classes(d):
+            for p in cached_classes(d):
                 h = p.hat()
                 candidates = [
                     c for c in enumerate_cycles(h) if is_very_special_cycle(h, c)
@@ -254,9 +253,8 @@ class TestEnumerateSpecialPaths:
     def test_vacuous_below_seven(self):
         # the first two and last two steps of any bottom-to-top path
         # ascend, so balanced paths need at least 8 steps (d >= 7)
-        from posetfano import poset_classes
         for d in range(1, 7):
-            for p in poset_classes(d):
+            for p in cached_classes(d):
                 assert list(enumerate_special_paths(p.hat())) == []
 
 
@@ -315,7 +313,7 @@ class TestClassify:
         # the pure-poset theorem (smooth iff a disjoint union of chains),
         # checked against the walk search on every class with d <= 7
         for d in range(1, 8):
-            for p in poset_classes(d):
+            for p in cached_classes(d):
                 if p.is_pure():
                     assert classify(p).smooth == p.is_disjoint_union_of_chains()
 
@@ -383,7 +381,7 @@ class TestWitnessSearch:
         assert found > 1000
 
     def test_search_leaves_no_reference_cycles(self):
-        posets = poset_classes(7)[::34][:60]
+        posets = cached_classes(7)[::34][:60]
         gc.collect()
         gc.disable()
         try:
@@ -434,7 +432,7 @@ class TestHasseSquares:
         # a blocking cycle of the search, compared as a set of elements
         found = 0
         for d in range(1, 7):
-            for p in poset_classes(d):
+            for p in cached_classes(d):
                 squares = {frozenset(s) for s in hasse_squares(p._above)}
                 if squares:
                     witnesses = {frozenset(w.elements) for w in iter_witnesses(p.hat())
@@ -462,7 +460,7 @@ class TestHasseSquares:
 
     def test_flag_equals_classify_d7(self):
         for d in range(1, 8):
-            for p in poset_classes(d):
+            for p in cached_classes(d):
                 assert _smooth_flag(p) == classify(p).smooth, p
 
     def test_flag_equals_classify_on_random_posets(self):
@@ -478,7 +476,7 @@ class TestHasseSquares:
 
     @pytest.mark.slow
     def test_flag_equals_classify_d8(self):
-        for p in poset_classes(8):
+        for p in cached_classes(8):
             assert _smooth_flag(p) == classify(p).smooth, p
 
 

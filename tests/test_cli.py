@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from posetfano import cli, poset_classes
+from posetfano import cli
 from posetfano.cli import main
 from posetfano.enumeration import TableRow, read_table
+from oracles import cached_classes
 
 
 @pytest.fixture
@@ -233,7 +234,7 @@ class TestCrossCheckSample:
             return list(checked)
 
         first = draw("11")
-        expected = random.Random(11).sample(poset_classes(5), 7)
+        expected = random.Random(11).sample(cached_classes(5), 7)
         assert first == [p.covers for p in expected]
         assert len(set(first)) == 7
         assert draw("11") == first
@@ -253,7 +254,10 @@ class TestCrossCheckSample:
         with pytest.raises(SystemExit) as exc:
             main(["cross-check", "--d", "4", "--sample", n])
         assert exc.value.code == 2
-        assert "--sample" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--sample" in err
+        assert f"expected a positive integer, got {n!r}" in err
+        assert "_positive_int" not in err
 
 
 class TestTableCommand:
@@ -265,7 +269,7 @@ class TestTableCommand:
             (1, 1, 1), (2, 2, 2), (3, 4, 3), (4, 12, 6)
         ]
 
-    def test_census_to_d8_pinned(self, fresh_levels, capsys):
+    def test_census_to_d8_pinned(self, capsys):
         # the whole census from empty levels, over a 2-worker pool
         assert main(["table", "--max-d", "8", "--json", "--jobs", "2"]) == 0
         out = capsys.readouterr().out
@@ -397,12 +401,15 @@ class TestJobs:
         ["table", "--max-d", "3"],
         ["cross-check", "--d", "3"],
     ])
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("jobs", ["0", "-3", "two"])
     def test_non_positive_jobs_is_usage_error(self, command, jobs, capsys):
         with pytest.raises(SystemExit) as exc:
             main(command + ["--jobs", jobs])
         assert exc.value.code == 2
-        assert "--jobs" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--jobs" in err
+        assert f"expected a positive integer, got {jobs!r}" in err
+        assert "_positive_int" not in err
 
     def test_table_help_names_every_parallel_layer(self, capsys):
         with pytest.raises(SystemExit):
@@ -446,7 +453,7 @@ class TestEnumerateCommand:
         assert "184 duality classes" in capsys.readouterr().out
         names = {f.name for f in target.glob("*.poset")}
         assert names == {p.canonical_key().hex() + ".poset"
-                         for p in quotient_by_duality(poset_classes(6))}
+                         for p in quotient_by_duality(cached_classes(6))}
 
 
 class TestUsageErrors:

@@ -12,27 +12,27 @@ from posetfano import (
     classify,
     find_disagreement,
     oracle_report,
-    poset_classes,
     quotient_by_duality,
 )
 from posetfano.cli import main
 from conftest import random_poset
-from oracles import box_is_fano, box_is_terminal, fraction_rank, qhull_exact_facets
+from oracles import (
+    box_is_fano, box_is_terminal, cached_classes, fraction_rank, qhull_exact_facets)
 
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_exhaustive_small(self, d):
-        for p in poset_classes(d):
+        for p in cached_classes(d):
             assert find_disagreement(p) is None
 
     def test_exhaustive_d5(self):
-        disagreements = [p for p in poset_classes(5) if find_disagreement(p)]
+        disagreements = [p for p in cached_classes(5) if find_disagreement(p)]
         assert disagreements == []
 
     def test_reports_equal_up_to_d6(self):
         for d in range(1, 7):
-            for p in quotient_by_duality(poset_classes(d)):
+            for p in quotient_by_duality(cached_classes(d)):
                 assert find_disagreement(p) is None
 
     def test_random_d6_sample(self):
@@ -54,7 +54,7 @@ class TestOracleEquivalence:
         from posetfano import build_vertex_set, enumerate_facets
 
         for d in range(1, 6):
-            for p in poset_classes(d):
+            for p in cached_classes(d):
                 vs = build_vertex_set(p.hat())
                 facets = enumerate_facets(vs.vectors)
                 for k in range(len(vs.vectors)):
@@ -69,7 +69,7 @@ class TestOracleEquivalence:
             is_smooth_geometric,
         )
         for d in range(1, 6):
-            for p in poset_classes(d):
+            for p in cached_classes(d):
                 vs = build_vertex_set(p.hat())
                 facets = enumerate_facets(vs.vectors)
                 assert is_simplicial(facets) == is_smooth_geometric(vs.vectors, facets)
@@ -92,7 +92,7 @@ class TestFixtures:
     @pytest.mark.slow
     def test_qhull_agrees_exhaustive_d6(self):
         from posetfano import build_vertex_set, enumerate_facets, quotient_by_duality
-        for p in quotient_by_duality(poset_classes(6)):
+        for p in quotient_by_duality(cached_classes(6)):
             vs = build_vertex_set(p.hat())
             mine = {(f.normal, f.offset): f.incident
                     for f in enumerate_facets(vs.vectors)}
@@ -130,7 +130,7 @@ class TestOracleReport:
 
         monkeypatch.setattr(geometry, "_lattice_box", counted)
         for d in range(1, 5):
-            for p in poset_classes(d):
+            for p in cached_classes(d):
                 del boxes[:]
                 vs, facets, flags = oracle_report(p)
                 assert len(boxes) == 1

@@ -21,8 +21,8 @@ from posetfano.classifier import hasse_squares
 from posetfano.enumeration import (
     _extensions, count_smooth, pair_representatives, pool_map, read_table)
 from oracles import (
-    brute_isomorphic, filtered_extensions, first_seen_classes, labeled_posets, relabel,
-    twin_prefix)
+    brute_isomorphic, cached_classes, filtered_extensions, first_seen_classes,
+    labeled_posets, relabel, twin_prefix)
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +37,7 @@ LABELED = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
 
 def _orbit_sum(d):
     acc = 0
-    for p in poset_classes(d):
+    for p in cached_classes(d):
         masks = p._above
         lower = p.lower_masks()
         # an automorphism maps each element to one with the same (down-set
@@ -75,17 +75,17 @@ class TestIsoClassCounts:
         labeled = labeled_posets(d)
         assert len(labeled) == LABELED[d]
         keys = {p.canonical_key() for p in labeled}
-        mine = {p.canonical_key() for p in poset_classes(d)}
+        mine = {p.canonical_key() for p in cached_classes(d)}
         assert keys == mine
         assert len(mine) == ISO_CLASSES[d]
 
     @pytest.mark.parametrize("d", [6, 7])
     def test_larger_counts(self, d):
-        assert len(poset_classes(d)) == ISO_CLASSES[d]
+        assert len(cached_classes(d)) == ISO_CLASSES[d]
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_representatives_pairwise_nonisomorphic(self, d):
-        reps = poset_classes(d)
+        reps = cached_classes(d)
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 assert not brute_isomorphic(reps[i], reps[j])
@@ -122,7 +122,7 @@ class TestMaximalElementExtension:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
     def test_new_element_is_maximal_with_largest_down_set(self, d):
         new = d + 1
-        for p in poset_classes(d):
+        for p in cached_classes(d):
             for above, below in _extensions(p._above, p.lower_masks()):
                 child = Poset(new, above)
                 assert child._above[new] == 0
@@ -136,7 +136,7 @@ class TestMaximalElementExtension:
     def test_deleting_a_largest_maximal_element_lands_in_the_level_below(self, d):
         # the rule that makes the extension complete: every labelled poset
         # loses a maximal element with the largest down-set to a known class
-        keys = {p.canonical_key() for p in poset_classes(d - 1)}
+        keys = {p.canonical_key() for p in cached_classes(d - 1)}
         for q in labeled_posets(d):
             lower = q.lower_masks()
             m = max(q.maximal_elements, key=lambda i: lower[i].bit_count())
@@ -150,7 +150,7 @@ class TestMaximalElementExtension:
         # each class as enumerated, whose index order is a linear
         # extension, and under a random relabelling, which need not be one
         rng = random.Random(d)
-        for p in poset_classes(d):
+        for p in cached_classes(d):
             q = relabel(p, [0, *rng.sample(range(1, d + 1), d)])
             for parent in (p, q):
                 assert _children(parent) == twin_prefix(parent, filtered_extensions(parent))
@@ -171,7 +171,7 @@ class TestMaximalElementExtension:
         # the key of a child that comes earlier among its parent's children,
         # on every child with at most 7 elements
         dropped = 0
-        for p in poset_classes(d):
+        for p in cached_classes(d):
             children = filtered_extensions(p)
             kept = set(twin_prefix(p, children))
             earlier = set()
@@ -185,19 +185,22 @@ class TestMaximalElementExtension:
 
     @pytest.mark.slow
     def test_d8_class_count(self):
-        assert len(poset_classes(8)) == 16999  # OEIS A000112
+        assert len(cached_classes(8)) == 16999  # OEIS A000112
 
     @pytest.mark.slow
     def test_d8_duality_count(self):
         # the census's d = 8 poset row
-        assert len(quotient_by_duality(poset_classes(8))) == 8746
+        assert len(quotient_by_duality(cached_classes(8))) == 8746
 
 
 class TestUnsupportedSize:
     @pytest.mark.parametrize("d", [0, 10])
     def test_poset_classes(self, d):
-        with pytest.raises(UnsupportedSize):
-            poset_classes(d)
+        # one size check guards both levels
+        for level in (poset_classes, pair_representatives):
+            with pytest.raises(UnsupportedSize,
+                               match=f"^enumeration supports 1 <= d <= 9, got {d}$"):
+                level(d)
 
     @pytest.mark.parametrize("d", [0, 10])
     def test_pair_representatives(self, d):
@@ -218,10 +221,10 @@ class TestDualityQuotient:
     def test_counts(self):
         expected = {1: 1, 2: 2, 3: 4, 4: 12, 5: 39, 6: 184, 7: 1082}
         for d, n in expected.items():
-            assert len(quotient_by_duality(poset_classes(d))) == n
+            assert len(quotient_by_duality(cached_classes(d))) == n
 
     def test_self_dual_consistency_d5(self):
-        reps = poset_classes(5)
+        reps = cached_classes(5)
         self_dual = sum(
             1 for p in reps
             if p.canonical_key() == p.dual().canonical_key()
@@ -233,10 +236,10 @@ class TestDualityQuotient:
 @pytest.fixture
 def dual_key_calls(monkeypatch):
     """Counts serial calls of enumeration.masks_key.  Levels 7 and 8 are
-    stored first, and a stored level's keys are set, so over a stored
-    level every call counted is a dual key."""
-    poset_classes(7)
-    poset_classes(8)
+    walked and cached first, and a level's keys are set, so over a
+    cached level every call counted is a dual key."""
+    cached_classes(7)
+    cached_classes(8)
     calls = []
     real = enumeration.masks_key
 
@@ -254,8 +257,8 @@ class TestLocalQuotient:
     def test_one_member_of_every_pair(self, d):
         # kept keys and their duals' keys cover the level, and overlap
         # only in the self-dual classes
-        keys = {p.canonical_key() for p in poset_classes(d)}
-        kept = quotient_by_duality(poset_classes(d))
+        keys = {p.canonical_key() for p in cached_classes(d)}
+        kept = quotient_by_duality(cached_classes(d))
         kept_keys = {p.canonical_key() for p in kept}
         dual_keys = {p.dual().canonical_key() for p in kept}
         self_dual = {p.canonical_key() for p in kept
@@ -265,14 +268,14 @@ class TestLocalQuotient:
 
     def test_decision_ignores_the_rest_of_the_input(self):
         rng = random.Random(61)
-        shuffled = list(poset_classes(6))
+        shuffled = list(cached_classes(6))
         rng.shuffle(shuffled)
-        duplicated = list(poset_classes(5))
+        duplicated = list(cached_classes(5))
         duplicated.insert(7, duplicated[3])
         v = Poset.from_cover_relations(3, [(1, 2), (1, 3)])
         cases = [
             shuffled,
-            list(poset_classes(6))[::2],  # half a level: partners missing
+            list(cached_classes(6))[::2],  # half a level: partners missing
             [v],  # its dual partner is absent and its degrees sort higher
             [v.dual()],
             duplicated,
@@ -284,25 +287,25 @@ class TestLocalQuotient:
 
     def test_relabelings_get_the_same_decision(self):
         rng = random.Random(67)
-        for p in poset_classes(6):
+        for p in cached_classes(6):
             perm = list(range(1, 7))
             rng.shuffle(perm)
             q = relabel(p, [0] + perm)
             assert bool(quotient_by_duality([q])) == bool(quotient_by_duality([p]))
 
     def test_dual_keys_computed_d7(self, dual_key_calls):
-        assert len(quotient_by_duality(poset_classes(7))) == 1082
+        assert len(quotient_by_duality(cached_classes(7))) == 1082
         assert len(dual_key_calls) == 125
 
     @pytest.mark.slow
     def test_dual_keys_computed_d8(self, dual_key_calls):
-        assert len(quotient_by_duality(poset_classes(8))) == 8746
+        assert len(quotient_by_duality(cached_classes(8))) == 8746
         assert len(dual_key_calls) == 543
 
     def test_dual_key_is_the_key_of_the_dual(self):
         # _keeps swaps the masks instead of building p.dual()
         for d in range(1, 8):
-            for p in poset_classes(d):
+            for p in cached_classes(d):
                 assert canonical.masks_key(p.lower_masks(), p._above) == (
                     p.dual().canonical_key()), p
 
@@ -312,7 +315,7 @@ class TestLocalQuotient:
     # `enumerate --up-to-duality --emit` writes
     def test_kept_members_pinned(self):
         kept = [p.canonical_key() for d in range(1, 8)
-                for p in quotient_by_duality(poset_classes(d))]
+                for p in quotient_by_duality(cached_classes(d))]
         assert len(kept) == 1324
         assert _digest(kept) == (
             "c8922f44af918a5e3509635fefb556a97891d5e1b558918842eff46e846533c9"
@@ -320,7 +323,7 @@ class TestLocalQuotient:
 
     @pytest.mark.slow
     def test_kept_members_pinned_d8(self):
-        kept = [p.canonical_key() for p in quotient_by_duality(poset_classes(8))]
+        kept = [p.canonical_key() for p in quotient_by_duality(cached_classes(8))]
         assert len(kept) == 8746
         assert _digest(kept) == (
             "b8b73aa58fffd189d7ef9983731e32a1d6bef27ae4c5535c473ec5e91911a436"
@@ -329,9 +332,7 @@ class TestLocalQuotient:
 
 class TestDeterminism:
     def test_two_runs_identical(self):
-        from posetfano import enumeration
         first = [p.canonical_key() for p in poset_classes(5)]
-        enumeration._LEVELS.clear()
         second = [p.canonical_key() for p in poset_classes(5)]
         assert first == second
 
@@ -360,7 +361,7 @@ class TestWalkedLevels:
         1, 2, 3, 4, 5, 6, 7,
         pytest.param(8, marks=pytest.mark.slow)])
     def test_keys_equal_the_first_seen_classes(self, d):
-        assert [p.canonical_key() for p in poset_classes(d)] == [
+        assert [p.canonical_key() for p in cached_classes(d)] == [
             p.canonical_key() for p in first_seen_classes(d)]
 
     # digests of the key and upper masks of every class the walk gives,
@@ -369,7 +370,7 @@ class TestWalkedLevels:
     # 33 at d = 6, 446 at d = 7 and 6108 at d = 8
     def test_walked_levels_pinned(self):
         levels = [(p.canonical_key(), p._above)
-                  for d in range(1, 8) for p in poset_classes(d)]
+                  for d in range(1, 8) for p in cached_classes(d)]
         assert len(levels) == 2450
         assert _digest(levels) == (
             "4945ea628d650681b8372dd03d01eb444f7d02234b1250aa5be389e47802b889"
@@ -377,13 +378,13 @@ class TestWalkedLevels:
 
     @pytest.mark.slow
     def test_walked_level_pinned_d8(self):
-        level = [(p.canonical_key(), p._above) for p in poset_classes(8)]
+        level = [(p.canonical_key(), p._above) for p in cached_classes(8)]
         assert len(level) == 16999
         assert _digest(level) == (
             "ee2173966708d5d291fb1bd90c2499d9540612b3c62ca36957ded0f0869bb47b"
         )
 
-    def test_a_repeated_node_is_a_member(self, fresh_levels, monkeypatch):
+    def test_a_repeated_node_is_a_member(self, monkeypatch):
         # a generator fault that yields a class twice shows in the level
         # rather than being merged by key
         real, repeated = enumeration._accepted, []
@@ -398,22 +399,23 @@ class TestWalkedLevels:
         monkeypatch.setattr(enumeration, "_accepted", repeating)
         assert len(poset_classes(4)) == 17  # the 16 classes, one of them twice
 
-    def test_memo_holds_only_the_levels_asked_for(self, fresh_levels):
-        poset_classes(7)
-        assert set(enumeration._LEVELS) == {7}
-        pair_representatives(6)
-        poset_classes(5)
-        assert set(enumeration._LEVELS) == {5, 7}
+    def test_each_call_walks_afresh(self):
+        # a level lives as long as its caller holds it: no call returns
+        # the level an earlier call gave
+        for level in (poset_classes, pair_representatives):
+            first, second = level(5), level(5)
+            assert first == second
+            assert first is not second
 
 
 class TestSmoothCounting:
     def test_smooth_is_duality_invariant_so_count_is_well_defined(self):
         for d in range(1, 7):
-            for p in poset_classes(d):
+            for p in cached_classes(d):
                 assert classify(p).smooth == classify(p.dual()).smooth
 
     def test_parallel_matches_serial(self, pool):
-        reps = quotient_by_duality(poset_classes(5))
+        reps = quotient_by_duality(cached_classes(5))
         serial = count_smooth(reps)
         parallel = count_smooth(reps, pool=pool)
         assert serial == parallel
@@ -442,7 +444,7 @@ class TestBuildTable:
 
     def test_hat_triangle_free_exhaustive_d6(self):
         for d in range(1, 7):
-            for p in poset_classes(d):
+            for p in cached_classes(d):
                 h = p.hat()
                 und = {frozenset(e) for e in h.edges}
                 for x, y in h.edges:
@@ -455,7 +457,7 @@ class TestBuildTable:
     def test_vector_injectivity_and_zero_sums_exhaustive_d6(self):
         from posetfano import build_vertex_set, maximal_chain_vector_sum
         for d in range(1, 7):
-            for p in poset_classes(d):
+            for p in cached_classes(d):
                 h = p.hat()
                 vs = build_vertex_set(h)
                 assert len(set(vs.vectors)) == len(h.edges)
@@ -468,7 +470,7 @@ def _masks(posets):
 
 
 @pytest.fixture
-def counting(monkeypatch, fresh_levels):
+def counting(monkeypatch):
     """Executors enumeration opens, and (executor, function) per map call."""
     opened, used = [], []
 
@@ -486,14 +488,13 @@ def counting(monkeypatch, fresh_levels):
 
 
 class TestSharedPool:
-    def test_parent_sets_the_fresh_key(self, fresh_levels):
+    def test_parent_sets_the_fresh_key(self):
         for d in range(2, 8):
             for p in poset_classes(d):
                 assert p._key == canonical.canonical_key(p)
 
-    def test_table_rows_match_serial(self, fresh_levels, monkeypatch):
+    def test_table_rows_match_serial(self):
         serial = build_table(7, jobs=1)
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
         assert build_table(7, jobs=2) == serial
         assert [r.posets for r in serial] == [1, 2, 4, 12, 39, 184, 1082]
         # this code's smooth row; acceptance 1-2 pin the reference's 31/83
@@ -564,56 +565,47 @@ class TestWorkerPool:
 
 
 class TestPairFlags:
-    def test_stored_flags_equal_the_quotient(self, fresh_levels):
+    def test_stored_flags_equal_the_quotient(self):
         for d in range(1, 8):
-            level = poset_classes(d)
+            level = cached_classes(d)
             kept = pair_representatives(d)
             quotient = quotient_by_duality(level)
             assert list(kept) == quotient
 
 
 class TestTopRow:
-    def test_equals_the_stored_pair_representatives(self, fresh_levels):
+    def test_equals_the_stored_pair_representatives(self):
         for d in range(2, 8):
             top = pair_representatives(d)
-            assert d not in enumeration._LEVELS
-            level = poset_classes(d)
-            quotient = quotient_by_duality(level)
+            quotient = quotient_by_duality(cached_classes(d))
             assert _masks(top) == _masks(quotient)
             assert [p._key for p in top] == [p._key for p in quotient]
-            # with level d stored, the walk still gives the same members
-            warm = pair_representatives(d)
-            assert _masks(warm) == _masks(quotient)
-            assert [p._key for p in warm] == [p._key for p in quotient]
 
     @pytest.mark.slow
-    def test_equals_the_quotient_d8(self, fresh_levels):
+    def test_equals_the_quotient_d8(self):
         top = pair_representatives(8)
-        quotient = quotient_by_duality(poset_classes(8))
+        quotient = quotient_by_duality(cached_classes(8))
         assert _masks(top) == _masks(quotient)
         assert [p._key for p in top] == [p._key for p in quotient]
 
     @pytest.mark.slow
-    def test_d9_row(self, fresh_levels):
+    def test_d9_row(self):
         row = build_table(9, jobs=2)[-1]
         assert (row.d, row.posets, row.smooth) == (9, 92376, 1138)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_table_leaves_its_last_level_unstored(self, jobs, fresh_levels):
+    def test_table_leaves_its_last_level_unstored(self, jobs):
         rows = build_table(6, jobs=jobs)
         assert [r.posets for r in rows] == [1, 2, 4, 12, 39, 184]
-        assert enumeration._LEVELS == {}
         assert len(poset_classes(6)) == ISO_CLASSES[6]
         assert len(pair_representatives(6)) == 184
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("done", [4, 6])
-    def test_resume_gives_the_same_rows(self, jobs, done, tmp_path, fresh_levels,
-                                        monkeypatch):
+    def test_resume_gives_the_same_rows(self, jobs, done, tmp_path):
         serial = build_table(7)
         out = str(tmp_path / "rows.csv")
         build_table(done, out=out)
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
         assert build_table(7, jobs=jobs, out=out, resume=True) == serial
         assert read_table(out) == serial
 
@@ -624,7 +616,7 @@ class TestSquareFlag:
         # a low square misses the top: its edges are covers and edges from
         # the bottom, which a new maximal element keeps
         low_parents = 0
-        for parent in poset_classes(d - 1):
+        for parent in cached_classes(d - 1):
             if any(y != d for *_, y in hasse_squares(parent._above)):
                 low_parents += 1
                 for above, _ in _extensions(parent._above, parent.lower_masks()):
@@ -638,7 +630,7 @@ class TestSquareFlag:
         # the subtree below each parent, one level deep, against the
         # children _accepted gives, with squares tested here
         classes = flagged = 0
-        for parent in poset_classes(d - 1):
+        for parent in cached_classes(d - 1):
             accepted = [child[1] for child, _ in enumeration._accepted(_node(parent), True)]
             squared = [next(hasse_squares(above), None) is not None for above in accepted]
             low = any(y != d for *_, y in hasse_squares(parent._above))
@@ -656,7 +648,7 @@ class TestSquareFlag:
         pytest.param(8, 8746, 302, 547, marks=pytest.mark.slow),
     ])
     def test_top_row_classifies_only_the_square_free_classes(
-            self, d, posets, smooth, square_free, fresh_levels, monkeypatch):
+            self, d, posets, smooth, square_free, monkeypatch):
         handed, lines = [], []
 
         def recording(reps, *, pool=None):
@@ -666,11 +658,10 @@ class TestSquareFlag:
         monkeypatch.setattr(enumeration, "count_smooth", recording)
         row = build_table(d, log=lines.append)[-1]
         assert (row.posets, row.smooth) == (posets, smooth)
-        assert enumeration._LEVELS == {}
         # every row, one call each in order, hands over its square-free pair classes
         assert len(handed) == d
         for size, reps in enumerate(handed, start=1):
-            want = [p for p in quotient_by_duality(poset_classes(size))
+            want = [p for p in quotient_by_duality(cached_classes(size))
                     if next(hasse_squares(p._above), None) is None]
             assert sorted(p.canonical_key() for p in reps) == sorted(p._key for p in want)
         assert len(handed[-1]) == square_free
@@ -697,10 +688,10 @@ class TestCanonicalDeletion:
         2, 3, 4, 5, 6, 7,
         pytest.param(8, marks=pytest.mark.slow)])
     def test_each_pair_class_is_accepted_once(self, d, use_pool, pool):
-        parents = poset_classes(d - 1)
+        parents = cached_classes(d - 1)
         keys = [key for batch in pool_map(_accepted_keys, parents, pool if use_pool else None)
                 for key in batch]
-        want = [p.canonical_key() for p in quotient_by_duality(poset_classes(d))]
+        want = [p.canonical_key() for p in quotient_by_duality(cached_classes(d))]
         assert len(keys) == len(set(keys)) == len(want)
         assert sorted(keys) == sorted(want)
 
@@ -710,7 +701,7 @@ class TestCanonicalDeletion:
         # and the per-parent comparison, which drops repeats
         paths, dropped = Counter(), 0
         for d in range(2, 8):
-            for parent in poset_classes(d - 1):
+            for parent in cached_classes(d - 1):
                 got = [path for _, path in enumeration._accepted(_node(parent), True)]
                 paths.update(word for path in got for word in path.split())
                 passed = sum(
@@ -826,7 +817,7 @@ class TestStreamedMerge:
         assert list(results) == list(range(1, 40))
 
     @pytest.mark.slow
-    def test_level_holds_one_int_per_mask_value(self, fresh_levels):
+    def test_level_holds_one_int_per_mask_value(self):
         # masks of d = 8 reach 510, past the interpreter's small-int cache,
         # and each child's masks are fresh ints
         masks = [m for p in poset_classes(8) for m in p._above]

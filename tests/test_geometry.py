@@ -26,7 +26,6 @@ from posetfano import (
     is_simplicial,
     is_smooth_geometric,
     is_terminal,
-    poset_classes,
     witness_hyperplane,
 )
 from conftest import antichain, chain, random_poset
@@ -35,6 +34,7 @@ from oracles import (
     box_is_fano,
     box_is_terminal,
     brute_facets,
+    cached_classes,
     cofactor_det,
     first_seen_classes,
     is_balanced,
@@ -345,7 +345,7 @@ class TestHullPointsAgainstBoxWalk:
         # d = 8 classes come as seeded random posets, which spares the
         # suite a d = 8 enumeration
         rng = random.Random(101)
-        sample = [*rng.sample(smaller_key_quotient(poset_classes(7)), 60),
+        sample = [*rng.sample(smaller_key_quotient(cached_classes(7)), 60),
                   *(random_poset(rng, 8) for _ in range(30))]
         for p in sample:
             points = build_vertex_set(p.hat()).vectors
@@ -461,7 +461,7 @@ class TestOwnHullVertexMasks:
     @pytest.mark.slow
     def test_sampled_classes_d7_d8(self):
         rng = random.Random(101)
-        sevens = rng.sample(smaller_key_quotient(poset_classes(7)), 60)
+        sevens = rng.sample(smaller_key_quotient(cached_classes(7)), 60)
         eights = [random_poset(rng, 8) for _ in range(30)]
         for sample, boxed in ((sevens, 3), (eights, 1)):
             for k, p in enumerate(sample):
@@ -679,7 +679,7 @@ class TestWitnessHyperplane:
         # it is clamped from one side only; both sides would need a level
         # gap larger than a distance, which eligibility rejects
         both = 0
-        for p in [*poset_classes(6), *poset_classes(7)[::10]]:
+        for p in [*cached_classes(6), *cached_classes(7)[::10]]:
             h = p.hat()
             vectors = build_vertex_set(h).vectors
             walks = [*(Walk.from_elements(h, els, "cycle") for els in recursive_cycles(h)),

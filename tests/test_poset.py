@@ -13,12 +13,12 @@ from posetfano import (
     ParseError,
     Poset,
     poset_from_text,
-    poset_classes,
     poset_to_text,
     Walk,
 )
 from conftest import antichain, chain, random_poset
-from oracles import eager_covers, maximal_chains_by_definition, relabel, saturated_chains
+from oracles import (
+    cached_classes, eager_covers, maximal_chains_by_definition, relabel, saturated_chains)
 
 
 class TestFromCoverRelations:
@@ -83,7 +83,7 @@ class TestFromCoverRelations:
 
     def test_leaves_no_reference_cycles(self):
         # the closure and the chain search run on explicit stacks
-        posets = poset_classes(6)[::3]
+        posets = cached_classes(6)[::3]
         gc.collect()
         gc.disable()
         try:
@@ -127,7 +127,7 @@ class TestConstructorValidation:
 
 def _lazy_cover_cases():
     for d in range(1, 7):
-        yield from poset_classes(d)
+        yield from cached_classes(d)
     rng = random.Random(20261018)
     for _ in range(200):
         yield random_poset(rng, rng.randint(1, 12))
@@ -191,7 +191,7 @@ class TestHat:
 
     def test_less_is_the_bounded_order(self):
         for d in range(1, 6):
-            for p in poset_classes(d):
+            for p in cached_classes(d):
                 h = p.hat()
                 n = h.d + 2
                 for x in range(n):
@@ -252,7 +252,7 @@ class TestLess:
         # the derived queries (lower masks, minimal elements, dual) are
         # checked against the transpose of the upper masks, built here
         rng = random.Random(7)
-        cases = [p for d in range(1, 6) for p in poset_classes(d)]
+        cases = [p for d in range(1, 6) for p in cached_classes(d)]
         cases += [random_poset(rng, d) for d in range(6, 16) for _ in range(5)]
         for p in cases:
             d = p.d

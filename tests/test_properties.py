@@ -16,12 +16,11 @@ from posetfano import (
     enumerate_facets,
     level_labels,
     maximal_chain_vector_sum,
-    poset_classes,
     quotient_by_duality,
     witness_hyperplane,
 )
 from conftest import random_poset
-from oracles import is_balanced
+from oracles import cached_classes, is_balanced
 
 
 def exact_affine_rank(points):
@@ -105,7 +104,7 @@ class TestDualityInvariance:
 
 class TestWitnessHyperplaneSupport:
     def test_witness_certifies_nonsimplicial(self, v_poset, diamond, zigzag7):
-        classes = [p for d in range(1, 6) for p in quotient_by_duality(poset_classes(d))
+        classes = [p for d in range(1, 6) for p in quotient_by_duality(cached_classes(d))
                    if not classify(p).smooth]
         assert len(classes) == 34
         posets = [v_poset, diamond, zigzag7] + _sample(73, 25, dmin=3, dmax=6) + classes

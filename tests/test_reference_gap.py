@@ -17,10 +17,10 @@ from posetfano import (
     classify,
     find_disagreement,
     level_labels,
-    poset_classes,
     quotient_by_duality,
 )
 from oracles import (
+    cached_classes,
     cycle_levels_compatible,
     gap_free_smooth,
     is_balanced,
@@ -35,7 +35,7 @@ UP_TO_D8 = [1, 2, 3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)]
 
 
 def duality_classes(d):
-    return quotient_by_duality(poset_classes(d))
+    return quotient_by_duality(cached_classes(d))
 
 
 @pytest.mark.parametrize("d", UP_TO_D8)
