@@ -83,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "classification (default: all cores)")
     t.add_argument("--out", help="stream rows to this CSV file")
     t.add_argument("--resume", action="store_true",
-                   help="reuse the rows of --out, which must be d = 1, 2, ... "
-                        "in order with 0 <= smooth <= posets")
+                   help="reuse the rows of --out, d = 1, 2, ... with 0 <= smooth <= "
+                        "posets: skips their smooth counts, not the walk")
     t.add_argument("--json", action="store_true")
 
     e = sub.add_parser("enumerate", help="emit isomorphism-class representatives")

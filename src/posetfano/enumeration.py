@@ -363,12 +363,12 @@ def build_table(
 ) -> list[TableRow]:
     """Poset and smooth counts for every d up to d_max.
 
-    With ``out`` set, the CSV file is first replaced, all or nothing,
-    by the header and the reused rows, and each new row is appended as
-    it finishes, the rows past d_max - 3 once the pool has walked their
-    subtrees.  With ``resume``, the rows ``read_table`` accepts
-    from that file are reused, rows past d_max included, so a long run
-    can be restarted; without it no row is reused.
+    With ``out`` set, the CSV file is first replaced, all or nothing, by
+    the header and the reused rows; each new row is appended as it
+    finishes, the rows past d_max - 3 once the pool has walked their
+    subtrees.  ``resume`` reuses the rows ``read_table`` accepts from the
+    file, rows past d_max included; short of d_max rows, it skips only
+    their ``count_smooth``, as the walk still covers every size.
     """
     if not 1 <= d_max <= CENSUS_MAX_D:
         raise UnsupportedSize(

@@ -46,6 +46,7 @@ def det_fraction_free(matrix) -> int:
     m = [list(row) for row in matrix]
     if any(len(row) != n for row in m):
         raise ValueError("matrix must be square")
+    _dimension(m)  # integer entries
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -122,14 +123,18 @@ def _seed_cone(rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     raise DegenerateInput(f"points do not affinely span dimension {n - 1}")
 
 
-def _dimension(points: list[Vector]) -> int:
-    """The dimension the points share; DegenerateInput if there are none."""
+def _dimension(points) -> tuple[list[Vector], int]:
+    """(points as tuples, dimension); DegenerateInput if none, ValueError if ragged or non-int."""
+    points = [tuple(p) for p in points]
     if not points:
         raise DegenerateInput("empty point set")
     d = len(points[0])
     if d == 0 or any(len(p) != d for p in points):
         raise ValueError("points must share one positive dimension")
-    return d
+    bad = [x for p in points for x in p if not isinstance(x, int)]
+    if bad:
+        raise ValueError(f"coordinates must be integers, got {bad[0]!r}")
+    return points, d
 
 
 def enumerate_facets(points) -> list[Facet]:
@@ -152,8 +157,7 @@ def enumerate_facets(points) -> list[Facet]:
     points do not span, and OriginOnHyperplane if a facet passes through
     the origin (such a hull cannot be Fano).
     """
-    points = [tuple(p) for p in points]
-    d = _dimension(points)
+    points, d = _dimension(points)
     # a ray (a, b) satisfies point p iff (p, -1) . (a, b) <= 0
     rows = [list(p) + [-1] for p in points]
     seeds, rays = _seed_cone(rows)
@@ -304,8 +308,8 @@ def _hull_points(box: tuple[range, ...], facets: list[Facet]):
 def facets_and_flags(points) -> tuple[list[Facet], bool, bool]:
     """(facets, is_fano, is_terminal) of the hull of the points.
 
-    The box budget comes first: UnsupportedSize for a bounding box of
-    more than MAX_BOX_POINTS points, before any facet or scan work.
+    The points are read first, then the box budget: UnsupportedSize for
+    a box of more than MAX_BOX_POINTS points, before any facet or scan work.
     Then ``enumerate_facets`` (with its DegenerateInput and
     OriginOnHyperplane), then one scan of the hull's lattice points.
     Fano needs every offset positive (the origin strictly inside) and
@@ -330,7 +334,7 @@ def facets_and_flags(points) -> tuple[list[Facet], bool, bool]:
     a facet through it), and its mask 0 contains no other point's, so
     it is left out of the comparison.
     """
-    points = [tuple(p) for p in points]
+    points = _dimension(points)[0]
     box = _lattice_box(points)
     facets = enumerate_facets(points)
     origin = (0,) * len(box)
@@ -383,11 +387,10 @@ def is_simplicial(facets: list[Facet]) -> bool:
 def is_smooth_geometric(points, facets: list[Facet]) -> bool:
     """Simplicial with every facet's vertex matrix of determinant +-1.
 
-    Raises DegenerateInput for no points and ValueError for a facet
-    incident index outside the points.
+    Raises DegenerateInput for no points and ValueError for a non-integer
+    coordinate or a facet incident index outside the points.
     """
-    points = [tuple(p) for p in points]
-    _dimension(points)
+    points = _dimension(points)[0]
     if not is_simplicial(facets):
         return False
     for f in facets:

@@ -15,7 +15,6 @@ from posetfano import (
     level_labels,
 )
 from posetfano.classifier import enumerate_paths, hasse_squares
-from posetfano.enumeration import _smooth_flag
 from conftest import antichain, chain, random_poset
 from oracles import (
     cached_classes,
@@ -456,28 +455,35 @@ class TestHasseSquares:
         # through both bounds: the walk search skips it, and so do squares
         p = antichain(d)
         assert list(hasse_squares(p._above)) == []
-        assert _smooth_flag(p) and classify(p).smooth
+        assert classify(p).smooth
+
+    # The census flags a class non-smooth by a Hasse square alone and
+    # walk-searches only the square-free ones, so its flag equals
+    # ``classify`` exactly when no square-carrying class is smooth.
 
     def test_flag_equals_classify_d7(self):
         for d in range(1, 8):
             for p in cached_classes(d):
-                assert _smooth_flag(p) == classify(p).smooth, p
+                if next(hasse_squares(p._above), None) is not None:
+                    assert not classify(p).smooth, p
 
     def test_flag_equals_classify_on_random_posets(self):
         rng = random.Random(73)
         squares = smooth = 0
         for _ in range(400):
             p = random_poset(rng, rng.randint(9, 14), rng.uniform(0.1, 0.4))
-            flag = _smooth_flag(p)
-            assert flag == classify(p).smooth, p
-            squares += next(hasse_squares(p._above), None) is not None
+            square = next(hasse_squares(p._above), None) is not None
+            flag = classify(p).smooth
+            assert not (square and flag), p
+            squares += square
             smooth += flag
         assert 0 < squares < 400 - smooth and smooth > 0
 
     @pytest.mark.slow
     def test_flag_equals_classify_d8(self):
         for p in cached_classes(8):
-            assert _smooth_flag(p) == classify(p).smooth, p
+            if next(hasse_squares(p._above), None) is not None:
+                assert not classify(p).smooth, p
 
 
 def test_path_enumeration_matches_networkx(two_chain_plus_point, diamond):

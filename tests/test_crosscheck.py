@@ -21,15 +21,6 @@ from oracles import (
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
-    def test_exhaustive_small(self, d):
-        for p in cached_classes(d):
-            assert find_disagreement(p) is None
-
-    def test_exhaustive_d5(self):
-        disagreements = [p for p in cached_classes(5) if find_disagreement(p)]
-        assert disagreements == []
-
     def test_reports_equal_up_to_d6(self):
         for d in range(1, 7):
             for p in quotient_by_duality(cached_classes(d)):

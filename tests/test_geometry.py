@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import random
+import re
 from itertools import combinations
 from math import gcd
 from operator import mul
@@ -120,6 +121,27 @@ class TestEnumerateFacets:
     def test_origin_on_hyperplane(self):
         with pytest.raises(OriginOnHyperplane):
             enumerate_facets([(0, 0), (1, 0), (0, 1)])
+
+
+TRIANGLE = [(1, 0), (0, 1), (-1, -1)]
+
+
+class TestNonIntegerInput:
+    # (x, 0), (0, 1), (-1, -1) spans the plane for a numeric x, so only the
+    # integer check can refuse it, and it names the coordinate
+    @pytest.mark.parametrize("x", [0.5, 2.0, "1"])
+    @pytest.mark.parametrize("entry", [
+        enumerate_facets,
+        geometry.facets_and_flags,
+        is_fano,
+        lambda points: is_smooth_geometric(points, enumerate_facets(TRIANGLE)),
+        lambda points: det_fraction_free(points[:2]),
+    ], ids=["enumerate_facets", "facets_and_flags", "is_fano", "is_smooth_geometric",
+            "det_fraction_free"])
+    def test_refused(self, entry, x):
+        with pytest.raises(ValueError,
+                           match=f"^coordinates must be integers, got {re.escape(repr(x))}$"):
+            entry([(x, 0), *TRIANGLE[1:]])
 
 
 def class_vertex_sets(ds):

@@ -5,7 +5,6 @@ the witness-hyperplane group also takes every non-smooth duality class
 with d <= 5 from the enumeration pipeline.
 """
 import random
-from fractions import Fraction
 
 from posetfano import (
     Walk,
@@ -20,26 +19,7 @@ from posetfano import (
     witness_hyperplane,
 )
 from conftest import random_poset
-from oracles import cached_classes, is_balanced
-
-
-def exact_affine_rank(points):
-    """Rank of the homogenized point matrix, exact Gaussian elimination."""
-    rows = [[Fraction(x) for x in p] + [Fraction(1)] for p in points]
-    cols = len(rows[0])
-    rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][c]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c] / inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+from oracles import cached_classes, fraction_rank, is_balanced
 
 
 def _sample(seed, count, dmin=1, dmax=7):
@@ -133,7 +113,7 @@ class TestWitnessHyperplaneSupport:
             assert [sum(s * v[t] for s, v in zip(steps, walk_vecs))
                     for t in range(p.d)] == [0] * p.d
             # the vertices on the hyperplane are affinely dependent
-            assert exact_affine_rank(incident) < len(incident)
+            assert fraction_rank([(*v, 1) for v in incident]) < len(incident)
             # and any facet over that face has more than d vertices
             facets = enumerate_facets(vs.vectors)
             walk_pos = {vs.vectors.index(v) for v in walk_vecs}
@@ -153,25 +133,7 @@ class TestHullVertexIdentity:
             facets = enumerate_facets(vs.vectors)
             for k, v in enumerate(vs.vectors):
                 tight = [f.normal for f in facets if k in f.incident]
-                assert _linear_rank(tight) == p.d
-
-
-def _linear_rank(vectors):
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    cols = len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][c]
-        for r in range(len(rows)):
-            if r != rank and rows[r][c]:
-                f = rows[r][c] / inv
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+                assert fraction_rank(tight) == p.d
 
 
 class TestOracleSelfConsistency:
