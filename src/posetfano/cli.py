@@ -13,6 +13,7 @@ import os
 import random
 import sys
 from contextlib import suppress
+from dataclasses import asdict
 from itertools import islice
 
 from .classifier import classify, iter_witnesses
@@ -83,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "classification (default: all cores)")
     t.add_argument("--out", help="stream rows to this CSV file")
     t.add_argument("--resume", action="store_true",
-                   help="reuse the rows of --out, d = 1, 2, ... with 0 <= smooth <= "
-                        "posets: skips their smooth counts, not the walk")
+                   help="return the rows of --out (d = 1, 2, ... with 0 <= smooth "
+                        "<= posets) if they reach --max-d; otherwise count them all")
     t.add_argument("--json", action="store_true")
 
     e = sub.add_parser("enumerate", help="emit isomorphism-class representatives")
@@ -210,9 +211,7 @@ def cmd_table(args) -> int:
     rows = build_table(args.max_d, jobs=args.jobs, out=args.out,
                        resume=args.resume, log=_log)
     if args.json:
-        print(json.dumps([
-            {"d": r.d, "posets": r.posets, "smooth": r.smooth} for r in rows
-        ]))
+        print(json.dumps([asdict(r) for r in rows]))
     else:
         print(f"{'d':>3} {'posets':>8} {'smooth':>8}")
         for r in rows:

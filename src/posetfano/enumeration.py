@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING, Callable, ContextManager, Iterable, Iterator, 
 from .canonical import masks_key, twin_discrete
 from .classifier import classify, hasse_squares
 from .errors import ParseError, UnsupportedSize
-from .poset import Poset, _bits
+from .poset import _INTEGER, Poset, _bits
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
@@ -363,33 +363,33 @@ def build_table(
 ) -> list[TableRow]:
     """Poset and smooth counts for every d up to d_max.
 
-    With ``out`` set, the CSV file is first replaced, all or nothing, by
-    the header and the reused rows; each new row is appended as it
-    finishes, the rows past d_max - 3 once the pool has walked their
-    subtrees.  ``resume`` reuses the rows ``read_table`` accepts from the
-    file, rows past d_max included; short of d_max rows, it skips only
-    their ``count_smooth``, as the walk still covers every size.
+    With ``resume``, the rows ``read_table`` accepts from ``out`` are
+    returned if they reach d_max, and the file is left as it was.
+    Otherwise the walk counts every row: with ``out`` set, the CSV file
+    is first replaced, all or nothing, by the header, and each row is
+    appended as it finishes, the rows past d_max - 3 once the pool has
+    walked their subtrees.
     """
     if not 1 <= d_max <= CENSUS_MAX_D:
         raise UnsupportedSize(
             f"table supports 1 <= max d <= {CENSUS_MAX_D}, got {d_max}")
-    rows = read_table(out) if out and resume and os.path.exists(out) else []
+    if out and resume and os.path.exists(out) and len(rows := read_table(out)) >= d_max:
+        return rows[:d_max]
     if out:
         try:
             with open(out + ".tmp", "w", encoding="utf-8", newline="") as fh:
-                csv.writer(fh).writerows([_HEADER, *map(astuple, rows)])
+                csv.writer(fh).writerow(_HEADER)
             os.replace(out + ".tmp", out)
         finally:  # the file is still there only if the write or replace failed
             with suppress(OSError):
                 os.remove(out + ".tmp")
-    if len(rows) >= d_max:
-        return rows[:d_max]
+    rows = []
     k = max(d_max - 3, 1)  # the parent walks sizes up to k, the pool the subtrees below
     with worker_pool(jobs) as pool:
         root = [None, (0, 0), (0, 0)]  # the one-element poset: square-free
         tree = [(root, False, True), *_walk(root, False, k, d_max)]
         found = _tally(tree, d_max)
-        for d in range(len(rows) + 1, d_max + 1):
+        for d in range(1, d_max + 1):
             if d not in found:  # past k: walk the subtrees below the nodes of size k
                 roots = [(node, low, d_max) for node, low, _ in tree
                          if len(node[1]) == k + 1]
@@ -416,19 +416,19 @@ _HEADER = ["d", "posets", "smooth"]
 
 
 def read_table(path: str) -> list[TableRow]:
-    """Rows of a table CSV: rows d = 1, 2, ... in order, each with
-    0 <= smooth <= posets.  ParseError names the file and the bad line."""
+    """Rows of a table CSV: rows d = 1, 2, ... in order, each three
+    integers of the poset-file form ``-?[0-9]+`` with 0 <= smooth <=
+    posets.  ParseError names the file and the bad line."""
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         records = list(csv.reader(fh))
     if records and records[0] != _HEADER:
         raise ParseError(f"{path}, line 1: expected the header {','.join(_HEADER)}")
     rows = []
     for line, record in enumerate(records[1:], start=2):
-        try:
-            row = TableRow(*map(int, record))
-        except (TypeError, ValueError):
+        if len(record) != 3 or not all(map(_INTEGER.fullmatch, record)):
             raise ParseError(f"{path}, line {line}: expected three integers, "
-                             f"got {','.join(record)!r}") from None
+                             f"got {','.join(record)!r}")
+        row = TableRow(*map(int, record))
         if row.d != len(rows) + 1 or not 0 <= row.smooth <= row.posets:
             raise ParseError(f"{path}, line {line}: expected the row d={len(rows) + 1} "
                              f"with 0 <= smooth <= posets, got {','.join(record)!r}")

@@ -305,6 +305,44 @@ class TestTableCommand:
         assert str(out_file) in err and line in err
         assert out_file.read_text() == text
 
+    @pytest.mark.parametrize("field", ["+2", "1_0", " 2 ", "\u0662"],
+                             ids=["plus", "underscore", "spaces", "arabic_digit"])
+    def test_resume_rejects_integers_a_poset_file_refuses(self, field, tmp_path, capsys):
+        # int() reads each of these; a table field is -?[0-9]+, as in a poset file
+        out_file = tmp_path / "t.csv"
+        text = f"d,posets,smooth\n1,1,1\n2,{field},2\n"
+        out_file.write_text(text, encoding="utf-8")
+        assert main(["table", "--max-d", "2", "--jobs", "1",
+                     "--out", str(out_file), "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert str(out_file) in err and "line 3" in err
+        assert out_file.read_text(encoding="utf-8") == text
+
+    def test_resume_recounts_a_file_short_of_max_d(self, tmp_path, capsys):
+        # a wrong row in an unfinished file is counted again, not reused
+        out_file = tmp_path / "t.csv"
+        out_file.write_text("d,posets,smooth\n1,1,1\n2,0,0\n")
+        assert main(["table", "--max-d", "3", "--jobs", "1",
+                     "--out", str(out_file), "--resume"]) == 0
+        printed = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        assert printed == [["1", "1", "1"], ["2", "2", "2"], ["3", "4", "3"]]
+        assert read_table(str(out_file)) == [
+            TableRow(1, 1, 1), TableRow(2, 2, 2), TableRow(3, 4, 3)]
+
+    def test_resume_returns_a_finished_file_without_a_walk(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def refuse(*args):
+            raise AssertionError("walked")
+
+        out_file = tmp_path / "t.csv"
+        text = b"d,posets,smooth\n1,1,1\n2,2,2\n3,4,3\n"
+        out_file.write_bytes(text)
+        monkeypatch.setattr("posetfano.enumeration._walk", refuse)
+        assert main(["table", "--max-d", "3", "--jobs", "1", "--json",
+                     "--out", str(out_file), "--resume"]) == 0
+        assert json.loads(capsys.readouterr().out)[-1] == {"d": 3, "posets": 4, "smooth": 3}
+        assert out_file.read_bytes() == text
+
     def test_resume_without_out_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["table", "--max-d", "2", "--jobs", "1", "--resume"])

@@ -421,7 +421,7 @@ class TestBuildTable:
         out = tmp_path / "rows.csv"
         rows = build_table(3, out=str(out))
         assert read_table(str(out)) == rows
-        # resume: reuse the three finished rows, add d=4 only
+        # resume short of d=4: the walk counts every row and rewrites the file
         resumed = build_table(4, out=str(out), resume=True)
         assert resumed[:3] == rows
         assert read_table(str(out)) == resumed
